@@ -309,18 +309,6 @@ def pt_rearrange(sf: StandardForm) -> PTStandardForm:
     return PTStandardForm(out)
 
 
-def pt_rearrange_inverse(pt: PTStandardForm) -> StandardForm:
-    """Inverse rearrangement (the map is its own inverse)."""
-    m, d = pt.m, pt.dim
-    j_idx = np.arange(d)[:, None]
-    l_idx = np.arange(d)[None, :]
-    out = np.empty_like(pt.etilde)
-    for k in range(m):
-        src = _mod_index(j_idx + l_idx - k, m)
-        out[k] = pt.etilde[src, j_idx, l_idx]
-    return StandardForm(out, check=False)
-
-
 def negativity_stform(sf: StandardForm, psd_tol: float = 1e-9) -> float:
     """Negativity computed entirely in the standard form:
 

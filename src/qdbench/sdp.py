@@ -14,7 +14,11 @@ variables; PSD constraints get a slack block tied by entry-wise equalities.
 
 The solver is a primal-dual interior-point method with Nesterov-Todd scaling
 and a Mehrotra predictor-corrector step, run directly on the Hermitian cone
-(1x1 slack entries live in a nonnegative-orthant block).  All arithmetic is
+(1x1 slack entries live in a nonnegative-orthant block).  Each iteration
+factors the dense Schur complement once, in place, and the predictor and
+corrector Newton solves share that factor.  The factorization is a Cholesky
+with a fixed ladder of diagonal jitters (0, 1e-13, 1e-10, 1e-7 times the mean
+diagonal) and a ``lstsq`` fallback.  All arithmetic, these included, is
 deterministic: identical problems and configuration reproduce bit-identical
 iterate sequences.
 
@@ -513,9 +517,9 @@ class SDPProblem:
             row = self._new_row(float(target_vec[r]), label)
             self._row_add_coords(row, slack, [r], [1.0])
             for var, cm in coord_mats:
-                seg = cm.getrow(r)
-                if seg.nnz:
-                    self._row_add_coords(row, var, seg.indices, -seg.data)
+                lo, hi = cm.indptr[r], cm.indptr[r + 1]
+                if hi > lo:
+                    self._row_add_coords(row, var, cm.indices[lo:hi], -cm.data[lo:hi])
         return slack
 
     # -- canonicalization ------------------------------------------------------
@@ -732,22 +736,42 @@ def _all_finite(*objs):
     return True
 
 
-def _solve_schur(mat, rhs_cols):
-    """Cholesky with escalating jitter; lstsq as last resort."""
+def _scatter_index(rows):
+    """Index of the (rows, rows) submatrix for sorted unique ``rows``: a
+    slice pair when the rows are contiguous, else an ``np.ix_`` pair."""
+    if rows.size and rows[-1] - rows[0] + 1 == rows.size:
+        sl = slice(int(rows[0]), int(rows[-1]) + 1)
+        return sl, sl
+    return np.ix_(rows, rows)
 
-    if mat.shape[0] == 0:
-        return np.zeros_like(rhs_cols)
+
+def _factor_schur(mat):
+    """Factor the symmetric Schur matrix in place; return ``rhs -> mat^{-1} rhs``.
+
+    Cholesky with escalating diagonal jitter, ``lstsq`` as the last resort.
+    ``mat`` must be Fortran-ordered so that LAPACK overwrites it: on success
+    its lower triangle holds the factor.  A failed attempt writes only the
+    lower triangle, which is restored from the untouched upper one (the
+    matrix is exactly symmetric); the diagonal is rewritten from a saved copy
+    before every attempt.
+    """
+    n = mat.shape[0]
+    if n == 0:
+        return np.zeros_like
     diag_scale = float(np.mean(np.diag(mat))) or 1.0
+    diag = mat.diagonal().copy()
     for jitter in (0.0, 1e-13, 1e-10, 1e-7):
+        np.fill_diagonal(mat, diag + jitter * diag_scale)
         try:
-            cho = scipy.linalg.cho_factor(
-                mat + jitter * diag_scale * np.eye(mat.shape[0]), lower=True,
-                check_finite=False)
-            return scipy.linalg.cho_solve(cho, rhs_cols, check_finite=False)
+            cho = scipy.linalg.cho_factor(mat, lower=True, overwrite_a=True,
+                                          check_finite=False)
         except scipy.linalg.LinAlgError:
+            low = np.tril_indices(n, -1)
+            mat[low] = mat.T[low]
             continue
-    sol, *_ = np.linalg.lstsq(mat, rhs_cols, rcond=None)
-    return sol
+        return lambda rhs: scipy.linalg.cho_solve(cho, rhs, check_finite=False)
+    np.fill_diagonal(mat, diag)
+    return lambda rhs: np.linalg.lstsq(mat, rhs, rcond=None)[0]
 
 
 def solve(problem, config: SDPConfig | None = None) -> SDPSolution:
@@ -764,9 +788,19 @@ def solve(problem, config: SDPConfig | None = None) -> SDPSolution:
     c_orth = canon.c_orthant
     a_blocks = [a.tocsr() for a in canon.a_blocks]
     a_orth = canon.a_orthant.tocsr()
-    # Rows touching each block (for Schur scatter).
-    block_rows = [np.unique(a.tocoo().row) for a in a_blocks]
+    # Loop-invariant Schur assembly data: per block touched by some row, its
+    # rows of A, their Hermitian matrices on the small-row path (None on the
+    # basis path), and where its part of the Schur matrix is scattered.
+    schur_terms = []
+    for bi, (a, d) in enumerate(zip(a_blocks, dims)):
+        rows = np.unique(a.tocoo().row)
+        if rows.size:
+            sub = a[rows]
+            mats = hmat(np.asarray(sub.todense()), d) if rows.size < d * d else None
+            schur_terms.append((bi, sub, mats, _scatter_index(rows)))
     orth_rows = np.unique(a_orth.tocoo().row)
+    orth_sub = a_orth[orth_rows]
+    orth_index = _scatter_index(orth_rows)
 
     nu = sum(dims) + n_orth
     b_norm = 1.0 + float(np.linalg.norm(b))
@@ -876,35 +910,31 @@ def solve(problem, config: SDPConfig | None = None) -> SDPSolution:
         w_orth2 = xo / so if n_orth else np.zeros(0)
 
         # Schur complement  M[i,j] = <A_i, W A_j W>  summed over blocks.
-        schur = np.zeros((m, m))
-        for bi, (a, sc, d) in enumerate(zip(a_blocks, scalings, dims)):
-            rows = block_rows[bi]
-            if rows.size == 0:
-                continue
-            sub = a[rows]
-            nb = d * d
-            if rows.size < nb:
-                mats = hmat(np.asarray(sub.todense()), d)
-                conj = (sc.w[None] @ mats) @ sc.w[None]
+        # Fortran order lets _factor_schur factor it in place.
+        schur = np.zeros((m, m), order="F")
+        for bi, sub, mats, index in schur_terms:
+            w = scalings[bi].w
+            if mats is not None:
+                conj = (w[None] @ mats) @ w[None]
                 v = hvec(conj)
                 part = np.asarray(sub @ v.T)
             else:
-                basis = _hermitian_basis(d)
-                conj = (sc.w[None] @ basis) @ sc.w[None]
+                basis = _hermitian_basis(dims[bi])
+                conj = (w[None] @ basis) @ w[None]
                 k_mat = hvec(conj).T
                 part = np.asarray(sub @ k_mat @ sub.T)
-            schur[np.ix_(rows, rows)] += (part + part.T) / 2.0
+            schur[index] += (part + part.T) / 2.0
         if n_orth and orth_rows.size:
-            sub = a_orth[orth_rows]
-            part = np.asarray((sub.multiply(w_orth2) @ sub.T).todense())
-            schur[np.ix_(orth_rows, orth_rows)] += (part + part.T) / 2.0
+            part = np.asarray((orth_sub.multiply(w_orth2) @ orth_sub.T).todense())
+            schur[orth_index] += (part + part.T) / 2.0
+        solve_schur = _factor_schur(schur)
 
         def newton(rc_mats, rc_vec):
             e_mats = [rc - sc.w @ rd @ sc.w
                       for rc, rd, sc in zip(rc_mats, rd_mats, scalings)]
             e_vec = (rc_vec - w_orth2 * rd_vec) if n_orth else np.zeros(0)
             rhs = rp - a_apply(e_mats, e_vec)
-            dy = _solve_schur(schur, rhs)
+            dy = solve_schur(rhs)
             dat_mats, dat_vec = a_adjoint(dy)
             ds_mats = [rd - da for rd, da in zip(rd_mats, dat_mats)]
             ds_vec = (rd_vec - dat_vec) if n_orth else np.zeros(0)
@@ -959,6 +989,7 @@ def solve(problem, config: SDPConfig | None = None) -> SDPSolution:
             break
 
         dx_m, dx_v, dy, ds_m, ds_v = newton(rc_mats, rc_vec)
+        schur = solve_schur = None  # free the factor before the next assembly
         if not _all_finite(dx_m, dx_v, ds_m, ds_v, dy):
             break
 

@@ -4,9 +4,14 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qdbench.sdp import (CanonicalSDP, HadamardMaskMap, ScalarMap, SDPConfig, SDPError,
                          SDPProblem, SDPStatus, BlockSwapMap, hmat, hvec, realify, solve)
+from qdbench.sdp import _factor_schur
 
 from conftest import brute_negativity, dense_partial_transpose
 
@@ -242,3 +247,96 @@ class TestDumpLoad:
         payload = canon.dump_json_dict()
         assert set(payload) >= {"block_names", "block_dims", "a_blocks", "c_blocks", "b"}
         json.dumps(payload)  # serializable
+
+
+JITTERS = (0.0, 1e-13, 1e-10, 1e-7)
+
+
+def _reference_schur_solve(mat, rhs):
+    """Factor a fresh jittered copy per attempt; return (solution, jitter or None)."""
+    scale = float(np.mean(np.diag(mat))) or 1.0
+    for jitter in JITTERS:
+        try:
+            cho = scipy.linalg.cho_factor(mat + jitter * scale * np.eye(mat.shape[0]),
+                                          lower=True, check_finite=False)
+        except scipy.linalg.LinAlgError:
+            continue
+        return scipy.linalg.cho_solve(cho, rhs, check_finite=False), jitter
+    return np.linalg.lstsq(mat, rhs, rcond=None)[0], None
+
+
+def _rank_deficient(rng, n):
+    b = rng.standard_normal((n, n // 2))
+    b[n // 3] = 0.0  # an exactly zero pivot: the unjittered factorization must fail
+    mat = b @ b.T
+    return (mat + mat.T) / 2.0
+
+
+def _indefinite(rng, n):
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    mat = (q * np.linspace(-1.0, 2.0, n)) @ q.T
+    return (mat + mat.T) / 2.0
+
+
+class TestSchurFactorization:
+    def test_factored_at_most_once_per_iteration(self, monkeypatch):
+        calls = []
+        real = scipy.linalg.cho_factor
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", counting)
+        psi = np.zeros(4, dtype=complex)
+        psi[0], psi[3] = np.sqrt(0.62), np.sqrt(0.38)
+        p = SDPProblem()
+        p.add_variable("tau_minus", 4)
+        p.set_objective({"tau_minus": np.eye(4)})
+        p.add_psd_constraint([("tau_minus", ScalarMap(4))],
+                             constant=dense_partial_transpose(np.outer(psi, psi.conj()), 2, 2))
+        sol = p.solve()
+        assert sol.status is SDPStatus.OPTIMAL
+        assert 0 < len(calls) <= sol.iterations
+
+    @pytest.mark.parametrize("n", [7, 300])
+    @pytest.mark.parametrize("build, falls_back", [(_rank_deficient, False), (_indefinite, True)])
+    def test_matches_jittered_copy_reference(self, rng, n, build, falls_back):
+        mat = build(rng, n)
+        rhs = rng.standard_normal(n)
+        ref, jitter = _reference_schur_solve(mat, rhs)
+        assert jitter is None if falls_back else jitter > 0.0
+        buf = np.asfortranarray(mat)
+        assert np.array_equal(_factor_schur(buf)(rhs), ref)
+        if falls_back:
+            assert np.array_equal(buf, mat)  # lstsq ran on the restored matrix
+
+    @pytest.mark.parametrize("n", [7, 300])
+    def test_failed_attempts_restore_the_matrix(self, rng, monkeypatch, n):
+        mat = _indefinite(rng, n)
+        scale = float(np.mean(np.diag(mat)))
+        seen = []
+        real = scipy.linalg.cho_factor
+
+        def snapshot(a, *args, **kwargs):
+            seen.append(np.array(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", snapshot)
+        _factor_schur(np.asfortranarray(mat))
+        assert len(seen) == len(JITTERS)
+        for got, jitter in zip(seen, JITTERS):
+            assert np.array_equal(got, mat + jitter * scale * np.eye(n))
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+        arrays(np.float64, (n, n), elements=st.floats(-1.0, 1.0)),
+        arrays(np.float64, n, elements=st.floats(-10.0, 10.0)))))
+    def test_spd_solutions_match_dense_solve(self, data):
+        b, rhs = data
+        n = rhs.size
+        mat = b @ b.T + n * np.eye(n)
+        mat = (mat + mat.T) / 2.0
+        ref = np.linalg.solve(mat, rhs)
+        got = _factor_schur(np.asfortranarray(mat))(rhs)
+        assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)

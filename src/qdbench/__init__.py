@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 from .bench import (BenchmarkResult, Quadratures, QuadraturesWithErrors,  # noqa: E402
                     Tomography, benchmark_general, benchmark_symmetric,
                     input_negativity)
-from .blocksym import (BipartiteBlockMatrix, PTStandardForm, StandardForm,  # noqa: E402
+from .blocksym import (BipartiteBlockMatrix, StandardForm,  # noqa: E402
                        from_standard_form, gram_of, negativity, negativity_stform,
                        partial_transpose, pt_rearrange, symmetry_check,
                        to_standard_form, twirl)
@@ -29,7 +29,7 @@ __all__ = [
     "__version__",
     "BenchmarkResult", "Quadratures", "QuadraturesWithErrors", "Tomography",
     "benchmark_general", "benchmark_symmetric", "input_negativity",
-    "BipartiteBlockMatrix", "PTStandardForm", "StandardForm", "from_standard_form",
+    "BipartiteBlockMatrix", "StandardForm", "from_standard_form",
     "gram_of", "negativity", "negativity_stform", "partial_transpose", "pt_rearrange",
     "symmetry_check", "to_standard_form", "twirl",
     "DensityMatrix", "FockOperator", "TruncationError", "coherent_state", "fidelity",

@@ -15,18 +15,24 @@ the observations: the device is in the quantum domain.
 form (M blocks of size (N+1) instead of an M(N+1)-dimensional matrix), valid
 for rotation-generated ensembles with circulant Gram matrices;
 ``benchmark_general`` keeps the full bipartite variable and accepts one
-measurement scenario per test state.
+measurement scenario per test state.  Each keeps its own variables,
+partial-transpose constraint and Gram rows.  Both encode the measurement data
+with one scenario encoder, ``_add_scenario_rows``, driven by two closures (the
+coefficients of <op, block> and an entrywise pin of the block; exact moments
+are intervals of zero width), and build their verdict with one constructor,
+``_result``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .blocksym import (BipartiteBlockMatrix, StandardForm, negativity,
                        negativity_stform, symmetry_check, to_standard_form)
-from .fock import DensityMatrix, TruncationError, quadratures
+from .fock import DensityMatrix, fit_dim, quadratures
 from .gramopt import GramMatrix
 from .sdp import (BlockSwapMap, HadamardMaskMap, ScalarMap, SDPConfig,
                   SDPProblem, SDPStatus)
@@ -44,12 +50,20 @@ __all__ = [
 MOMENT_KEYS = ("x", "p", "xx", "pp")
 
 
+def _finite_moments(values, what: str) -> dict:
+    out = {k: float(values[k]) for k in MOMENT_KEYS}
+    for k, v in out.items():
+        if not math.isfinite(v):
+            raise ValueError(f"{what} '{k}' is not finite ({v})")
+    return out
+
+
 def _validate_moments(moments, std_errors=None, sigma_level=0):
-    moments = {k: float(moments[k]) for k in MOMENT_KEYS}
+    moments = _finite_moments(moments, "moment")
     if std_errors is None:
         errs = {k: 0.0 for k in MOMENT_KEYS}
     else:
-        errs = {k: float(std_errors[k]) for k in MOMENT_KEYS}
+        errs = _finite_moments(std_errors, "standard error")
         if any(v < 0 for v in errs.values()):
             raise ValueError("standard errors must be nonnegative")
     s = float(sigma_level)
@@ -144,27 +158,11 @@ class BenchmarkResult:
         }
 
 
-def _verdict(bound: float, tol: float, verdict_margin) -> str:
-    margin = (tol + 1e-6) if verdict_margin is None else verdict_margin
-    return "QuantumDomain" if bound > margin else "Inconclusive"
-
-
 def _prepare_tomography_state(rho_out: DensityMatrix, d: int) -> np.ndarray:
-    """Match the tomography matrix to the working dimension d."""
-    mat = rho_out.matrix
-    if rho_out.dim == d:
-        return mat
-    if rho_out.dim < d:
-        out = np.zeros((d, d), dtype=complex)
-        out[:rho_out.dim, :rho_out.dim] = mat
-        return out
-    trunc = mat[:d, :d]
-    deficit = 1.0 - float(np.real(np.trace(trunc)))
-    if deficit > 1e-6:
-        raise TruncationError(
-            f"tomography state loses trace {deficit:.3e} when truncated to {d} levels; "
-            f"raise the cutoff", deficit=deficit)
-    return trunc / (1.0 - deficit)
+    """Match the tomography matrix to the working dimension d, renormalizing
+    what truncation loses."""
+    target, lost = fit_dim(rho_out.matrix, d, "tomography state")
+    return target / (1.0 - lost)
 
 
 def _cutoff_guard(cutoff: int, scenario) -> None:
@@ -175,30 +173,57 @@ def _cutoff_guard(cutoff: int, scenario) -> None:
             f"~{n_est:.3f} (need N >= 4 <n>)")
 
 
-def _scenario_rows_on_sum(prob: SDPProblem, e_names, scenario, d: int) -> None:
-    """Constrain sum_k E_k (the seed-output block) according to the scenario."""
+def _add_scenario_rows(prob: SDPProblem, scenario, d: int, on_block, pin,
+                       suffix: str = "") -> None:
+    """Constrain one seed-output block according to its measurement scenario.
+
+    ``on_block(op)`` returns the coefficient dict of the functional
+    <op, block>, and ``pin(target, label)`` fixes the block entrywise, so the
+    same rows serve every formulation.  Exact moments are the zero-width case
+    of the interval rows, which ``add_interval`` turns into equalities.
+    """
     if isinstance(scenario, Tomography):
-        target = _prepare_tomography_state(scenario.rho_out, d)
-        prob.add_entry_equalities({name: 1.0 for name in e_names}, target,
-                                  label="tomography")
+        pin(_prepare_tomography_state(scenario.rho_out, d), f"tomography{suffix}")
         return
+    if isinstance(scenario, Quadratures):
+        width = dict.fromkeys(MOMENT_KEYS, 0.0)
+    elif isinstance(scenario, QuadraturesWithErrors):
+        width = {key: scenario.sigma_level * scenario.std_errors[key] for key in MOMENT_KEYS}
+    else:
+        raise TypeError(f"unknown measurement scenario {scenario!r}")
     x, p = quadratures(d)
     ops = {"x": x.matrix, "p": p.matrix,
            "xx": x.matrix @ x.matrix, "pp": p.matrix @ p.matrix}
-    if isinstance(scenario, Quadratures):
-        for key in MOMENT_KEYS:
-            prob.add_equality({name: ops[key] for name in e_names},
-                              scenario.moments[key], label=f"moment-{key}")
-        return
-    if isinstance(scenario, QuadraturesWithErrors):
-        s = scenario.sigma_level
-        for key in MOMENT_KEYS:
-            lo = scenario.moments[key] - s * scenario.std_errors[key]
-            hi = scenario.moments[key] + s * scenario.std_errors[key]
-            prob.add_interval({name: ops[key] for name in e_names}, lo, hi,
-                              label=f"moment-{key}")
-        return
-    raise TypeError(f"unknown measurement scenario {scenario!r}")
+    for key in MOMENT_KEYS:
+        mid = scenario.moments[key]
+        prob.add_interval(on_block(ops[key]), mid - width[key], mid + width[key],
+                          label=f"moment-{key}{suffix}")
+
+
+def _result(sol, cfg: SDPConfig, verdict_margin, m: int, cutoff: int, tag: str,
+            state) -> BenchmarkResult:
+    """Verdict and diagnostics of a solved benchmark; raises on infeasibility."""
+    if sol.status in (SDPStatus.PRIMAL_INFEASIBLE, SDPStatus.DUAL_INFEASIBLE):
+        raise RuntimeError(
+            f"benchmark constraints are infeasible ({sol.status.value}): the scenario "
+            f"'{tag}' data and Gram matrix admit no joint state at cutoff {cutoff}")
+    bound = float(sol.objective)
+    margin = (cfg.tol + 1e-6) if verdict_margin is None else verdict_margin
+    return BenchmarkResult(
+        negativity_lower_bound=bound,
+        verdict="QuantumDomain" if bound > margin else "Inconclusive",
+        m=m,
+        cutoff=cutoff,
+        scenario_tag=tag,
+        diagnostics={
+            "solver_status": sol.status.value,
+            "solver_iterations": sol.iterations,
+            "primal_residual": sol.primal_residual,
+            "dual_residual": sol.dual_residual,
+            "duality_gap": sol.duality_gap,
+        },
+        optimized_state=state,
+    )
 
 
 def _gram_rows_symmetric(prob: SDPProblem, e_names, zeta, d: int,
@@ -272,36 +297,18 @@ def benchmark_symmetric(gram: GramMatrix, seed_scenario, m: int, cutoff: int = 1
         terms.append((f_names[k], ScalarMap(d, 1.0)))
         prob.add_psd_constraint(terms, label=f"pt-sector-{k}")
 
-    is_tomo = isinstance(seed_scenario, Tomography)
-    _scenario_rows_on_sum(prob, e_names, seed_scenario, d)
+    def pin(target, label):
+        prob.add_entry_equalities({name: 1.0 for name in e_names}, target, label=label)
+
+    _add_scenario_rows(prob, seed_scenario, d,
+                       lambda op: {name: op for name in e_names}, pin)
     _gram_rows_symmetric(prob, e_names, gram.circulant_profile(), d,
-                         skip_trace_row=is_tomo)
+                         skip_trace_row=isinstance(seed_scenario, Tomography))
 
     sol = prob.solve(cfg)
-    if sol.status in (SDPStatus.PRIMAL_INFEASIBLE, SDPStatus.DUAL_INFEASIBLE):
-        raise RuntimeError(
-            f"benchmark constraints are infeasible ({sol.status.value}): the scenario "
-            f"'{seed_scenario.tag}' data and Gram matrix admit no joint state at cutoff "
-            f"{cutoff}")
-
-    bound = float(sol.objective)
     e_stack = np.stack([sol.variables[name] for name in e_names])
-    result = BenchmarkResult(
-        negativity_lower_bound=bound,
-        verdict=_verdict(bound, cfg.tol, verdict_margin),
-        m=m,
-        cutoff=cutoff,
-        scenario_tag=seed_scenario.tag,
-        diagnostics={
-            "solver_status": sol.status.value,
-            "solver_iterations": sol.iterations,
-            "primal_residual": sol.primal_residual,
-            "dual_residual": sol.dual_residual,
-            "duality_gap": sol.duality_gap,
-        },
-        optimized_state=StandardForm(e_stack, check=False),
-    )
-    return result
+    return _result(sol, cfg, verdict_margin, m, cutoff, seed_scenario.tag,
+                   StandardForm(e_stack, check=False))
 
 
 def benchmark_general(gram: GramMatrix, scenarios, cutoff: int = 15,
@@ -334,39 +341,22 @@ def benchmark_general(gram: GramMatrix, scenarios, cutoff: int = 15,
         [("tau", BlockSwapMap(m, d)), ("tau_minus", ScalarMap(n_full, 1.0))],
         label="pt-plus-witness")
 
-    x, p = quadratures(d)
-    ops = {"x": x.matrix, "p": p.matrix,
-           "xx": x.matrix @ x.matrix, "pp": p.matrix @ p.matrix}
-
     def embed(op: np.ndarray, k: int) -> np.ndarray:
         big = np.zeros((n_full, n_full), dtype=complex)
         big[k * d:(k + 1) * d, k * d:(k + 1) * d] = op
         return big
 
-    tomo_states = set()
     for k, sc in enumerate(scenarios):
-        if isinstance(sc, Tomography):
-            target = _prepare_tomography_state(sc.rho_out, d)
-            prob.fix_diagonal_subblock("tau", k * d, target / m, label=f"tomography-{k}")
-            tomo_states.add(k)
-        elif isinstance(sc, Quadratures):
-            for key in MOMENT_KEYS:
-                prob.add_equality({"tau": embed(m * ops[key], k)}, sc.moments[key],
-                                  label=f"moment-{key}-{k}")
-        elif isinstance(sc, QuadraturesWithErrors):
-            s = sc.sigma_level
-            for key in MOMENT_KEYS:
-                lo = sc.moments[key] - s * sc.std_errors[key]
-                hi = sc.moments[key] + s * sc.std_errors[key]
-                prob.add_interval({"tau": embed(m * ops[key], k)}, lo, hi,
-                                  label=f"moment-{key}-{k}")
-        else:
-            raise TypeError(f"unknown measurement scenario {sc!r}")
+        def pin(target, label):
+            prob.fix_diagonal_subblock("tau", k * d, target / m, label=label)
+
+        _add_scenario_rows(prob, sc, d, lambda op: {"tau": embed(m * op, k)}, pin,
+                           suffix=f"-{k}")
 
     for k in range(m):
         for l in range(k, m):
             if k == l:
-                if k in tomo_states:
+                if isinstance(scenarios[k], Tomography):
                     continue  # trace already pinned by tomography rows
                 prob.add_subblock_trace_equality("tau", k, k, d, gram.z[k, k].real,
                                                  scale=float(m), label=f"gram-{k}-{k}")
@@ -376,27 +366,8 @@ def benchmark_general(gram: GramMatrix, scenarios, cutoff: int = 15,
                                                  scale=float(m), label=f"gram-{k}-{l}")
 
     sol = prob.solve(cfg)
-    if sol.status in (SDPStatus.PRIMAL_INFEASIBLE, SDPStatus.DUAL_INFEASIBLE):
-        raise RuntimeError(
-            f"benchmark constraints are infeasible ({sol.status.value}) at cutoff {cutoff}")
-
-    bound = float(sol.objective)
-    tau_opt = BipartiteBlockMatrix.from_full(sol.variables["tau"], m, check=False)
-    return BenchmarkResult(
-        negativity_lower_bound=bound,
-        verdict=_verdict(bound, cfg.tol, verdict_margin),
-        m=m,
-        cutoff=cutoff,
-        scenario_tag="+".join(sc.tag for sc in scenarios),
-        diagnostics={
-            "solver_status": sol.status.value,
-            "solver_iterations": sol.iterations,
-            "primal_residual": sol.primal_residual,
-            "dual_residual": sol.dual_residual,
-            "duality_gap": sol.duality_gap,
-        },
-        optimized_state=tau_opt,
-    )
+    return _result(sol, cfg, verdict_margin, m, cutoff, "+".join(sc.tag for sc in scenarios),
+                   BipartiteBlockMatrix.from_full(sol.variables["tau"], m, check=False))
 
 
 def input_negativity(rho_in: BipartiteBlockMatrix, psd_tol: float = 1e-9) -> float:

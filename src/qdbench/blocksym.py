@@ -26,7 +26,6 @@ from .fock import rotation, trace_norm
 __all__ = [
     "BipartiteBlockMatrix",
     "StandardForm",
-    "PTStandardForm",
     "partial_transpose",
     "negativity",
     "twirl",
@@ -40,11 +39,6 @@ __all__ = [
 
 SYMMETRY_TOL = 1e-8
 BLOCK_HERMITICITY_TOL = 1e-10
-
-
-def _mod_index(i: int | np.ndarray, m: int):
-    """Centralized modular index arithmetic for block labels."""
-    return np.mod(i, m)
 
 
 class BipartiteBlockMatrix:
@@ -170,23 +164,6 @@ class StandardForm:
         return f"StandardForm(m={self.m}, dim={self.dim})"
 
 
-class PTStandardForm:
-    """Standard-form blocks of the partially transposed matrix."""
-
-    __slots__ = ("m", "dim", "etilde")
-
-    def __init__(self, etilde: np.ndarray):
-        etilde = np.asarray(etilde, dtype=complex)
-        if etilde.ndim != 3 or etilde.shape[1] != etilde.shape[2]:
-            raise ValueError(f"expected shape (M, D, D), got {etilde.shape}")
-        self.m = etilde.shape[0]
-        self.dim = etilde.shape[1]
-        self.etilde = etilde
-
-    def __repr__(self):
-        return f"PTStandardForm(m={self.m}, dim={self.dim})"
-
-
 def partial_transpose(tau: BipartiteBlockMatrix) -> BipartiteBlockMatrix:
     """Transpose on subsystem A: block (k,l) of the output is block (l,k) of the input."""
     return BipartiteBlockMatrix(np.transpose(tau.blocks, (1, 0, 2, 3)).copy(), check=False)
@@ -222,7 +199,7 @@ def twirl(tau: BipartiteBlockMatrix) -> BipartiteBlockMatrix:
     ut_diag = np.ones(d, dtype=complex)
     for t in range(m):
         # U^t tau_{k-t, l-t} U^{-t}, computed with diagonal phases.
-        shifted = tau.blocks[np.ix_(_mod_index(idx - t, m), _mod_index(idx - t, m))]
+        shifted = tau.blocks[np.ix_(np.mod(idx - t, m), np.mod(idx - t, m))]
         out += shifted * np.outer(ut_diag, ut_diag.conj())[None, None, :, :]
         ut_diag = ut_diag * phases
     return BipartiteBlockMatrix(out / m, check=False)
@@ -235,7 +212,7 @@ def symmetry_check(tau: BipartiteBlockMatrix) -> float:
         return 0.0
     u_diag = np.diag(rotation(2.0 * np.pi / m, d).matrix)
     rotated = tau.blocks * np.outer(u_diag, u_diag.conj())[None, None, :, :]
-    idx = _mod_index(np.arange(m) + 1, m)
+    idx = np.mod(np.arange(m) + 1, m)
     shifted = tau.blocks[np.ix_(idx, idx)]
     return float(np.max(np.abs(rotated - shifted)))
 
@@ -293,20 +270,21 @@ def from_standard_form(sf: StandardForm) -> BipartiteBlockMatrix:
     return BipartiteBlockMatrix(blocks, check=False)
 
 
-def pt_rearrange(sf: StandardForm) -> PTStandardForm:
+def pt_rearrange(sf: StandardForm) -> StandardForm:
     """Entry rearrangement [Etilde_k]_{jl} = [E_{j+l-k mod M}]_{jl}.
 
-    These are the standard-form blocks of the partial transpose.  The map is
-    an involution: applying it twice returns the input bit-exactly.
+    These are the standard-form blocks of the partial transpose, returned
+    unchecked as a :class:`StandardForm`.  The map is an involution: applying
+    it twice returns the input bit-exactly.
     """
     m, d = sf.m, sf.dim
     j_idx = np.arange(d)[:, None]
     l_idx = np.arange(d)[None, :]
     out = np.empty_like(sf.e)
     for k in range(m):
-        src = _mod_index(j_idx + l_idx - k, m)
+        src = np.mod(j_idx + l_idx - k, m)
         out[k] = sf.e[src, j_idx, l_idx]
-    return PTStandardForm(out)
+    return StandardForm(out, check=False)
 
 
 def negativity_stform(sf: StandardForm, psd_tol: float = 1e-9) -> float:
@@ -319,7 +297,7 @@ def negativity_stform(sf: StandardForm, psd_tol: float = 1e-9) -> float:
         if min_eig < -psd_tol:
             raise ValueError(f"standard-form block {k} is not PSD (min eigenvalue {min_eig:.3e})")
     pt = pt_rearrange(sf)
-    tnorm = sum(trace_norm(pt.etilde[k]) for k in range(sf.m))
+    tnorm = sum(trace_norm(pt.e[k]) for k in range(sf.m))
     total_trace = float(np.real(np.einsum("kii->", sf.e)))
     return float((tnorm - total_trace) / 2.0)
 

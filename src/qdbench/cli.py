@@ -33,8 +33,6 @@ def _cmd_sweep(args) -> int:
         cfg["bench"]["cutoff"] = args.cutoff
     if args.m_values:
         cfg["ensemble"]["m_values"] = [int(v) for v in args.m_values.split(",")]
-    if args.workers is not None:
-        cfg["workers"] = args.workers
     summary = run_pipeline(cfg, out_dir=args.out)
     for m, label, _, bound, verdict in summary["bounds"]:
         print(f"M={m:<3d} {label:<28s} bound={bound:+.6e}  {verdict}")
@@ -114,7 +112,7 @@ def _cmd_stdform_check(args) -> int:
     pt_full = partial_transpose(tau).full_matrix()
     tn_direct = float(np.sum(np.abs(np.linalg.eigvalsh(pt_full))))
     pt = pt_rearrange(sf)
-    tn_st = float(sum(trace_norm(pt.etilde[k]) for k in range(sf.m)))
+    tn_st = float(sum(trace_norm(pt.e[k]) for k in range(sf.m)))
     print(f"round-trip error:        {rt:.3e}")
     print(f"block-sum identity:      {sum_err:.3e}")
     print(f"trace-norm identity:     {abs(tn_st - tn_direct):.3e}")
@@ -144,7 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="output directory (overrides config)")
     p.add_argument("--cutoff", type=int, default=None)
     p.add_argument("--m-values", default=None, help="comma-separated ensemble sizes")
-    p.add_argument("--workers", type=int, default=None)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("gram", help="optimize the Gram matrix for a rotation ensemble")

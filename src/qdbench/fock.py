@@ -29,6 +29,7 @@ __all__ = [
     "FockOperator",
     "DensityMatrix",
     "TruncationError",
+    "fit_dim",
     "number_operator",
     "rotation",
     "destroy",
@@ -50,6 +51,30 @@ class TruncationError(ValueError):
     def __init__(self, message, deficit=None):
         super().__init__(message)
         self.deficit = deficit
+
+
+def fit_dim(mat: np.ndarray, dim: int, what: str):
+    """Zero-pad or truncate a square matrix to ``dim`` x ``dim``.
+
+    Returns ``(matrix, lost_trace)``: ``lost_trace`` is 1 - Tr of the
+    truncated matrix, and 0.0 when the matrix is padded or already fits.
+    Raises :class:`TruncationError`, naming ``what``, when truncation loses
+    more than 1e-6 of the trace.
+    """
+    n = mat.shape[0]
+    if n == dim:
+        return mat, 0.0
+    if n < dim:
+        out = np.zeros((dim, dim), dtype=complex)
+        out[:n, :n] = mat
+        return out, 0.0
+    trunc = mat[:dim, :dim]
+    lost = 1.0 - float(np.real(np.trace(trunc)))
+    if lost > 1e-6:
+        raise TruncationError(
+            f"{what} loses trace {lost:.3e} when truncated to {dim} levels; "
+            f"raise the cutoff", deficit=lost)
+    return trunc, lost
 
 
 def hermitian_part_error(a: np.ndarray) -> float:

@@ -16,7 +16,6 @@ import copy
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -24,7 +23,7 @@ from . import __version__
 from .bench import (Quadratures, QuadraturesWithErrors, Tomography,
                     benchmark_symmetric, input_negativity)
 from .channels import build_channel
-from .fock import DensityMatrix, coherent_state, noisy_coherent
+from .fock import DensityMatrix, coherent_state, fit_dim, noisy_coherent
 from .gramopt import GramMatrix, optimize_gram, rotation_ensemble
 from .sampling import bin_and_estimate, sample_homodyne
 from .sdp import SDPConfig
@@ -69,7 +68,6 @@ DEFAULT_CONFIG = {
     "solver": {"tol": 1e-8, "max_iter": 200},
     "bench": {"cutoff": 15, "verdict_margin": None},
     "outputs": {"dir": "out", "write_plot_script": True},
-    "workers": 1,
     "assume_phase_covariant": True,
 }
 
@@ -126,21 +124,9 @@ def _build_seed(cfg: dict, dim: int) -> DensityMatrix:
     else:
         raise ValueError(f"seed_state.kind '{kind}' is not one of coherent|noisy_coherent|file")
     if state.dim != dim:
-        state = _match_dim(state, dim)
+        state = DensityMatrix(fit_dim(state.matrix, dim, "seed state")[0],
+                              allow_sub_normalized=True)
     return state
-
-
-def _match_dim(state: DensityMatrix, dim: int) -> DensityMatrix:
-    mat = state.matrix
-    if state.dim < dim:
-        out = np.zeros((dim, dim), dtype=complex)
-        out[:state.dim, :state.dim] = mat
-        return DensityMatrix(out, allow_sub_normalized=True)
-    trunc = mat[:dim, :dim]
-    deficit = 1.0 - float(np.real(np.trace(trunc)))
-    if deficit > 1e-6:
-        raise ValueError(f"seed state loses trace {deficit:.3e} when truncated to {dim} levels")
-    return DensityMatrix(trunc, allow_sub_normalized=True)
 
 
 def _sampled_moments(rho_out: DensityMatrix, scen_cfg: dict):
@@ -267,21 +253,10 @@ def run_pipeline(config, out_dir: str | None = None) -> dict:
         purity_rows.append((m, res.purity, res.purity_upper_bound))
         input_neg_rows.append((m, input_negativity(res.rho_in)))
 
-    jobs = [(m, label, scen) for m in m_values for label, scen in scenarios]
-
-    def run_job(job):
-        m, label, scen = job
-        result = benchmark_symmetric(grams[m], scen, m, cutoff=cutoff,
-                                     solver_config=solver_cfg,
-                                     verdict_margin=verdict_margin)
-        return m, label, result
-
-    workers = max(1, int(cfg["workers"]))
-    if workers == 1:
-        outcomes = [run_job(j) for j in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run_job, jobs))
+    outcomes = [(m, label, benchmark_symmetric(grams[m], scen, m, cutoff=cutoff,
+                                               solver_config=solver_cfg,
+                                               verdict_margin=verdict_margin))
+                for m in m_values for label, scen in scenarios]
 
     bound_rows = [(m, label, cutoff, r.negativity_lower_bound, r.verdict)
                   for m, label, r in outcomes]

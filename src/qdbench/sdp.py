@@ -47,7 +47,6 @@ __all__ = [
     "SDPError",
     "LinearMatrixMap",
     "ScalarMap",
-    "BroadcastMap",
     "HadamardMaskMap",
     "BlockSwapMap",
     "solve",
@@ -183,26 +182,6 @@ class ScalarMap(LinearMatrixMap):
         return sp.identity(n, format="csr") * self.scale
 
 
-class BroadcastMap(LinearMatrixMap):
-    """Scalar (1x1 block) x -> x * C for a fixed Hermitian C."""
-
-    def __init__(self, coeff: np.ndarray):
-        coeff = np.asarray(coeff, dtype=complex)
-        self.var_dim = 1
-        self.out_dim = coeff.shape[0]
-        self.coeff = coeff
-
-    def apply(self, x):
-        return complex(x[0, 0]).real * self.coeff
-
-    def adjoint(self, y):
-        return np.array([[np.real(np.trace(self.coeff @ y))]], dtype=complex)
-
-    def coordinate_matrix(self):
-        col = hvec(self.coeff)
-        return sp.csr_matrix(col.reshape(-1, 1))
-
-
 class HadamardMaskMap(LinearMatrixMap):
     """X -> mask o X (entrywise) for a real symmetric 0/1-style mask.
 
@@ -271,9 +250,6 @@ class SDPStatus(str, Enum):
 class SDPConfig:
     tol: float = 1e-8
     max_iter: int = 200
-    cert_tol: float = 1e-7
-    step_fraction: float = 0.98
-    verbose: bool = False
 
 
 @dataclass
@@ -663,6 +639,11 @@ class CanonicalSDP:
 # Interior-point solver
 # ---------------------------------------------------------------------------
 
+# Relative size of a Farkas-type certificate that declares infeasibility.
+CERT_TOL = 1e-7
+# Fraction of the longest feasible step taken towards the cone boundary.
+STEP_FRACTION = 0.98
+
 
 def _safe_eigvalsh(a):
     a = (a + a.conj().T) / 2.0
@@ -698,7 +679,7 @@ def _orthant_step_length(x, dx):
 class _Scaling:
     """Per-iteration Nesterov-Todd scaling data for one Hermitian block."""
 
-    __slots__ = ("r", "r_inv", "w", "lam_vecs", "lam_vals", "x_isqrt", "s_inv")
+    __slots__ = ("r", "r_inv", "w", "lam_vecs", "lam_vals", "x_isqrt", "s_isqrt")
 
     def __init__(self, x, s):
         wx, vx = np.linalg.eigh(x)
@@ -717,13 +698,7 @@ class _Scaling:
         self.lam_vals = np.sqrt(wt)
         ws, vs = np.linalg.eigh(s)
         ws = np.clip(ws, max(1e-250, float(ws[-1]) * 1e-17), None)
-        self.s_inv = (vs * (1.0 / ws)) @ vs.conj().T
-
-
-def _psd_isqrt(s):
-    ws, vs = np.linalg.eigh((s + s.conj().T) / 2.0)
-    ws = np.clip(ws, max(1e-250, float(ws[-1]) * 1e-17), None)
-    return (vs * (1.0 / np.sqrt(ws))) @ vs.conj().T
+        self.s_isqrt = (vs * (1.0 / np.sqrt(ws))) @ vs.conj().T
 
 
 def _all_finite(*objs):
@@ -871,9 +846,6 @@ def solve(problem, config: SDPConfig | None = None) -> SDPSolution:
             "primal_residual": pres,
             "dual_residual": dres,
         })
-        if cfg.verbose:
-            print(f"  iter {it:3d}  mu={mu:9.2e}  pres={pres:9.2e}  dres={dres:9.2e} "
-                  f" pobj={pobj:+.6e}  dobj={dobj:+.6e}")
 
         score = max(pres, dres, relgap)
         if best is None or score < best[0] * (1.0 - 1e-6):
@@ -896,13 +868,13 @@ def solve(problem, config: SDPConfig | None = None) -> SDPSolution:
             cert = math.sqrt(sum(float(np.vdot(am + s, am + s).real)
                                  for am, s in zip(at_mats, ss))
                              + (float((at_vec + so) @ (at_vec + so)) if n_orth else 0.0)) / scale
-            if cert <= cfg.cert_tol * c_norm:
+            if cert <= CERT_TOL * c_norm:
                 status = SDPStatus.PRIMAL_INFEASIBLE
                 break
         cx = pobj
         if cx < 0 and it > 3:
             cert = float(np.linalg.norm(a_apply(xs, xo))) / (-cx)
-            if cert <= cfg.cert_tol * b_norm:
+            if cert <= CERT_TOL * b_norm:
                 status = SDPStatus.DUAL_INFEASIBLE
                 break
 
@@ -952,11 +924,10 @@ def solve(problem, config: SDPConfig | None = None) -> SDPSolution:
         if not _all_finite(dxa_m, dxa_v, dsa_m, dsa_v):
             break
 
-        s_isqrts = [_psd_isqrt(s) for s in ss]
         ap = min([_psd_step_length(sc.x_isqrt, dx) for sc, dx in zip(scalings, dxa_m)] or [1.0])
         if n_orth:
             ap = min(ap, _orthant_step_length(xo, dxa_v))
-        ad = min([_psd_step_length(si, ds) for si, ds in zip(s_isqrts, dsa_m)] or [1.0])
+        ad = min([_psd_step_length(sc.s_isqrt, ds) for sc, ds in zip(scalings, dsa_m)] or [1.0])
         if n_orth:
             ad = min(ad, _orthant_step_length(so, dsa_v))
 
@@ -996,12 +967,12 @@ def solve(problem, config: SDPConfig | None = None) -> SDPSolution:
         ap = min([_psd_step_length(sc.x_isqrt, dx) for sc, dx in zip(scalings, dx_m)] or [1.0])
         if n_orth:
             ap = min(ap, _orthant_step_length(xo, dx_v))
-        ad = min([_psd_step_length(si, ds) for si, ds in zip(s_isqrts, ds_m)] or [1.0])
+        ad = min([_psd_step_length(sc.s_isqrt, ds) for sc, ds in zip(scalings, ds_m)] or [1.0])
         if n_orth:
             ad = min(ad, _orthant_step_length(so, ds_v))
 
-        ap = cfg.step_fraction * ap
-        ad = cfg.step_fraction * ad
+        ap = STEP_FRACTION * ap
+        ad = STEP_FRACTION * ad
         if max(ap, ad) < 1e-12:
             break  # stalled; report best iterate
 

@@ -77,7 +77,7 @@ def test_criterion_2_trace_norm_identity(symmetric_fixtures):
     for tau in symmetric_fixtures:
         sf = to_standard_form(tau)
         pt = pt_rearrange(sf)
-        lhs = float(sum(trace_norm(pt.etilde[k]) for k in range(sf.m)))
+        lhs = float(sum(trace_norm(pt.e[k]) for k in range(sf.m)))
         rhs = brute_trace_norm_pt(tau.full_matrix(), tau.m, tau.dim)
         worst = max(worst, abs(lhs - rhs))
     assert worst <= 1e-9

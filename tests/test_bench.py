@@ -50,6 +50,17 @@ class TestScenarios:
             QuadraturesWithErrors({"x": 0, "p": 0, "xx": 0.5, "pp": 0.5},
                                   {"x": 0, "p": 0, "xx": 0, "pp": 0}, 5)
 
+    @pytest.mark.parametrize("make, field", [
+        (lambda: Quadratures({"x": float("nan"), "p": 0, "xx": 0.5, "pp": 0.5}),
+         "moment 'x'"),
+        (lambda: QuadraturesWithErrors({"x": 0, "p": 0, "xx": 0.5, "pp": 0.5},
+                                       {"x": 0, "p": 0, "xx": 0, "pp": float("inf")}, 1),
+         "standard error 'pp'"),
+    ], ids=["nan-moment", "inf-standard-error"])
+    def test_non_finite_data_rejected(self, make, field):
+        with pytest.raises(ValueError, match=f"{field} is not finite"):
+            make()
+
     def test_negative_errors_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             QuadraturesWithErrors({"x": 0, "p": 0, "xx": 0.5, "pp": 0.5},
@@ -148,6 +159,15 @@ class TestBenchmarkSymmetric:
         with pytest.raises(RuntimeError, match="infeasible"):
             benchmark_symmetric(gram, scen, m, cutoff=cutoff)
 
+    def test_exact_moments_equal_zero_width_intervals(self):
+        m, cutoff = 2, 7
+        gram, _ = pure_ring_gram(m, 0.4, cutoff + 1)
+        mom = loss_channel(0.9, cutoff + 1)(coherent_state(0.4, cutoff + 1)).quadrature_moments()
+        exact = benchmark_symmetric(gram, Quadratures(mom), m, cutoff=cutoff)
+        zero_width = benchmark_symmetric(
+            gram, QuadraturesWithErrors(mom, dict.fromkeys(mom, 0.0), 1), m, cutoff=cutoff)
+        assert exact.negativity_lower_bound == zero_width.negativity_lower_bound
+
     def test_result_serialization(self):
         m, cutoff = 2, 7
         gram, _ = pure_ring_gram(m, 0.4, cutoff + 1)
@@ -199,6 +219,26 @@ class TestBenchmarkGeneral:
         b_quad = benchmark_general(gram, quad, cutoff=cutoff).negativity_lower_bound
         b_mixed = benchmark_general(gram, mixed, cutoff=cutoff).negativity_lower_bound
         assert b_quad - 1e-6 <= b_mixed <= b_tomo + 1e-6
+
+    def test_mixed_with_error_bars_bound_between_uniform_ones(self):
+        m, cutoff = 2, 7
+        d = cutoff + 1
+        seed = noisy_coherent(0.5, 0.08, d, deficit_tol=1e-6)
+        gram = optimize_gram(rotation_ensemble(seed, m), symmetric=True).gram
+        outs = rotated_outputs(loss_channel(0.92, d)(seed), m)
+        tomo = [Tomography(o) for o in outs]
+        errs = [QuadraturesWithErrors(o.quadrature_moments(), TABLE_ERRORS, 1) for o in outs]
+        b_tomo = benchmark_general(gram, tomo, cutoff=cutoff).negativity_lower_bound
+        b_errs = benchmark_general(gram, errs, cutoff=cutoff).negativity_lower_bound
+        b_mixed = benchmark_general(gram, [tomo[0], errs[1]], cutoff=cutoff).negativity_lower_bound
+        assert b_errs - 1e-6 <= b_mixed <= b_tomo + 1e-6
+
+    def test_jointly_infeasible_moments_raise(self):
+        m, cutoff = 2, 7
+        gram, _ = pure_ring_gram(m, 0.4, cutoff + 1)
+        scen = Quadratures({"x": 0.3, "p": 0.0, "xx": 0.13, "pp": 0.3})
+        with pytest.raises(RuntimeError, match="infeasible"):
+            benchmark_general(gram, [scen] * m, cutoff=cutoff)
 
     def test_identity_gram_gives_zero(self):
         m, cutoff = 3, 6

@@ -1,7 +1,5 @@
 """Tests for the phase-symmetric block machinery and standard form."""
 
-import time
-
 import numpy as np
 import pytest
 
@@ -183,7 +181,7 @@ class TestPTRearrange:
     def test_m1_identity(self, rng):
         sf = to_standard_form(random_block_matrix(rng, 1, 5))
         pt = pt_rearrange(sf)
-        np.testing.assert_allclose(pt.etilde[0], sf.e[0], atol=1e-15)
+        np.testing.assert_allclose(pt.e[0], sf.e[0], atol=1e-15)
 
     def test_diagonal_specialization(self, rng):
         m, d = 4, 6
@@ -193,24 +191,24 @@ class TestPTRearrange:
         pt = pt_rearrange(StandardForm(e, check=False))
         for k in range(m):
             for j in range(d):
-                assert pt.etilde[k][j, j] == e[(2 * j - k) % m][j, j]
+                assert pt.e[k][j, j] == e[(2 * j - k) % m][j, j]
 
     def test_involution_bit_exact(self, rng):
         sf = to_standard_form(random_symmetric_fixture(rng, 5, 4))
-        back = pt_rearrange(StandardForm(pt_rearrange(sf).etilde, check=False))
-        assert np.array_equal(back.etilde, sf.e)
+        back = pt_rearrange(pt_rearrange(sf))
+        assert np.array_equal(back.e, sf.e)
 
     def test_entry_multiset_preserved(self, rng):
         sf = to_standard_form(random_symmetric_fixture(rng, 4, 5))
         pt = pt_rearrange(sf)
         np.testing.assert_allclose(np.sort_complex(sf.e.ravel()),
-                                   np.sort_complex(pt.etilde.ravel()), atol=1e-15)
+                                   np.sort_complex(pt.e.ravel()), atol=1e-15)
 
     def test_trace_norm_identity(self, rng):
         tau = random_symmetric_fixture(rng, 3, 4)
         sf = to_standard_form(tau)
         pt = pt_rearrange(sf)
-        lhs = sum(trace_norm(pt.etilde[k]) for k in range(3))
+        lhs = sum(trace_norm(pt.e[k]) for k in range(3))
         rhs = brute_trace_norm_pt(tau.full_matrix(), 3, 4)
         assert abs(lhs - rhs) <= 1e-9
 
@@ -230,28 +228,29 @@ class TestNegativityStandardForm:
         oracle = brute_negativity(tau.full_matrix(), 2, 16)
         assert abs(negativity_stform(to_standard_form(tau)) - oracle) <= 1e-9
 
-    def test_large_fixture_agrees_and_is_faster(self, rng):
+    def test_large_fixture_agrees_and_decomposes_small_blocks(self, rng, monkeypatch):
         m, d = 8, 16
         amps = [_coherent_amplitudes(0.6 * np.exp(-2j * np.pi * k / m), d) for k in range(m)]
         tau = twirl(BipartiteBlockMatrix.from_pure_family(amps))
         sf = to_standard_form(tau)
 
-        def best_of(fn, reps=15):
-            times = []
-            for _ in range(reps):
-                t0 = time.perf_counter()
-                fn()
-                times.append(time.perf_counter() - t0)
-            return min(times)
+        sizes = []
+        real_eigvalsh = np.linalg.eigvalsh
 
+        def recording_eigvalsh(a, *args, **kwargs):
+            sizes.append(np.shape(a)[-1])
+            return real_eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
         fast = negativity_stform(sf)
+        fast_sizes = list(sizes)
+        sizes.clear()
         direct = negativity(tau)
         assert abs(fast - direct) <= 1e-9
-        t_fast = best_of(lambda: negativity_stform(sf))
-        t_direct = best_of(lambda: negativity(tau))
-        # record the wall-clock advantage; the floor is conservative to avoid flake
-        print(f"\nstandard-form speedup at M=8, D=16: {t_direct / max(t_fast, 1e-9):.1f}x")
-        assert t_direct > 3.0 * t_fast
+        # the standard form's advantage: M small D x D decompositions instead
+        # of full M*D x M*D ones
+        assert fast_sizes and max(fast_sizes) <= d
+        assert max(sizes) == m * d
 
     def test_rejects_non_psd_blocks(self, rng):
         e = np.stack([np.diag([1.0, -0.5]).astype(complex), np.eye(2, dtype=complex)])

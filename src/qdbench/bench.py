@@ -202,7 +202,11 @@ def _add_scenario_rows(prob: SDPProblem, scenario, d: int, on_block, pin,
 
 def _result(sol, cfg: SDPConfig, verdict_margin, m: int, cutoff: int, tag: str,
             state) -> BenchmarkResult:
-    """Verdict and diagnostics of a solved benchmark; raises on infeasibility."""
+    """Verdict and diagnostics of a solved benchmark; raises on infeasibility.
+
+    Only an ``Optimal`` solve can certify: any other status reports its bound
+    with the verdict ``Inconclusive``.
+    """
     if sol.status in (SDPStatus.PRIMAL_INFEASIBLE, SDPStatus.DUAL_INFEASIBLE):
         raise RuntimeError(
             f"benchmark constraints are infeasible ({sol.status.value}): the scenario "
@@ -211,7 +215,7 @@ def _result(sol, cfg: SDPConfig, verdict_margin, m: int, cutoff: int, tag: str,
     margin = (cfg.tol + 1e-6) if verdict_margin is None else verdict_margin
     return BenchmarkResult(
         negativity_lower_bound=bound,
-        verdict="QuantumDomain" if bound > margin else "Inconclusive",
+        verdict="QuantumDomain" if sol.optimal and bound > margin else "Inconclusive",
         m=m,
         cutoff=cutoff,
         scenario_tag=tag,

@@ -9,7 +9,8 @@ Subcommands:
 * ``stdform-check``  validate a bipartite matrix against the standard-form identities
 * ``fidelity``       Uhlmann fidelity of two density-matrix files
 
-Exit codes: 0 success/certified, 2 ran-but-inconclusive, 1 error.
+Exit codes: 0 success/certified, 2 ran-but-inconclusive, 1 error (usage
+errors included).
 """
 
 from __future__ import annotations
@@ -130,8 +131,16 @@ def _cmd_fidelity(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with 1: argparse's 2 is this CLI's "inconclusive"."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qdbench",
         description="Quantum-domain benchmarking for continuous-variable devices.")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -14,11 +14,21 @@ variables; PSD constraints get a slack block tied by entry-wise equalities.
 
 The solver is a primal-dual interior-point method with Nesterov-Todd scaling
 and a Mehrotra predictor-corrector step, run directly on the Hermitian cone
-(1x1 slack entries live in a nonnegative-orthant block).  Each iteration
-factors the dense Schur complement once, in place, and the predictor and
-corrector Newton solves share that factor.  The factorization is a Cholesky
-with a fixed ladder of diagonal jitters (0, 1e-13, 1e-10, 1e-7 times the mean
-diagonal) and a ``lstsq`` fallback.  All arithmetic, these included, is
+(1x1 slack entries live in a nonnegative-orthant block).
+
+Each iteration assembles the dense Schur complement, block by block, straight
+into one Fortran-ordered buffer, with no symmetrized copies.  A block with
+fewer constraint rows than d^2 conjugates the Hermitian matrices of its rows
+by the scaling W.  Any other block uses K, the (d^2, d^2) matrix of
+X -> W X W in ``hvec`` coordinates, which ``_congruence_matrix`` builds in
+closed form from products of two entries of W (no stack of conjugated basis
+matrices); the block's part is A_b K A_b^T, or K itself when its rows A_b are
++-1 times the identity (PSD slacks, scalar maps).  The factored matrix is the
+symmetric matrix of the buffer's lower triangle.  It is factored once, in
+place, and the predictor and corrector Newton solves share the factor.  The
+factorization is a Cholesky with a fixed ladder of diagonal jitters (0,
+1e-13, 1e-10, 1e-7 times the mean diagonal), the buffer re-assembled before
+each retry, and a ``lstsq`` fallback.  All arithmetic, these included, is
 deterministic: identical problems and configuration reproduce bit-identical
 iterate sequences.
 
@@ -107,16 +117,49 @@ def hmat(v: np.ndarray, d: int) -> np.ndarray:
     return a
 
 
-_BASIS_CACHE: dict[int, np.ndarray] = {}
-
-
 def _hermitian_basis(d: int) -> np.ndarray:
     """Stack (d^2, d, d) of the orthonormal Hermitian basis matching hvec order."""
-    basis = _BASIS_CACHE.get(d)
-    if basis is None:
-        basis = hmat(np.eye(d * d), d)
-        _BASIS_CACHE[d] = basis
-    return basis
+    return hmat(np.eye(d * d), d)
+
+
+def _congruence_matrix(w: np.ndarray) -> np.ndarray:
+    """Real symmetric (d^2, d^2) matrix of X -> W X W in hvec coordinates.
+
+    Entry (a, b) is <E_a, W E_b W> for the basis of :func:`_hermitian_basis`.
+    Since Tr(e_i e_j^T W e_k e_l^T W) = W_jk W_li, every entry is a product of
+    two entries of the Hermitian W.  With pairs p = (i, j), q = (k, l), i < j,
+    k < l, and A = W_jk conj(W_il), B = W_jl conj(W_ik), the real-real,
+    imaginary-imaginary and real-imaginary pair blocks are Re(A + B),
+    Re(B - A) and Im(B - A).  Only the diagonal rows and the upper blocks are
+    formed, one group of pairs p with equal i at a time; the lower blocks are
+    their transposes.
+    """
+    d = w.shape[0]
+    iu, ju, _ = _hvec_meta(d)
+    npair = iu.size
+    sqrt2 = math.sqrt(2.0)
+    dg, re, im = slice(0, d), slice(d, d + npair), slice(d + npair, d * d)
+    k = np.empty((d * d, d * d))
+    k[dg, dg] = w.real ** 2 + w.imag ** 2
+    u, v = w[:, iu], w[:, ju]                   # W_xk, W_xl
+    z = u * v.conj()
+    k[dg, re] = sqrt2 * z.real
+    k[dg, im] = -sqrt2 * z.imag
+    uc, vc = u.conj(), v.conj()
+    k_re, k_im = k[re, d:], k[im, d:]
+    start = 0
+    for i in range(d - 1):                      # pairs p = (i, j), j > i
+        stop = start + d - 1 - i
+        a = uc[i + 1:] * v[i]                   # conj(A)
+        b = vc[i + 1:] * u[i]                   # conj(B)
+        np.add(a.real, b.real, out=k_re[start:stop, :npair])
+        np.subtract(a.imag, b.imag, out=k_re[start:stop, npair:])
+        np.subtract(b.real, a.real, out=k_im[start:stop, npair:])
+        start = stop
+    k[re, dg] = k[dg, re].T
+    k[im, dg] = k[dg, im].T
+    k[im, re] = k[re, im].T
+    return k
 
 
 def realify(h: np.ndarray) -> np.ndarray:
@@ -232,6 +275,21 @@ class BlockSwapMap(LinearMatrixMap):
 
     def adjoint(self, y):
         return self.apply(y)
+
+    def coordinate_matrix(self):
+        """Signed permutation: entry (a, b) of the output is entry (s, t) of
+        the input, a diagonal entry stays in place, and the imaginary part of
+        a pair flips sign when s > t."""
+        m, d = self.m, self.d
+        n = m * d
+        iu, ju, pair_index = _hvec_meta(n)
+        npair = iu.size
+        s = (ju // d) * d + iu % d
+        t = (iu // d) * d + ju % d
+        p = pair_index[np.minimum(s, t), np.maximum(s, t)]
+        cols = np.concatenate([np.arange(n), n + p, n + npair + p])
+        vals = np.concatenate([np.ones(n + npair), np.where(s < t, 1.0, -1.0)])
+        return sp.csr_matrix((vals, (np.arange(n * n), cols)), shape=(n * n, n * n))
 
 
 # ---------------------------------------------------------------------------
@@ -711,42 +769,62 @@ def _all_finite(*objs):
     return True
 
 
-def _scatter_index(rows):
-    """Index of the (rows, rows) submatrix for sorted unique ``rows``: a
-    slice pair when the rows are contiguous, else an ``np.ix_`` pair."""
-    if rows.size and rows[-1] - rows[0] + 1 == rows.size:
+def _scatter_add(schur, rows, part):
+    """``schur[rows, rows] += part.T`` for sorted unique ``rows``, a Fortran-
+    ordered ``schur`` and a C-ordered ``part``: a slice add when the rows are
+    contiguous, else a take/put on the flat views of both (the Fortran-order
+    ravel of a Fortran-contiguous array is a view), in their memory order."""
+    if rows[-1] - rows[0] + 1 == rows.size:
         sl = slice(int(rows[0]), int(rows[-1]) + 1)
-        return sl, sl
-    return np.ix_(rows, rows)
+        schur[sl, sl] += part.T
+    else:
+        flat = schur.ravel(order="F")
+        rows = rows.astype(np.intp)  # flat indices reach m^2
+        idx = (rows[:, None] * schur.shape[0] + rows).ravel()
+        flat.put(idx, flat.take(idx) + part.ravel())
 
 
-def _factor_schur(mat):
-    """Factor the symmetric Schur matrix in place; return ``rhs -> mat^{-1} rhs``.
+def _is_unit_identity(sub):
+    """Whether the sparse square ``sub`` is +I or -I, so that sub K sub^T = K."""
+    n = sub.shape[1]
+    return (sub.shape[0] == n and sub.nnz == n
+            and np.array_equal(sub.indptr, np.arange(n + 1))
+            and np.array_equal(sub.indices, np.arange(n))
+            and abs(sub.data[0]) == 1.0 and bool(np.all(sub.data == sub.data[0])))
 
-    Cholesky with escalating diagonal jitter, ``lstsq`` as the last resort.
-    ``mat`` must be Fortran-ordered so that LAPACK overwrites it: on success
-    its lower triangle holds the factor.  A failed attempt writes only the
-    lower triangle, which is restored from the untouched upper one (the
-    matrix is exactly symmetric); the diagonal is rewritten from a saved copy
-    before every attempt.
+
+def _factor_schur(assemble):
+    """Cholesky-factor the Schur matrix in place; return ``rhs -> S^{-1} rhs``.
+
+    ``assemble()`` returns a fresh Fortran-ordered buffer.  The matrix S that
+    is factored is the symmetric matrix of the buffer's lower triangle (the
+    upper triangle agrees with it only up to rounding and is never read).
+    Cholesky with escalating diagonal jitter, ``lstsq`` on S as the last
+    resort.  LAPACK overwrites the lower triangle, so a failed attempt
+    re-assembles the buffer: every attempt factors S plus its jitter times
+    the mean diagonal of S, and nothing else.
     """
+    mat = assemble()
     n = mat.shape[0]
     if n == 0:
         return np.zeros_like
-    diag_scale = float(np.mean(np.diag(mat))) or 1.0
     diag = mat.diagonal().copy()
-    for jitter in (0.0, 1e-13, 1e-10, 1e-7):
-        np.fill_diagonal(mat, diag + jitter * diag_scale)
+    diag_scale = float(np.mean(diag)) or 1.0
+    for attempt, jitter in enumerate((0.0, 1e-13, 1e-10, 1e-7)):
+        if attempt:
+            mat = None  # release the failed factor before re-assembling
+            mat = assemble()
+            np.fill_diagonal(mat, diag + jitter * diag_scale)
         try:
             cho = scipy.linalg.cho_factor(mat, lower=True, overwrite_a=True,
                                           check_finite=False)
         except scipy.linalg.LinAlgError:
-            low = np.tril_indices(n, -1)
-            mat[low] = mat.T[low]
             continue
         return lambda rhs: scipy.linalg.cho_solve(cho, rhs, check_finite=False)
-    np.fill_diagonal(mat, diag)
-    return lambda rhs: np.linalg.lstsq(mat, rhs, rcond=None)[0]
+    mat = None
+    low = np.tril(assemble())
+    sym = low + np.tril(low, -1).T
+    return lambda rhs: np.linalg.lstsq(sym, rhs, rcond=None)[0]
 
 
 def solve(problem, config: SDPConfig | None = None) -> SDPSolution:
@@ -763,19 +841,21 @@ def solve(problem, config: SDPConfig | None = None) -> SDPSolution:
     c_orth = canon.c_orthant
     a_blocks = [a.tocsr() for a in canon.a_blocks]
     a_orth = canon.a_orthant.tocsr()
-    # Loop-invariant Schur assembly data: per block touched by some row, its
-    # rows of A, their Hermitian matrices on the small-row path (None on the
-    # basis path), and where its part of the Schur matrix is scattered.
+    # Loop-invariant Schur assembly data: per block touched by some row, the
+    # indices of those rows, the rows of A (None when they are +-1 times the
+    # identity, so that the block's part is K itself), and their Hermitian
+    # matrices on the small-row path (None on the K path).
     schur_terms = []
     for bi, (a, d) in enumerate(zip(a_blocks, dims)):
         rows = np.unique(a.tocoo().row)
         if rows.size:
             sub = a[rows]
             mats = hmat(np.asarray(sub.todense()), d) if rows.size < d * d else None
-            schur_terms.append((bi, sub, mats, _scatter_index(rows)))
+            if mats is None and _is_unit_identity(sub):
+                sub = None
+            schur_terms.append((bi, rows, sub, mats))
     orth_rows = np.unique(a_orth.tocoo().row)
     orth_sub = a_orth[orth_rows]
-    orth_index = _scatter_index(orth_rows)
 
     nu = sum(dims) + n_orth
     b_norm = 1.0 + float(np.linalg.norm(b))
@@ -881,25 +961,27 @@ def solve(problem, config: SDPConfig | None = None) -> SDPSolution:
         scalings = [_Scaling(x, s) for x, s in zip(xs, ss)]
         w_orth2 = xo / so if n_orth else np.zeros(0)
 
-        # Schur complement  M[i,j] = <A_i, W A_j W>  summed over blocks.
-        # Fortran order lets _factor_schur factor it in place.
-        schur = np.zeros((m, m), order="F")
-        for bi, sub, mats, index in schur_terms:
-            w = scalings[bi].w
-            if mats is not None:
-                conj = (w[None] @ mats) @ w[None]
-                v = hvec(conj)
-                part = np.asarray(sub @ v.T)
-            else:
-                basis = _hermitian_basis(dims[bi])
-                conj = (w[None] @ basis) @ w[None]
-                k_mat = hvec(conj).T
-                part = np.asarray(sub @ k_mat @ sub.T)
-            schur[index] += (part + part.T) / 2.0
-        if n_orth and orth_rows.size:
-            part = np.asarray((orth_sub.multiply(w_orth2) @ orth_sub.T).todense())
-            schur[orth_index] += (part + part.T) / 2.0
-        solve_schur = _factor_schur(schur)
+        def assemble_schur():
+            # Schur complement  M[i,j] = <A_i, W A_j W>  summed over blocks, in
+            # Fortran order so that _factor_schur factors it in place.  Each
+            # part is symmetric up to rounding, is formed in C order and is
+            # added transposed, which walks both arrays in memory order.
+            schur = np.zeros((m, m), order="F")
+            for bi, rows, sub, mats in schur_terms:
+                w = scalings[bi].w
+                if mats is not None:
+                    part = sub @ hvec((w[None] @ mats) @ w[None]).T
+                elif sub is None:
+                    part = _congruence_matrix(w)
+                else:
+                    part = sub @ (sub @ _congruence_matrix(w)).T
+                _scatter_add(schur, rows, part)
+            if n_orth and orth_rows.size:
+                _scatter_add(schur, orth_rows,
+                             (orth_sub.multiply(w_orth2) @ orth_sub.T).toarray())
+            return schur
+
+        solve_schur = _factor_schur(assemble_schur)
 
         def newton(rc_mats, rc_vec):
             e_mats = [rc - sc.w @ rd @ sc.w
@@ -960,7 +1042,7 @@ def solve(problem, config: SDPConfig | None = None) -> SDPSolution:
             break
 
         dx_m, dx_v, dy, ds_m, ds_v = newton(rc_mats, rc_vec)
-        schur = solve_schur = None  # free the factor before the next assembly
+        solve_schur = None  # free the factor before the next assembly
         if not _all_finite(dx_m, dx_v, ds_m, ds_v, dy):
             break
 

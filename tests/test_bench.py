@@ -9,6 +9,7 @@ from qdbench.blocksym import BipartiteBlockMatrix, gram_of
 from qdbench.channels import heterodyne_mp_channel, loss_channel
 from qdbench.fock import DensityMatrix, _coherent_amplitudes, coherent_state, noisy_coherent, rotation
 from qdbench.gramopt import GramMatrix, optimize_gram, rotation_ensemble
+from qdbench.sdp import SDPConfig
 
 from conftest import brute_negativity
 
@@ -98,6 +99,21 @@ class TestBenchmarkSymmetric:
             res = benchmark_symmetric(gram, scen, m, cutoff=cutoff)
             assert res.negativity_lower_bound <= 1e-6, scen.tag
             assert not res.certified
+
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_unconverged_solve_is_inconclusive(self, m):
+        # A heterodyne measure-and-prepare output stopped after 8 iterations
+        # still has a positive primal bound; it must not certify.
+        cutoff = 11
+        d = cutoff + 1
+        seed = noisy_coherent(complex(0.00707, -0.67175), 0.219, d, deficit_tol=1e-6)
+        gram = optimize_gram(rotation_ensemble(seed, m), symmetric=True).gram
+        res = benchmark_symmetric(gram, Tomography(heterodyne_mp_channel(d)(seed)), m,
+                                  cutoff=cutoff, solver_config=SDPConfig(max_iter=8))
+        assert res.diagnostics["solver_status"] == "MaxIterations"
+        assert res.negativity_lower_bound > 1e-6  # the bound is kept as it is
+        assert res.verdict == "Inconclusive"
+        assert not res.certified
 
     def test_information_ordering(self):
         m, cutoff = 3, 9

@@ -188,6 +188,25 @@ class TestCLI:
         assert cli.main(["fidelity", str(tmp_path / "missing.json"),
                          str(tmp_path / "missing.json")]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--config", "bundled:demo_pure_ring", "--workers", "2"],
+        ["sweep"],
+        ["bench", "--gram", "g.json", "--scenario", "s.json", "--cutoff", "x"],
+        [],
+    ])
+    def test_usage_error_exit_code(self, argv, capsys):
+        # 2 means "ran, nothing certified"; a usage error is an error
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_help_exit_code(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", "--help"])
+        assert exc.value.code == 0
+        assert "--config" in capsys.readouterr().out
+
     def test_sweep_command(self, tmp_path):
         code = cli.main(["sweep", "--config", "bundled:demo_pure_ring",
                          "--out", str(tmp_path / "sweep"), "--m-values", "2,3"])

@@ -9,9 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qdbench.sdp import (CanonicalSDP, HadamardMaskMap, ScalarMap, SDPConfig, SDPError,
-                         SDPProblem, SDPStatus, BlockSwapMap, hmat, hvec, realify, solve)
-from qdbench.sdp import _factor_schur
+from qdbench import sdp
+from qdbench.bench import QuadraturesWithErrors, Tomography, benchmark_general
+from qdbench.channels import loss_channel
+from qdbench.fock import DensityMatrix, noisy_coherent, rotation
+from qdbench.gramopt import optimize_gram, rotation_ensemble
+from qdbench.sdp import (CanonicalSDP, HadamardMaskMap, LinearMatrixMap, ScalarMap, SDPConfig,
+                         SDPError, SDPProblem, SDPStatus, BlockSwapMap, hmat, hvec, realify,
+                         solve)
+from qdbench.sdp import _congruence_matrix, _factor_schur, _hermitian_basis
 
 from conftest import brute_negativity, dense_partial_transpose
 
@@ -132,6 +138,14 @@ class TestSolveBasics:
         np.testing.assert_allclose(swap.apply(a),
                                    dense_partial_transpose(a, m, d), atol=1e-14)
 
+    @pytest.mark.parametrize("m, d", [(1, 1), (2, 3), (3, 4), (4, 10)])
+    def test_block_swap_closed_form_matches_basis_probe(self, m, d):
+        swap = BlockSwapMap(m, d)
+        closed = swap.coordinate_matrix()
+        probed = LinearMatrixMap.coordinate_matrix(swap)
+        assert closed.shape == probed.shape == ((m * d) ** 2, (m * d) ** 2)
+        assert abs(closed - probed).max() <= 1e-15
+
 
 class TestSolverContracts:
     def test_weak_duality_every_iteration(self, rng):
@@ -190,6 +204,65 @@ class TestSolverContracts:
         sol = _trace_min_problem().solve(SDPConfig(tol=1e-9))
         assert sol.primal_residual <= 1e-9
         assert sol.dual_residual <= 1e-9
+
+
+class TestCongruenceMatrix:
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.integers(1, 12).flatmap(lambda d: arrays(
+        np.float64, (2, d, d), elements=st.floats(-1.0, 1.0))))
+    def test_matches_conjugated_basis(self, parts):
+        r = parts[0] + 1j * parts[1]
+        d = r.shape[0]
+        w = r @ r.conj().T
+        got = _congruence_matrix(w)
+        ref = hvec((w[None] @ _hermitian_basis(d)) @ w[None]).T
+        scale = max(float(np.max(np.abs(ref))), 1e-300)
+        assert got.shape == (d * d, d * d)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * scale
+        assert np.max(np.abs(got - got.T)) <= 1e-13 * scale
+
+    def test_solve_is_bit_identical_on_both_assembly_paths(self, monkeypatch):
+        """Every block of a benchmark_general problem carries the d^2 rows of
+        the partial-transpose constraint, so it is assembled through K; one
+        extra block with a single row adds the small-row path."""
+        m, cutoff = 2, 3
+        d = cutoff + 1
+        seed = noisy_coherent(0.5, 0.08, d, deficit_tol=1e-2)
+        gram = optimize_gram(rotation_ensemble(seed, m), symmetric=True).gram
+        u = rotation(2 * np.pi / m, d).matrix
+        out = loss_channel(0.92, d)(seed).matrix
+        outs = [DensityMatrix(o, allow_sub_normalized=True) for o in (out, u @ out @ u.conj().T)]
+        scenarios = [Tomography(outs[0]),
+                     QuadraturesWithErrors(outs[1].quadrature_moments(),
+                                           dict.fromkeys(("x", "p", "xx", "pp"), 0.05), 1)]
+
+        class Built(Exception):
+            pass
+
+        def capture(prob, config=None):
+            raise Built(prob)
+
+        monkeypatch.setattr(SDPProblem, "solve", capture)
+        with pytest.raises(Built) as built:
+            benchmark_general(gram, scenarios, cutoff=cutoff)
+        monkeypatch.undo()
+        prob = built.value.args[0]
+        prob.add_variable("aux", 3)
+        prob.add_equality({"aux": np.eye(3)}, 1.0)
+
+        k_dims = []
+        real_k = sdp._congruence_matrix
+        monkeypatch.setattr(sdp, "_congruence_matrix",
+                            lambda w: k_dims.append(w.shape[0]) or real_k(w))
+        first = solve(prob)
+        second = solve(prob)
+        assert first.status is SDPStatus.OPTIMAL
+        assert set(k_dims) == {m * d}  # K for every block but the one-row one
+        assert np.array_equal(first.y, second.y)
+        assert first.variables.keys() == second.variables.keys()
+        for name, x in first.variables.items():
+            assert np.array_equal(x, second.variables[name])
+        assert first.history == second.history
 
 
 class TestValidation:
@@ -306,27 +379,39 @@ class TestSchurFactorization:
         rhs = rng.standard_normal(n)
         ref, jitter = _reference_schur_solve(mat, rhs)
         assert jitter is None if falls_back else jitter > 0.0
-        buf = np.asfortranarray(mat)
-        assert np.array_equal(_factor_schur(buf)(rhs), ref)
-        if falls_back:
-            assert np.array_equal(buf, mat)  # lstsq ran on the restored matrix
+        assembled = []
+
+        def assemble():
+            assembled.append(1)
+            return np.array(mat, order="F")
+
+        assert np.array_equal(_factor_schur(assemble)(rhs), ref)
+        # one assembly per attempt, and one more for lstsq
+        tries = len(JITTERS) + 1 if falls_back else JITTERS.index(jitter) + 1
+        assert len(assembled) == tries
 
     @pytest.mark.parametrize("n", [7, 300])
     def test_failed_attempts_restore_the_matrix(self, rng, monkeypatch, n):
+        """The buffer's upper triangle only matches its lower one to rounding,
+        as in the solver; every attempt factors the lower triangle's matrix
+        plus its jitter, and lstsq solves with that same matrix."""
         mat = _indefinite(rng, n)
         scale = float(np.mean(np.diag(mat)))
+        noisy = mat + np.triu(1e-15 * rng.standard_normal((n, n)), 1)
         seen = []
         real = scipy.linalg.cho_factor
 
         def snapshot(a, *args, **kwargs):
-            seen.append(np.array(a))
+            seen.append(np.tril(a))
             return real(a, *args, **kwargs)
 
         monkeypatch.setattr(scipy.linalg, "cho_factor", snapshot)
-        _factor_schur(np.asfortranarray(mat))
+        rhs = rng.standard_normal(n)
+        got = _factor_schur(lambda: np.array(noisy, order="F"))(rhs)
         assert len(seen) == len(JITTERS)
-        for got, jitter in zip(seen, JITTERS):
-            assert np.array_equal(got, mat + jitter * scale * np.eye(n))
+        for low, jitter in zip(seen, JITTERS):
+            assert np.array_equal(low, np.tril(mat + jitter * scale * np.eye(n)))
+        assert np.array_equal(got, np.linalg.lstsq(mat, rhs, rcond=None)[0])
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
@@ -338,5 +423,5 @@ class TestSchurFactorization:
         mat = b @ b.T + n * np.eye(n)
         mat = (mat + mat.T) / 2.0
         ref = np.linalg.solve(mat, rhs)
-        got = _factor_schur(np.asfortranarray(mat))(rhs)
+        got = _factor_schur(lambda: np.array(mat, order="F"))(rhs)
         assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)

@@ -22,8 +22,7 @@ fewer constraint rows than d^2 conjugates the Hermitian matrices of its rows
 by the scaling W.  Any other block uses K, the (d^2, d^2) matrix of
 X -> W X W in ``hvec`` coordinates, which ``_congruence_matrix`` builds in
 closed form from products of two entries of W (no stack of conjugated basis
-matrices); the block's part is A_b K A_b^T, or K itself when its rows A_b are
-+-1 times the identity (PSD slacks, scalar maps).  The factored matrix is the
+matrices); the block's part is A_b K A_b^T.  The factored matrix is the
 symmetric matrix of the buffer's lower triangle.  It is factored once, in
 place, and the predictor and corrector Newton solves share the factor.  The
 factorization is a Cholesky with a fixed ladder of diagonal jitters (0,
@@ -770,27 +769,13 @@ def _all_finite(*objs):
 
 
 def _scatter_add(schur, rows, part):
-    """``schur[rows, rows] += part.T`` for sorted unique ``rows``, a Fortran-
-    ordered ``schur`` and a C-ordered ``part``: a slice add when the rows are
-    contiguous, else a take/put on the flat views of both (the Fortran-order
-    ravel of a Fortran-contiguous array is a view), in their memory order."""
+    """``schur[rows, rows] += part.T`` for sorted unique ``rows``: a slice add
+    when the rows are contiguous, else an ``np.ix_`` add."""
     if rows[-1] - rows[0] + 1 == rows.size:
         sl = slice(int(rows[0]), int(rows[-1]) + 1)
         schur[sl, sl] += part.T
     else:
-        flat = schur.ravel(order="F")
-        rows = rows.astype(np.intp)  # flat indices reach m^2
-        idx = (rows[:, None] * schur.shape[0] + rows).ravel()
-        flat.put(idx, flat.take(idx) + part.ravel())
-
-
-def _is_unit_identity(sub):
-    """Whether the sparse square ``sub`` is +I or -I, so that sub K sub^T = K."""
-    n = sub.shape[1]
-    return (sub.shape[0] == n and sub.nnz == n
-            and np.array_equal(sub.indptr, np.arange(n + 1))
-            and np.array_equal(sub.indices, np.arange(n))
-            and abs(sub.data[0]) == 1.0 and bool(np.all(sub.data == sub.data[0])))
+        schur[np.ix_(rows, rows)] += part.T
 
 
 def _factor_schur(assemble):
@@ -842,17 +827,14 @@ def solve(problem, config: SDPConfig | None = None) -> SDPSolution:
     a_blocks = [a.tocsr() for a in canon.a_blocks]
     a_orth = canon.a_orthant.tocsr()
     # Loop-invariant Schur assembly data: per block touched by some row, the
-    # indices of those rows, the rows of A (None when they are +-1 times the
-    # identity, so that the block's part is K itself), and their Hermitian
-    # matrices on the small-row path (None on the K path).
+    # indices of those rows, the rows of A, and their Hermitian matrices on
+    # the small-row path (None on the K path).
     schur_terms = []
     for bi, (a, d) in enumerate(zip(a_blocks, dims)):
         rows = np.unique(a.tocoo().row)
         if rows.size:
             sub = a[rows]
             mats = hmat(np.asarray(sub.todense()), d) if rows.size < d * d else None
-            if mats is None and _is_unit_identity(sub):
-                sub = None
             schur_terms.append((bi, rows, sub, mats))
     orth_rows = np.unique(a_orth.tocoo().row)
     orth_sub = a_orth[orth_rows]
@@ -965,14 +947,13 @@ def solve(problem, config: SDPConfig | None = None) -> SDPSolution:
             # Schur complement  M[i,j] = <A_i, W A_j W>  summed over blocks, in
             # Fortran order so that _factor_schur factors it in place.  Each
             # part is symmetric up to rounding, is formed in C order and is
-            # added transposed, which walks both arrays in memory order.
+            # added transposed, so a slice add walks both arrays in memory
+            # order.
             schur = np.zeros((m, m), order="F")
             for bi, rows, sub, mats in schur_terms:
                 w = scalings[bi].w
                 if mats is not None:
                     part = sub @ hvec((w[None] @ mats) @ w[None]).T
-                elif sub is None:
-                    part = _congruence_matrix(w)
                 else:
                     part = sub @ (sub @ _congruence_matrix(w)).T
                 _scatter_add(schur, rows, part)

@@ -74,6 +74,13 @@ DEFAULT_CONFIG = {
 _SCENARIO_KINDS = ("tomography", "quadratures", "quadratures_sampled", "quadratures_errors")
 
 
+def _check_finite(value, field: str) -> None:
+    """Reject NaN and infinities (``json.load`` accepts both), naming the field."""
+    for item in value if isinstance(value, list) else [value]:
+        if isinstance(item, float) and not math.isfinite(item):
+            raise ValueError(f"configuration field '{field}' is not finite ({item})")
+
+
 def _merge_config(base: dict, override: dict, path: str = "") -> dict:
     out = copy.deepcopy(base)
     for key, value in override.items():
@@ -83,12 +90,14 @@ def _merge_config(base: dict, override: dict, path: str = "") -> dict:
         if isinstance(base[key], dict) and isinstance(value, dict):
             out[key] = _merge_config(base[key], value, here)
         else:
+            _check_finite(value, here)
             out[key] = value
     return out
 
 
 def load_config(path_or_dict) -> dict:
-    """Merge a user config (path or dict) over the defaults, rejecting unknown keys."""
+    """Merge a user config (path or dict) over the defaults, rejecting unknown
+    keys and non-finite numbers."""
     if isinstance(path_or_dict, dict):
         user = path_or_dict
     else:

@@ -201,6 +201,20 @@ class TestCLI:
         assert exc.value.code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, key", [
+        ("solver", "tol"), ("bench", "verdict_margin"), ("seed_state", "alpha_re")])
+    def test_non_finite_config_number_names_the_field(self, tmp_path, capsys, section, key):
+        with open(bundled_config_path("noisy_memory"), encoding="utf-8") as fh:
+            config = json.load(fh)
+        config.setdefault(section, {})[key] = math.nan
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(config), encoding="utf-8")  # json writes a bare NaN
+        code = cli.main(["sweep", "--config", str(path), "--m-values", "2", "--cutoff", "8",
+                         "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert f"'{section}.{key}' is not finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_help_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["sweep", "--help"])

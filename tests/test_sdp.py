@@ -10,14 +10,16 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qdbench import sdp
-from qdbench.bench import QuadraturesWithErrors, Tomography, benchmark_general
+from qdbench.bench import (QuadraturesWithErrors, Tomography, benchmark_general,
+                           benchmark_symmetric)
 from qdbench.channels import loss_channel
 from qdbench.fock import DensityMatrix, noisy_coherent, rotation
 from qdbench.gramopt import optimize_gram, rotation_ensemble
 from qdbench.sdp import (CanonicalSDP, HadamardMaskMap, LinearMatrixMap, ScalarMap, SDPConfig,
                          SDPError, SDPProblem, SDPStatus, BlockSwapMap, hmat, hvec, realify,
                          solve)
-from qdbench.sdp import _congruence_matrix, _factor_schur, _hermitian_basis
+from qdbench.sdp import (_congruence_matrix, _factor_schur, _hermitian_basis, _row_order,
+                         _row_runs, _scatter_add)
 
 from conftest import brute_negativity, dense_partial_transpose
 
@@ -206,6 +208,40 @@ class TestSolverContracts:
         assert sol.dual_residual <= 1e-9
 
 
+def _benchmark_problem(monkeypatch, build, *args, **kwargs):
+    """The SDPProblem a benchmark builds, captured instead of solved."""
+
+    class Built(Exception):
+        pass
+
+    def capture(prob, config=None):
+        raise Built(prob)
+
+    monkeypatch.setattr(SDPProblem, "solve", capture)
+    with pytest.raises(Built) as built:
+        build(*args, **kwargs)
+    monkeypatch.undo()
+    return built.value.args[0]
+
+
+def _small_benchmark_inputs(m, cutoff):
+    """Gram matrix and per-state lossy outputs of a small rotation ensemble."""
+    d = cutoff + 1
+    seed = noisy_coherent(0.5, 0.08, d, deficit_tol=1e-2)
+    gram = optimize_gram(rotation_ensemble(seed, m), symmetric=True).gram
+    u = rotation(2 * np.pi / m, d).matrix
+    out = loss_channel(0.92, d)(seed).matrix
+    outs = [DensityMatrix(np.linalg.matrix_power(u, k) @ out
+                          @ np.linalg.matrix_power(u, k).conj().T, allow_sub_normalized=True)
+            for k in range(m)]
+    return gram, outs
+
+
+def _errors_scenario(state):
+    return QuadraturesWithErrors(state.quadrature_moments(),
+                                 dict.fromkeys(("x", "p", "xx", "pp"), 0.05), 1)
+
+
 class TestCongruenceMatrix:
     @settings(max_examples=60, deadline=None, database=None)
     @given(st.integers(1, 12).flatmap(lambda d: arrays(
@@ -227,26 +263,10 @@ class TestCongruenceMatrix:
         extra block with a single row adds the small-row path."""
         m, cutoff = 2, 3
         d = cutoff + 1
-        seed = noisy_coherent(0.5, 0.08, d, deficit_tol=1e-2)
-        gram = optimize_gram(rotation_ensemble(seed, m), symmetric=True).gram
-        u = rotation(2 * np.pi / m, d).matrix
-        out = loss_channel(0.92, d)(seed).matrix
-        outs = [DensityMatrix(o, allow_sub_normalized=True) for o in (out, u @ out @ u.conj().T)]
-        scenarios = [Tomography(outs[0]),
-                     QuadraturesWithErrors(outs[1].quadrature_moments(),
-                                           dict.fromkeys(("x", "p", "xx", "pp"), 0.05), 1)]
-
-        class Built(Exception):
-            pass
-
-        def capture(prob, config=None):
-            raise Built(prob)
-
-        monkeypatch.setattr(SDPProblem, "solve", capture)
-        with pytest.raises(Built) as built:
-            benchmark_general(gram, scenarios, cutoff=cutoff)
-        monkeypatch.undo()
-        prob = built.value.args[0]
+        gram, outs = _small_benchmark_inputs(m, cutoff)
+        prob = _benchmark_problem(monkeypatch, benchmark_general, gram,
+                                  [Tomography(outs[0]), _errors_scenario(outs[1])],
+                                  cutoff=cutoff)
         prob.add_variable("aux", 3)
         prob.add_equality({"aux": np.eye(3)}, 1.0)
 
@@ -263,6 +283,90 @@ class TestCongruenceMatrix:
         for name, x in first.variables.items():
             assert np.array_equal(x, second.variables[name])
         assert first.history == second.history
+
+
+def _symmetric_problem(monkeypatch, scenario_kind, m=3, cutoff=4):
+    gram, outs = _small_benchmark_inputs(m, cutoff)
+    scenario = Tomography(outs[0]) if scenario_kind == "tomography" else _errors_scenario(outs[0])
+    return _benchmark_problem(monkeypatch, benchmark_symmetric, gram, scenario, m,
+                              cutoff=cutoff)
+
+
+def _run_rows(pieces):
+    """Sorted rows from (gap, length) pairs: one run per pair."""
+    rows, at = [], 0
+    for gap, length in pieces:
+        at += gap
+        rows.extend(range(at, at + length))
+        at += length
+    return np.array(rows)
+
+
+class TestRowGrouping:
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(st.one_of(
+        st.lists(st.tuples(st.integers(0, 5), st.integers(1, 9)), min_size=1, max_size=12),
+        st.integers(1, 30).map(lambda n: [(0, n)]),             # one run
+        st.integers(1, 30).map(lambda n: [(1, 1)] * n)),        # all singletons
+        st.integers(0, 2**32 - 1))
+    def test_run_pair_scatter_matches_ix_reference(self, pieces, seed):
+        rows = _run_rows(pieces)
+        rng = np.random.default_rng(seed)
+        size = int(rows[-1]) + 1 + int(rng.integers(0, 3))
+        part = rng.standard_normal((rows.size, rows.size))
+        ref = np.asfortranarray(rng.standard_normal((size, size)))
+        got = ref.copy(order="F")
+        ref[np.ix_(rows, rows)] += part.T
+        runs = _row_runs(rows)
+        assert len(runs) == 1 + np.count_nonzero(np.diff(rows) != 1)
+        _scatter_add(got, rows, runs, part)
+        assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("scenario_kind", ["tomography", "quadratures_errors"])
+    def test_blocks_of_symmetric_problem_have_few_runs(self, monkeypatch, scenario_kind):
+        m = 3
+        canon = _symmetric_problem(monkeypatch, scenario_kind, m=m).canonicalize()
+        order = _row_order(canon.a_blocks, canon.b.size)
+        assert not np.array_equal(order, np.arange(canon.b.size))
+        assert np.array_equal(np.sort(order), np.arange(canon.b.size))
+        for name, a in zip(canon.block_names, canon.a_blocks):
+            rows = np.flatnonzero(np.diff(a.tocsr()[order].indptr))
+            assert 1 <= len(_row_runs(rows)) <= (m + 1 if name.startswith("E") else 1), name
+
+    def test_general_problem_keeps_its_row_order(self, monkeypatch):
+        gram, outs = _small_benchmark_inputs(3, 3)
+        prob = _benchmark_problem(monkeypatch, benchmark_general, gram,
+                                  [Tomography(outs[0])] + [_errors_scenario(o) for o in outs[1:]],
+                                  cutoff=3)
+        canon = prob.canonicalize()
+        assert np.array_equal(_row_order(canon.a_blocks, canon.b.size),
+                              np.arange(canon.b.size))
+
+    def test_canonical_blocks_store_no_zeros(self, monkeypatch):
+        gram, outs = _small_benchmark_inputs(2, 3)
+        problems = [_symmetric_problem(monkeypatch, kind, m=2, cutoff=3)
+                    for kind in ("tomography", "quadratures_errors")]
+        problems.append(_benchmark_problem(monkeypatch, benchmark_general, gram,
+                                           [Tomography(outs[0]), _errors_scenario(outs[1])],
+                                           cutoff=3))
+        for prob in problems:
+            canon = prob.canonicalize()
+            for a in canon.a_blocks + [canon.a_orthant]:
+                assert a.nnz == np.count_nonzero(a.data)
+
+    def test_solution_is_in_the_callers_row_order(self, monkeypatch, rng):
+        canon = _symmetric_problem(monkeypatch, "quadratures_errors", m=2, cutoff=3).canonicalize()
+        perm = rng.permutation(canon.b.size)
+        shuffled = CanonicalSDP(
+            block_names=canon.block_names, block_dims=canon.block_dims,
+            a_blocks=[a.tocsr()[perm] for a in canon.a_blocks], c_blocks=canon.c_blocks,
+            a_orthant=canon.a_orthant.tocsr()[perm], c_orthant=canon.c_orthant,
+            b=canon.b[perm], maximize=canon.maximize,
+            row_labels=[canon.row_labels[i] for i in perm])
+        first, second = solve(canon), solve(shuffled)
+        assert first.status is second.status is SDPStatus.OPTIMAL
+        assert np.max(np.abs(first.y[perm] - second.y)) <= 1e-8
+        assert first.objective == pytest.approx(second.objective, abs=1e-8)
 
 
 class TestValidation:

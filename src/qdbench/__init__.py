@@ -23,7 +23,7 @@ from .fock import (DensityMatrix, FockOperator, TruncationError,  # noqa: E402
 from .gramopt import (GramMatrix, GramOptResult, cptp_reachable, gram_purity,  # noqa: E402
                       optimize_gram, purity_upper_bound, rotation_ensemble)
 from .pipeline import run_pipeline  # noqa: E402
-from .sdp import SDPConfig, SDPProblem, SDPSolution, SDPStatus, realify, solve  # noqa: E402
+from .sdp import SDPConfig, SDPProblem, SDPSolution, SDPStatus, solve  # noqa: E402
 
 __all__ = [
     "__version__",
@@ -37,5 +37,5 @@ __all__ = [
     "GramMatrix", "GramOptResult", "cptp_reachable", "gram_purity", "optimize_gram",
     "purity_upper_bound", "rotation_ensemble",
     "run_pipeline",
-    "SDPConfig", "SDPProblem", "SDPSolution", "SDPStatus", "realify", "solve",
+    "SDPConfig", "SDPProblem", "SDPSolution", "SDPStatus", "solve",
 ]

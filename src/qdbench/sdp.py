@@ -16,6 +16,15 @@ The solver is a primal-dual interior-point method with Nesterov-Todd scaling
 and a Mehrotra predictor-corrector step, run directly on the Hermitian cone
 (1x1 slack entries live in a nonnegative-orthant block).
 
+Hermitian iterates, residuals and directions are held as one (n_b, d, d)
+stack per block dimension (a single stack in the block-circulant standard
+form); the orthant stays a vector.  A stack's scaling takes three batched
+``eigh`` calls and each of its step lengths one batched ``eigvalsh``, with the
+per-block rules kept: each block's eigenvalue floor follows its own largest
+eigenvalue, a non-finite second-order term is dropped for its block only, and
+a non-finite block or failed eigen-solve gives step 0.  A is one CSR matrix
+over the ``hvec`` coordinates of every stack and the orthant.
+
 Once per solve, the constraint rows are grouped by the set of Hermitian blocks
 each one touches (the orthant is left out): groups keep the order of their
 first row and rows keep their order within a group, and ``y`` is mapped back
@@ -32,7 +41,11 @@ fewer constraint rows than d^2 conjugates the Hermitian matrices of its rows
 by the scaling W.  Any other block uses K, the (d^2, d^2) matrix of
 X -> W X W in ``hvec`` coordinates, which ``_congruence_matrix`` builds in
 closed form from products of two entries of W (no stack of conjugated basis
-matrices); the block's part is A_b K A_b^T.  The factored matrix is the
+matrices); the block's part is A_b K A_b^T.  If every row of A_b holds one
+coefficient +-1 (F_k, a PSD slack, tau_minus), that part is a signed gather
+of K; blocks with equal rows, columns and relative signs (F_k and its slack)
+share one K, of the sum of their congruences, and one gather, skipped for
+identity columns.  K is never formed as a stack.  The factored matrix is the
 symmetric matrix of the buffer's lower triangle.  It is factored once, in
 place, and the predictor and corrector Newton solves share the factor.  The
 factorization is a Cholesky with a fixed ladder of diagonal jitters (0,
@@ -48,7 +61,6 @@ every iterate and coincides with ``b . y`` once dual feasibility is reached.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -69,7 +81,6 @@ __all__ = [
     "HadamardMaskMap",
     "BlockSwapMap",
     "solve",
-    "realify",
     "hvec",
     "hmat",
 ]
@@ -131,60 +142,53 @@ def _hermitian_basis(d: int) -> np.ndarray:
     return hmat(np.eye(d * d), d)
 
 
-def _congruence_matrix(w: np.ndarray) -> np.ndarray:
-    """Real symmetric (d^2, d^2) matrix of X -> W X W in hvec coordinates.
+# Products per chunk of pairs in _congruence_matrix: temporaries stay near
+# 0.5 MB, where a 40x40 block's whole pair block would take 10 MB each.
+K_CHUNK = 1 << 15
 
-    Entry (a, b) is <E_a, W E_b W> for the basis of :func:`_hermitian_basis`.
-    Since Tr(e_i e_j^T W e_k e_l^T W) = W_jk W_li, every entry is a product of
-    two entries of the Hermitian W.  With pairs p = (i, j), q = (k, l), i < j,
-    k < l, and A = W_jk conj(W_il), B = W_jl conj(W_ik), the real-real,
-    imaginary-imaginary and real-imaginary pair blocks are Re(A + B),
-    Re(B - A) and Im(B - A).  Only the diagonal rows and the upper blocks are
-    formed, one group of pairs p with equal i at a time; the lower blocks are
-    their transposes.
+
+def _congruence_matrix(ws: np.ndarray) -> np.ndarray:
+    """Real symmetric (d^2, d^2) matrix of X -> sum_n W_n X W_n in hvec
+    coordinates, for a (n, d, d) stack of Hermitian W_n.
+
+    Entry (a, b) is <E_a, W E_b W> for the basis of :func:`_hermitian_basis`,
+    and every entry is a product of two entries of W.  For pairs p = (i, j),
+    q = (k, l), i < j, k < l, let A = W_ik W_lj and B = W_il W_kj, summed over
+    the W_n; the (real, imaginary) pair rows of p against the (real,
+    imaginary) pair columns of q are [[Re(A + B), Im(B - A)], [Im(A + B),
+    Re(A - B)]].  As W is Hermitian, W_lj = conj(W_jl), so A and B multiply
+    rows i and conj(rows j) of W gathered at the columns k and l; they are
+    formed for a chunk of about ``K_CHUNK`` products at a time.  The diagonal
+    rows are |W_xy|^2 and sqrt2 (Re, -Im) of W_xk conj(W_xl); the pair rows'
+    diagonal columns are their transposes.
     """
-    d = w.shape[0]
+    n, d = ws.shape[0], ws.shape[-1]
     iu, ju, _ = _hvec_meta(d)
     npair = iu.size
     sqrt2 = math.sqrt(2.0)
     dg, re, im = slice(0, d), slice(d, d + npair), slice(d + npair, d * d)
     k = np.empty((d * d, d * d))
-    k[dg, dg] = w.real ** 2 + w.imag ** 2
-    u, v = w[:, iu], w[:, ju]                   # W_xk, W_xl
-    z = u * v.conj()
+    k[dg, dg] = np.sum(ws.real ** 2 + ws.imag ** 2, axis=0)
+    z = np.sum(ws[:, :, iu] * ws[:, :, ju].conj(), axis=0)
     k[dg, re] = sqrt2 * z.real
     k[dg, im] = -sqrt2 * z.imag
-    uc, vc = u.conj(), v.conj()
-    k_re, k_im = k[re, d:], k[im, d:]
-    start = 0
-    for i in range(d - 1):                      # pairs p = (i, j), j > i
-        stop = start + d - 1 - i
-        a = uc[i + 1:] * v[i]                   # conj(A)
-        b = vc[i + 1:] * u[i]                   # conj(B)
-        np.add(a.real, b.real, out=k_re[start:stop, :npair])
-        np.subtract(a.imag, b.imag, out=k_re[start:stop, npair:])
-        np.subtract(b.real, a.real, out=k_im[start:stop, npair:])
-        start = stop
     k[re, dg] = k[dg, re].T
     k[im, dg] = k[dg, im].T
-    k[im, re] = k[re, im].T
+    step = max(1, K_CHUNK // max(npair, 1))
+    for lo in range(0, npair, step):
+        hi = min(lo + step, npair)
+        wi, wj = ws[:, iu[lo:hi]], ws[:, ju[lo:hi]].conj()     # W_ix, W_xj
+        a = wi[0][:, iu] * wj[0][:, ju]
+        b = wi[0][:, ju] * wj[0][:, iu]
+        for t in range(1, n):
+            a += wi[t][:, iu] * wj[t][:, ju]
+            b += wi[t][:, ju] * wj[t][:, iu]
+        p_re, p_im = slice(d + lo, d + hi), slice(d + npair + lo, d + npair + hi)
+        np.add(a.real, b.real, out=k[p_re, re])
+        np.subtract(b.imag, a.imag, out=k[p_re, im])
+        np.add(a.imag, b.imag, out=k[p_im, re])
+        np.subtract(a.real, b.real, out=k[p_im, im])
     return k
-
-
-def realify(h: np.ndarray) -> np.ndarray:
-    """Standard real embedding [[Re H, -Im H], [Im H, Re H]] of a Hermitian H.
-
-    The output is real symmetric with the spectrum of H, each eigenvalue
-    doubled in multiplicity.
-    """
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise SDPError(f"realify expects a square matrix, got shape {h.shape}")
-    err = float(np.max(np.abs(h - h.conj().T))) if h.size else 0.0
-    if err > 1e-10:
-        raise SDPError(f"realify expects a Hermitian matrix (deviation {err:.3e})")
-    re, im = h.real, h.imag
-    return np.block([[re, -im], [im, re]])
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +334,9 @@ class SDPSolution:
     iterations: int
     y: np.ndarray
     history: list = field(default_factory=list)
+    # Why the iteration stopped: "converged", "max_iter", "stall", "mu_floor",
+    # "step_length", "non_finite", "primal_infeasible" or "dual_infeasible".
+    stop_reason: str = "max_iter"
 
     @property
     def optimal(self) -> bool:
@@ -658,52 +665,6 @@ class CanonicalSDP:
     maximize: bool
     row_labels: list
 
-    def dump_json_dict(self) -> dict:
-        def csr_payload(mat):
-            coo = mat.tocoo()
-            return {"rows": coo.row.tolist(), "cols": coo.col.tolist(),
-                    "vals": coo.data.tolist(), "shape": list(coo.shape)}
-
-        return {
-            "block_names": self.block_names,
-            "block_dims": self.block_dims,
-            "a_blocks": [csr_payload(a) for a in self.a_blocks],
-            "c_blocks": [c.tolist() for c in self.c_blocks],
-            "a_orthant": csr_payload(self.a_orthant),
-            "c_orthant": self.c_orthant.tolist(),
-            "b": self.b.tolist(),
-            "maximize": self.maximize,
-        }
-
-    def dump(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.dump_json_dict(), fh)
-
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "CanonicalSDP":
-        def csr_from(p):
-            return sp.csr_matrix(
-                (np.array(p["vals"], dtype=float),
-                 (np.array(p["rows"], dtype=int), np.array(p["cols"], dtype=int))),
-                shape=tuple(p["shape"]))
-
-        return cls(
-            block_names=list(payload["block_names"]),
-            block_dims=[int(d) for d in payload["block_dims"]],
-            a_blocks=[csr_from(p) for p in payload["a_blocks"]],
-            c_blocks=[np.array(c, dtype=float) for c in payload["c_blocks"]],
-            a_orthant=csr_from(payload["a_orthant"]),
-            c_orthant=np.array(payload["c_orthant"], dtype=float),
-            b=np.array(payload["b"], dtype=float),
-            maximize=bool(payload["maximize"]),
-            row_labels=[None] * len(payload["b"]),
-        )
-
-    @classmethod
-    def load(cls, path) -> "CanonicalSDP":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
-
 
 # ---------------------------------------------------------------------------
 # Interior-point solver
@@ -715,25 +676,36 @@ CERT_TOL = 1e-7
 STEP_FRACTION = 0.98
 
 
-def _safe_eigvalsh(a):
-    a = (a + a.conj().T) / 2.0
+def _ct(a):
+    """Conjugate transpose of every matrix in a stack."""
+    return a.conj().swapaxes(-1, -2)
+
+
+def _clipped_eigh(a):
+    """Batched ``eigh`` of a stack, each block's eigenvalues floored at 1e-17
+    times its own largest one."""
+    vals, vecs = np.linalg.eigh(a)
+    return np.maximum(vals, np.fmax(1e-250, vals[:, -1:] * 1e-17)), vecs
+
+
+def _psd_step_length(isqrt, dx):
+    """Largest t in (0, 1] with X + t dX >= 0 for every block of a stack, given
+    the stack of X^{-1/2}.  A non-finite block or a failed eigen-solve (after
+    a per-block ``scipy.linalg.eigvalsh`` retry) gives 0.0."""
+    a = isqrt @ dx @ isqrt
+    a = (a + _ct(a)) / 2.0
     if not np.all(np.isfinite(a)):
-        return None
+        return 0.0
     try:
-        return np.linalg.eigvalsh(a)
+        vals = np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError:
         try:
-            return scipy.linalg.eigvalsh(a, check_finite=False)
+            vals = np.stack([scipy.linalg.eigvalsh(blk, check_finite=False) for blk in a])
         except Exception:
-            return None
-
-
-def _psd_step_length(x_isqrt, dx):
-    """Largest t in (0, 1] with X + t dX >= 0, given X^{-1/2}."""
-    vals = _safe_eigvalsh(x_isqrt @ dx @ x_isqrt)
-    if vals is None:
-        return 0.0
-    lam_min = float(vals[0])
+            return 0.0
+    # Each block's step min(1, -1/lam_min) is non-decreasing in its lam_min, so
+    # the smallest lam_min of the stack gives the stack's step.
+    lam_min = float(np.min(vals[:, 0]))
     if lam_min >= -1e-14:
         return 1.0
     return min(1.0, -1.0 / lam_min)
@@ -746,39 +718,53 @@ def _orthant_step_length(x, dx):
     return min(1.0, float(np.min(-x[neg] / dx[neg])))
 
 
+def _step_lengths(scalings, xo, so, dx_m, dx_v, ds_m, ds_v):
+    """Primal and dual step lengths to the boundary over every stack and the orthant."""
+    ap = min([_psd_step_length(sc.x_isqrt, dx) for sc, dx in zip(scalings, dx_m)]
+             + [_orthant_step_length(xo, dx_v)])
+    ad = min([_psd_step_length(sc.s_isqrt, ds) for sc, ds in zip(scalings, ds_m)]
+             + [_orthant_step_length(so, ds_v)])
+    return ap, ad
+
+
 class _Scaling:
-    """Per-iteration Nesterov-Todd scaling data for one Hermitian block."""
+    """Per-iteration Nesterov-Todd scaling data for a stack of Hermitian blocks."""
 
     __slots__ = ("r", "r_inv", "w", "lam_vecs", "lam_vals", "x_isqrt", "s_isqrt")
 
     def __init__(self, x, s):
-        wx, vx = np.linalg.eigh(x)
-        wx = np.clip(wx, max(1e-250, float(wx[-1]) * 1e-17), None)
-        sqrt_x = (vx * np.sqrt(wx)) @ vx.conj().T
-        self.x_isqrt = (vx * (1.0 / np.sqrt(wx))) @ vx.conj().T
+        wx, vx = _clipped_eigh(x)
+        sqrt_x = (vx * np.sqrt(wx)[:, None, :]) @ _ct(vx)
+        self.x_isqrt = (vx * (1.0 / np.sqrt(wx))[:, None, :]) @ _ct(vx)
         t = sqrt_x @ s @ sqrt_x
-        t = (t + t.conj().T) / 2.0
-        wt, vt = np.linalg.eigh(t)
-        wt = np.clip(wt, max(1e-250, float(wt[-1]) * 1e-17), None)
-        q = wt ** 0.25
-        self.r = sqrt_x @ (vt * (1.0 / q)) @ vt.conj().T
-        self.r_inv = (vt * q) @ vt.conj().T @ self.x_isqrt
-        self.w = self.r @ self.r.conj().T
+        wt, vt = _clipped_eigh((t + _ct(t)) / 2.0)
+        q = (wt ** 0.25)[:, None, :]
+        self.r = sqrt_x @ (vt * (1.0 / q)) @ _ct(vt)
+        self.r_inv = (vt * q) @ _ct(vt) @ self.x_isqrt
+        self.w = self.r @ _ct(self.r)
         self.lam_vecs = vt
         self.lam_vals = np.sqrt(wt)
-        ws, vs = np.linalg.eigh(s)
-        ws = np.clip(ws, max(1e-250, float(ws[-1]) * 1e-17), None)
-        self.s_isqrt = (vs * (1.0 / np.sqrt(ws))) @ vs.conj().T
+        ws, vs = _clipped_eigh(s)
+        self.s_isqrt = (vs * (1.0 / np.sqrt(ws))[:, None, :]) @ _ct(vs)
+
+    def corrector_rhs(self, dxa, dsa, sigma_mu):
+        """R (sigma mu Lambda^{-1} - Lambda - U) R^H, with U the symmetrized
+        second-order term of the affine directions in the scaled space; a
+        block whose U is not finite drops its second-order term."""
+        v, lam_vals = self.lam_vecs, self.lam_vals
+        lam_inv = (v * (1.0 / lam_vals)[:, None, :]) @ _ct(v)
+        lam = (v * lam_vals[:, None, :]) @ _ct(v)
+        dxb = self.r_inv @ dxa @ _ct(self.r_inv)
+        dsb = _ct(self.r) @ dsa @ self.r
+        qt = _ct(v) @ ((dxb @ dsb + dsb @ dxb) / 2.0) @ v
+        u = v @ (2.0 * qt / (lam_vals[:, :, None] + lam_vals[:, None, :])) @ _ct(v)
+        u[~np.all(np.isfinite(u), axis=(1, 2))] = 0.0
+        rc = self.r @ (sigma_mu * lam_inv - lam - u) @ _ct(self.r)
+        return (rc + _ct(rc)) / 2.0
 
 
-def _all_finite(*objs):
-    for obj in objs:
-        if isinstance(obj, (list, tuple)):
-            if not all(np.all(np.isfinite(a)) for a in obj):
-                return False
-        elif obj is not None and obj.size and not np.all(np.isfinite(obj)):
-            return False
-    return True
+def _all_finite(*arrays):
+    return all(np.all(np.isfinite(a)) for a in arrays)
 
 
 def _row_order(a_blocks, m):
@@ -839,6 +825,31 @@ def _scatter_add(schur, rows, runs, part):
             schur[dst_i, dst_j] += part_t[src_i, src_j]
 
 
+def _signed_rows(sub):
+    """Gather data for a ``sub`` whose rows each hold exactly one coefficient
+    +-1, whose Schur part ``sub K sub^T`` is then s_i s_j K[c_i, c_j] for the
+    column c_i and sign s_i of row i: the flat index of those entries in K
+    (None when c is the identity) and the signs relative to the first row's
+    (None when all agree).  None for any other ``sub``."""
+    if not (np.all(np.diff(sub.indptr) == 1) and np.all(np.abs(sub.data) == 1.0)):
+        return None
+    cols, n = sub.indices, sub.shape[1]
+    signs = sub.data * sub.data[0]
+    index = None if np.array_equal(cols, np.arange(n)) else np.add.outer(cols * n, cols)
+    return index, (None if np.all(signs == 1.0) else signs)
+
+
+def _gather_part(k, index, signs):
+    """The Schur part ``K.ravel()[index]`` in C order with the outer product of
+    ``signs`` applied, for the output of :func:`_signed_rows`; K itself (no
+    copy) for the unsigned identity.  May overwrite ``k``."""
+    part = k if index is None else k.ravel()[index]
+    if signs is not None:
+        part *= signs[:, None]
+        part *= signs[None, :]
+    return part
+
+
 def _factor_schur(assemble):
     """Cholesky-factor the Schur matrix in place; return ``rhs -> S^{-1} rhs``.
 
@@ -883,7 +894,6 @@ def solve(problem, config: SDPConfig | None = None) -> SDPSolution:
     n_orth = canon.a_orthant.shape[1]
     m = canon.b.shape[0]
     b = canon.b
-    c_mats = [hmat(canon.c_blocks[i], d) for i, d in enumerate(dims)]
     c_orth = canon.c_orthant
     a_blocks = [a.tocsr() for a in canon.a_blocks]
     a_orth = canon.a_orthant.tocsr()
@@ -897,15 +907,39 @@ def solve(problem, config: SDPConfig | None = None) -> SDPSolution:
         a_orth = a_orth[order]
         b = b[order]
 
-    # Loop-invariant Schur assembly data: per block touched by some row, its
+    # Blocks of equal dimension form one (n_b, d, d) stack, in order of first
+    # appearance; block bi is entry j of stack g for (g, j) = where[bi].  A is
+    # one CSR matrix over the hvec coordinates of the stacks and the orthant.
+    groups = {}
+    for bi, d in enumerate(dims):
+        groups.setdefault(d, []).append(bi)
+    groups = list(groups.items())
+    where = {bi: (g, j) for g, (_, idx) in enumerate(groups) for j, bi in enumerate(idx)}
+    a_all = sp.hstack([a_blocks[bi] for _, idx in groups for bi in idx] + [a_orth],
+                      format="csr")
+    a_all_t = a_all.T
+    cuts = np.cumsum([len(idx) * d * d for d, idx in groups])
+    c_mats = [hmat(np.stack([canon.c_blocks[bi] for bi in idx]), d) for d, idx in groups]
+
+    # Loop-invariant Schur assembly data, per block touched by some row: its
     # scatter plan and, on the small-row path, the Hermitian matrices of its
-    # rows (None on the K path).
-    schur_terms = []
+    # rows (None on the K path).  K-path blocks whose rows each hold one
+    # coefficient +-1 are keyed by (d, rows, cols, signs) instead: the blocks
+    # of one key get one K, of the sum of their congruences, and one gather.
+    schur_terms, shared = [], {}
     for bi, (a, d) in enumerate(zip(a_blocks, dims)):
-        if a.nnz:
-            rows, sub, runs = _scatter_plan(a)
-            mats = hmat(np.asarray(sub.todense()), d) if rows.size < d * d else None
-            schur_terms.append((bi, rows, sub, runs, mats))
+        if not a.nnz:
+            continue
+        rows, sub, runs = _scatter_plan(a)
+        signed = _signed_rows(sub) if rows.size >= d * d else None
+        if signed is None:
+            mats = hmat(sub.toarray(), d) if rows.size < d * d else None
+            schur_terms.append((where[bi], rows, sub, runs, mats))
+            continue
+        # Equal keys mean equal dimensions, so the members share one stack.
+        g, j = where[bi]
+        key = (d, rows.tobytes(), sub.indices.tobytes(), (sub.data * sub.data[0]).tobytes())
+        shared.setdefault(key, (rows, runs) + signed + (g, []))[-1].append(j)
     orth_rows, orth_sub, orth_runs = _scatter_plan(a_orth)
 
     nu = sum(dims) + n_orth
@@ -914,29 +948,24 @@ def solve(problem, config: SDPConfig | None = None) -> SDPSolution:
         sum(float(np.vdot(cm, cm).real) for cm in c_mats) + float(c_orth @ c_orth))
 
     def a_apply(xs, xo):
-        out = np.zeros(m)
-        for a, x in zip(a_blocks, xs):
-            out += a @ hvec(x)
-        if n_orth:
-            out += a_orth @ xo
-        return out
+        return a_all @ np.concatenate([hvec(x).ravel() for x in xs] + [xo])
 
     def a_adjoint(y):
-        mats = [hmat(a.T @ y, d) for a, d in zip(a_blocks, dims)]
-        vec = a_orth.T @ y if n_orth else np.zeros(0)
-        return mats, vec
+        parts = np.split(a_all_t @ y, cuts)
+        mats = [hmat(v.reshape(len(idx), d * d), d) for v, (d, idx) in zip(parts, groups)]
+        return mats, parts[-1]
 
     def inner(xs, xo, ss, so):
-        tot = sum(float(np.real(np.vdot(x, s))) for x, s in zip(xs, ss))
-        if n_orth:
-            tot += float(xo @ so)
-        return tot
+        return sum(float(np.vdot(x, s).real) for x, s in zip(xs, ss)) + float(xo @ so)
+
+    def norm2(mats, vec):
+        return sum(float(np.vdot(a, a).real) for a in mats) + float(vec @ vec)
 
     # Initial point: identity scaled to the data magnitudes.
     x_scale = max(1.0, float(np.max(np.abs(b))) if m else 1.0)
-    s_scale = max(1.0, max((float(np.max(np.abs(cm))) for cm in c_mats if cm.size), default=1.0))
-    xs = [x_scale * np.eye(d, dtype=complex) for d in dims]
-    ss = [s_scale * np.eye(d, dtype=complex) for d in dims]
+    s_scale = max([1.0] + [float(np.max(np.abs(cm))) for cm in c_mats])
+    xs = [x_scale * np.tile(np.eye(d, dtype=complex), (len(idx), 1, 1)) for d, idx in groups]
+    ss = [s_scale * np.tile(np.eye(d, dtype=complex), (len(idx), 1, 1)) for d, idx in groups]
     xo = x_scale * np.ones(n_orth)
     so = s_scale * np.ones(n_orth)
     y = np.zeros(m)
@@ -945,27 +974,21 @@ def solve(problem, config: SDPConfig | None = None) -> SDPSolution:
     best = None
     stall = 0
     status = SDPStatus.MAX_ITERATIONS
+    stop_reason = "max_iter"
     it = 0
-
-    def primal_obj():
-        val = sum(float(np.real(np.vdot(cm, x))) for cm, x in zip(c_mats, xs))
-        if n_orth:
-            val += float(c_orth @ xo)
-        return val
 
     for it in range(1, cfg.max_iter + 1):
         rp = b - a_apply(xs, xo)
         at_mats, at_vec = a_adjoint(y)
         rd_mats = [cm - am - s for cm, am, s in zip(c_mats, at_mats, ss)]
-        rd_vec = (c_orth - at_vec - so) if n_orth else np.zeros(0)
+        rd_vec = c_orth - at_vec - so
 
         gap = inner(xs, xo, ss, so)
         mu = gap / nu
-        pobj = primal_obj()
+        pobj = inner(c_mats, c_orth, xs, xo)
         dobj = float(b @ y)
         pres = float(np.linalg.norm(rp)) / b_norm
-        dres = math.sqrt(sum(float(np.vdot(r, r).real) for r in rd_mats)
-                         + (float(rd_vec @ rd_vec) if n_orth else 0.0)) / c_norm
+        dres = math.sqrt(norm2(rd_mats, rd_vec)) / c_norm
         relgap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
 
         history.append({
@@ -982,160 +1005,131 @@ def solve(problem, config: SDPConfig | None = None) -> SDPSolution:
         if best is None or score < best[0] * (1.0 - 1e-6):
             best = (score, [x.copy() for x in xs], xo.copy(),
                     [s.copy() for s in ss], so.copy(), y.copy(),
-                    pres, dres, relgap, gap, it)
+                    pres, dres, gap)
             stall = 0
         else:
             stall += 1
 
         if pres <= cfg.tol and dres <= cfg.tol and (relgap <= cfg.tol or gap / nu <= cfg.tol * 1e-2):
-            status = SDPStatus.OPTIMAL
+            status, stop_reason = SDPStatus.OPTIMAL, "converged"
             break
-        if stall >= 12 or mu < 1e-17 * (1.0 + abs(pobj)):
-            break  # no further progress representable in double precision
+        # No further progress representable in double precision.
+        if stall >= 12:
+            stop_reason = "stall"
+            break
+        if mu < 1e-17 * (1.0 + abs(pobj)):
+            stop_reason = "mu_floor"
+            break
 
         # Infeasibility certificates (Farkas-type, on normalized iterates).
         if dobj > 0 and it > 3:
-            scale = dobj
-            cert = math.sqrt(sum(float(np.vdot(am + s, am + s).real)
-                                 for am, s in zip(at_mats, ss))
-                             + (float((at_vec + so) @ (at_vec + so)) if n_orth else 0.0)) / scale
+            cert = math.sqrt(norm2([am + s for am, s in zip(at_mats, ss)], at_vec + so)) / dobj
             if cert <= CERT_TOL * c_norm:
-                status = SDPStatus.PRIMAL_INFEASIBLE
+                status, stop_reason = SDPStatus.PRIMAL_INFEASIBLE, "primal_infeasible"
                 break
-        cx = pobj
-        if cx < 0 and it > 3:
-            cert = float(np.linalg.norm(a_apply(xs, xo))) / (-cx)
+        if pobj < 0 and it > 3:
+            cert = float(np.linalg.norm(a_apply(xs, xo))) / (-pobj)
             if cert <= CERT_TOL * b_norm:
-                status = SDPStatus.DUAL_INFEASIBLE
+                status, stop_reason = SDPStatus.DUAL_INFEASIBLE, "dual_infeasible"
                 break
 
         scalings = [_Scaling(x, s) for x, s in zip(xs, ss)]
-        w_orth2 = xo / so if n_orth else np.zeros(0)
+        w_orth2 = xo / so
 
         def assemble_schur():
             # Schur complement  M[i,j] = <A_i, W A_j W>  summed over blocks, in
             # Fortran order so that _factor_schur factors it in place.  Each
             # part is symmetric up to rounding, is formed in C order and is
             # added transposed, so a slice add walks both arrays in memory
-            # order.
+            # order.  One K is formed per block or shared key, never a stack.
             schur = np.zeros((m, m), order="F")
-            for bi, rows, sub, runs, mats in schur_terms:
-                w = scalings[bi].w
+            for (g, j), rows, sub, runs, mats in schur_terms:
+                w = scalings[g].w[j:j + 1]
                 if mats is not None:
-                    part = sub @ hvec((w[None] @ mats) @ w[None]).T
+                    part = sub @ hvec((w @ mats) @ w).T
                 else:
                     part = sub @ (sub @ _congruence_matrix(w)).T
                 _scatter_add(schur, rows, runs, part)
-            if n_orth and orth_rows.size:
+            for rows, runs, index, signs, g, js in shared.values():
+                k = _congruence_matrix(scalings[g].w[js])
+                _scatter_add(schur, rows, runs, _gather_part(k, index, signs))
+            if orth_rows.size:
                 _scatter_add(schur, orth_rows, orth_runs,
                              (orth_sub.multiply(w_orth2) @ orth_sub.T).toarray())
             return schur
 
+        # The previous factor is freed only here: freed any earlier, its memory
+        # goes to this iteration's stacks and the new buffer takes fresh pages.
+        solve_schur = None
         solve_schur = _factor_schur(assemble_schur)
 
         def newton(rc_mats, rc_vec):
-            e_mats = [rc - sc.w @ rd @ sc.w
-                      for rc, rd, sc in zip(rc_mats, rd_mats, scalings)]
-            e_vec = (rc_vec - w_orth2 * rd_vec) if n_orth else np.zeros(0)
-            rhs = rp - a_apply(e_mats, e_vec)
-            dy = solve_schur(rhs)
+            e_mats = [rc - sc.w @ rd @ sc.w for rc, rd, sc in zip(rc_mats, rd_mats, scalings)]
+            e_vec = rc_vec - w_orth2 * rd_vec
+            dy = solve_schur(rp - a_apply(e_mats, e_vec))
             dat_mats, dat_vec = a_adjoint(dy)
+            dx_mats = [e + sc.w @ da @ sc.w for e, da, sc in zip(e_mats, dat_mats, scalings)]
             ds_mats = [rd - da for rd, da in zip(rd_mats, dat_mats)]
-            ds_vec = (rd_vec - dat_vec) if n_orth else np.zeros(0)
-            dx_mats = [e + sc.w @ da @ sc.w
-                       for e, da, sc in zip(e_mats, dat_mats, scalings)]
-            dx_vec = (e_vec + w_orth2 * dat_vec) if n_orth else np.zeros(0)
-            dx_mats = [(d_ + d_.conj().T) / 2.0 for d_ in dx_mats]
-            ds_mats = [(d_ + d_.conj().T) / 2.0 for d_ in ds_mats]
-            return dx_mats, dx_vec, dy, ds_mats, ds_vec
+            return ([(a + _ct(a)) / 2.0 for a in dx_mats], e_vec + w_orth2 * dat_vec, dy,
+                    [(a + _ct(a)) / 2.0 for a in ds_mats], rd_vec - dat_vec)
 
         # Predictor.
-        rc_mats = [-x for x in xs]
-        rc_vec = -xo if n_orth else np.zeros(0)
-        dxa_m, dxa_v, dya, dsa_m, dsa_v = newton(rc_mats, rc_vec)
-        if not _all_finite(dxa_m, dxa_v, dsa_m, dsa_v):
+        dxa_m, dxa_v, _, dsa_m, dsa_v = newton([-x for x in xs], -xo)
+        if not _all_finite(*dxa_m, dxa_v, *dsa_m, dsa_v):
+            stop_reason = "non_finite"
             break
-
-        ap = min([_psd_step_length(sc.x_isqrt, dx) for sc, dx in zip(scalings, dxa_m)] or [1.0])
-        if n_orth:
-            ap = min(ap, _orthant_step_length(xo, dxa_v))
-        ad = min([_psd_step_length(sc.s_isqrt, ds) for sc, ds in zip(scalings, dsa_m)] or [1.0])
-        if n_orth:
-            ad = min(ad, _orthant_step_length(so, dsa_v))
-
-        mu_aff = max(0.0, inner(
-            [x + ap * dx for x, dx in zip(xs, dxa_m)],
-            xo + ap * dxa_v if n_orth else xo,
-            [s + ad * ds for s, ds in zip(ss, dsa_m)],
-            so + ad * dsa_v if n_orth else so)) / nu
+        ap, ad = _step_lengths(scalings, xo, so, dxa_m, dxa_v, dsa_m, dsa_v)
+        mu_aff = max(0.0, inner([x + ap * dx for x, dx in zip(xs, dxa_m)], xo + ap * dxa_v,
+                                [s + ad * ds for s, ds in zip(ss, dsa_m)], so + ad * dsa_v)) / nu
         sigma = min(1.0, max((mu_aff / mu) ** 3 if mu > 0 else 0.0, 1e-10))
 
         # Corrector with the second-order term in the scaled space.
-        rc_mats = []
         with np.errstate(over="ignore", invalid="ignore"):
-            for sc, x, dxa, dsa in zip(scalings, xs, dxa_m, dsa_m):
-                lam_inv = (sc.lam_vecs * (1.0 / sc.lam_vals)) @ sc.lam_vecs.conj().T
-                lam = (sc.lam_vecs * sc.lam_vals) @ sc.lam_vecs.conj().T
-                dxb = sc.r_inv @ dxa @ sc.r_inv.conj().T
-                dsb = sc.r.conj().T @ dsa @ sc.r
-                q = (dxb @ dsb + dsb @ dxb) / 2.0
-                qt = sc.lam_vecs.conj().T @ q @ sc.lam_vecs
-                denom = sc.lam_vals[:, None] + sc.lam_vals[None, :]
-                u = sc.lam_vecs @ (2.0 * qt / denom) @ sc.lam_vecs.conj().T
-                if not _all_finite(u):
-                    u = np.zeros_like(x)  # drop the second-order term for this block
-                rhs_scaled = sigma * mu * lam_inv - lam - u
-                rc = sc.r @ rhs_scaled @ sc.r.conj().T
-                rc_mats.append((rc + rc.conj().T) / 2.0)
-        rc_vec = (sigma * mu / so - xo - dxa_v * dsa_v / so) if n_orth else np.zeros(0)
-        if not _all_finite(rc_mats, rc_vec):
+            rc_mats = [sc.corrector_rhs(dxa, dsa, sigma * mu)
+                       for sc, dxa, dsa in zip(scalings, dxa_m, dsa_m)]
+        rc_vec = sigma * mu / so - xo - dxa_v * dsa_v / so
+        if not _all_finite(*rc_mats, rc_vec):
+            stop_reason = "non_finite"
             break
 
         dx_m, dx_v, dy, ds_m, ds_v = newton(rc_mats, rc_vec)
-        solve_schur = None  # free the factor before the next assembly
-        if not _all_finite(dx_m, dx_v, ds_m, ds_v, dy):
+        if not _all_finite(*dx_m, dx_v, *ds_m, ds_v, dy):
+            stop_reason = "non_finite"
             break
-
-        ap = min([_psd_step_length(sc.x_isqrt, dx) for sc, dx in zip(scalings, dx_m)] or [1.0])
-        if n_orth:
-            ap = min(ap, _orthant_step_length(xo, dx_v))
-        ad = min([_psd_step_length(sc.s_isqrt, ds) for sc, ds in zip(scalings, ds_m)] or [1.0])
-        if n_orth:
-            ad = min(ad, _orthant_step_length(so, ds_v))
-
+        ap, ad = _step_lengths(scalings, xo, so, dx_m, dx_v, ds_m, ds_v)
         ap = STEP_FRACTION * ap
         ad = STEP_FRACTION * ad
         if max(ap, ad) < 1e-12:
+            stop_reason = "step_length"
             break  # stalled; report best iterate
 
         xs = [x + ap * dx for x, dx in zip(xs, dx_m)]
-        xo = xo + ap * dx_v if n_orth else xo
+        xo = xo + ap * dx_v
         ss = [s + ad * ds for s, ds in zip(ss, ds_m)]
-        so = so + ad * ds_v if n_orth else so
+        so = so + ad * ds_v
         y = y + ad * dy
 
     if status is SDPStatus.OPTIMAL:
-        final = (None, xs, xo, ss, so, y, pres, dres, relgap, gap, it)
+        final = (None, xs, xo, ss, so, y, pres, dres, gap)
     else:
         final = best
-    _, xs, xo, ss, so, y, pres, dres, relgap, gap, it_best = final
+    _, xs, xo, ss, so, y, pres, dres, gap = final
     if order is not None:
         y_caller = np.empty_like(y)
         y_caller[order] = y
         y = y_caller
 
     sign = -1.0 if canon.maximize else 1.0
-    pobj = sign * (sum(float(np.real(np.vdot(cm, x))) for cm, x in zip(c_mats, xs))
-                   + (float(c_orth @ xo) if n_orth else 0.0))
-    variables = {name: xs[i] for i, name in enumerate(canon.block_names)}
     return SDPSolution(
         status=status,
-        objective=pobj,
-        variables=variables,
+        objective=sign * inner(c_mats, c_orth, xs, xo),
+        variables={name: xs[where[bi][0]][where[bi][1]]
+                   for bi, name in enumerate(canon.block_names)},
         primal_residual=pres,
         dual_residual=dres,
         duality_gap=gap,
         iterations=it,
         y=y,
         history=history,
+        stop_reason=stop_reason,
     )

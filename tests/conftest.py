@@ -3,14 +3,21 @@
 The oracles here deliberately avoid the library's own code paths: the partial
 transpose is done by axis gymnastics on the dense matrix, negativity by a
 plain eigendecomposition, and singular values by a one-sided Jacobi sweep.
+
+The ``ci`` hypothesis profile (``pytest --hypothesis-profile=ci``) derives
+every example from the test itself and prints the blob that replays a failure,
+so a failure in CI reproduces locally; without it, runs explore at random.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from qdbench.blocksym import BipartiteBlockMatrix, twirl
+
+settings.register_profile("ci", derandomize=True, print_blob=True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,9 @@
 """Tests for the dense Hermitian SDP solver."""
 
-import json
-
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -16,10 +15,10 @@ from qdbench.channels import loss_channel
 from qdbench.fock import DensityMatrix, noisy_coherent, rotation
 from qdbench.gramopt import optimize_gram, rotation_ensemble
 from qdbench.sdp import (CanonicalSDP, HadamardMaskMap, LinearMatrixMap, ScalarMap, SDPConfig,
-                         SDPError, SDPProblem, SDPStatus, BlockSwapMap, hmat, hvec, realify,
-                         solve)
-from qdbench.sdp import (_congruence_matrix, _factor_schur, _hermitian_basis, _row_order,
-                         _row_runs, _scatter_add)
+                         SDPError, SDPProblem, SDPStatus, BlockSwapMap, hmat, hvec, solve)
+from qdbench.sdp import (_congruence_matrix, _factor_schur, _gather_part, _hermitian_basis,
+                         _psd_step_length, _row_order, _row_runs, _Scaling, _scatter_add,
+                         _signed_rows)
 
 from conftest import brute_negativity, dense_partial_transpose
 
@@ -38,29 +37,6 @@ class TestHermitianCoordinates:
         b = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         b = (b + b.conj().T) / 2
         assert abs(hvec(a) @ hvec(b) - np.real(np.trace(a @ b))) <= 1e-12
-
-
-class TestRealify:
-    def test_scalar(self):
-        np.testing.assert_allclose(realify(np.array([[1.0]])), np.eye(2))
-
-    def test_pauli_y(self):
-        h = np.array([[0, -1j], [1j, 0]])
-        out = realify(h)
-        assert out.shape == (4, 4)
-        np.testing.assert_allclose(np.sort(np.linalg.eigvalsh(out)), [-1, -1, 1, 1],
-                                   atol=1e-12)
-
-    def test_spectrum_doubling(self, rng):
-        a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        h = (a + a.conj().T) / 2
-        doubled = np.sort(np.repeat(np.linalg.eigvalsh(h), 2))
-        np.testing.assert_allclose(np.sort(np.linalg.eigvalsh(realify(h))), doubled,
-                                   atol=1e-10)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(SDPError, match="Hermitian"):
-            realify(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def _trace_min_problem():
@@ -193,6 +169,7 @@ class TestSolverContracts:
         p.add_equality({"X": np.diag([1.0, 0.0])}, 2.0)
         sol = p.solve()
         assert sol.status is SDPStatus.PRIMAL_INFEASIBLE
+        assert sol.stop_reason == "primal_infeasible"
 
     def test_dual_infeasible_detected(self):
         # unbounded below: minimize -Tr X over the PSD cone with no constraints
@@ -201,6 +178,26 @@ class TestSolverContracts:
         p.set_objective({"X": -np.eye(2)})
         sol = p.solve()
         assert sol.status is SDPStatus.DUAL_INFEASIBLE
+        assert sol.stop_reason == "dual_infeasible"
+
+    def test_stop_reason_converged(self):
+        sol = _trace_min_problem().solve()
+        assert sol.status is SDPStatus.OPTIMAL
+        assert sol.stop_reason == "converged"
+
+    def test_stop_reason_max_iter(self):
+        sol = _trace_min_problem().solve(SDPConfig(max_iter=2))
+        assert sol.status is SDPStatus.MAX_ITERATIONS
+        assert sol.stop_reason == "max_iter"
+        assert sol.iterations == 2
+
+    def test_stop_reason_non_finite(self, monkeypatch):
+        monkeypatch.setattr(sdp, "_factor_schur",
+                            lambda assemble: lambda rhs: np.full_like(rhs, np.nan))
+        sol = _trace_min_problem().solve()
+        assert sol.status is SDPStatus.MAX_ITERATIONS
+        assert sol.stop_reason == "non_finite"
+        assert sol.iterations == 1
 
     def test_residuals_reported_on_optimal(self):
         sol = _trace_min_problem().solve(SDPConfig(tol=1e-9))
@@ -244,14 +241,16 @@ def _errors_scenario(state):
 
 class TestCongruenceMatrix:
     @settings(max_examples=60, deadline=None, database=None)
-    @given(st.integers(1, 12).flatmap(lambda d: arrays(
-        np.float64, (2, d, d), elements=st.floats(-1.0, 1.0))))
+    @given(st.tuples(st.integers(1, 3), st.integers(1, 12)).flatmap(lambda nd: arrays(
+        np.float64, (nd[0], 2, nd[1], nd[1]), elements=st.floats(-1.0, 1.0))))
     def test_matches_conjugated_basis(self, parts):
-        r = parts[0] + 1j * parts[1]
-        d = r.shape[0]
-        w = r @ r.conj().T
-        got = _congruence_matrix(w)
-        ref = hvec((w[None] @ _hermitian_basis(d)) @ w[None]).T
+        """K of a stack of W is the matrix of X -> sum_n W_n X W_n."""
+        r = parts[:, 0] + 1j * parts[:, 1]
+        d = r.shape[-1]
+        ws = r @ r.conj().swapaxes(-1, -2)
+        got = _congruence_matrix(ws)
+        basis = _hermitian_basis(d)
+        ref = sum(hvec((w[None] @ basis) @ w[None]).T for w in ws)
         scale = max(float(np.max(np.abs(ref))), 1e-300)
         assert got.shape == (d * d, d * d)
         assert np.max(np.abs(got - ref)) <= 1e-13 * scale
@@ -273,7 +272,7 @@ class TestCongruenceMatrix:
         k_dims = []
         real_k = sdp._congruence_matrix
         monkeypatch.setattr(sdp, "_congruence_matrix",
-                            lambda w: k_dims.append(w.shape[0]) or real_k(w))
+                            lambda ws: k_dims.append(ws.shape[-1]) or real_k(ws))
         first = solve(prob)
         second = solve(prob)
         assert first.status is SDPStatus.OPTIMAL
@@ -369,6 +368,133 @@ class TestRowGrouping:
         assert first.objective == pytest.approx(second.objective, abs=1e-8)
 
 
+def _reference_scaling(x, s):
+    """Nesterov-Todd scaling of one block, computed on its own."""
+    def clipped_eigh(a):
+        vals, vecs = np.linalg.eigh(a)
+        return np.clip(vals, max(1e-250, float(vals[-1]) * 1e-17), None), vecs
+
+    wx, vx = clipped_eigh(x)
+    sqrt_x = (vx * np.sqrt(wx)) @ vx.conj().T
+    x_isqrt = (vx * (1.0 / np.sqrt(wx))) @ vx.conj().T
+    t = sqrt_x @ s @ sqrt_x
+    wt, vt = clipped_eigh((t + t.conj().T) / 2.0)
+    q = wt ** 0.25
+    r = sqrt_x @ (vt * (1.0 / q)) @ vt.conj().T
+    ws, vs = clipped_eigh(s)
+    return {"w": r @ r.conj().T, "r": r, "r_inv": (vt * q) @ vt.conj().T @ x_isqrt,
+            "x_isqrt": x_isqrt, "s_isqrt": (vs * (1.0 / np.sqrt(ws))) @ vs.conj().T}
+
+
+def _random_pd(rng, n, d):
+    a = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+    return a @ a.conj().swapaxes(-1, -2) + 0.1 * np.eye(d)
+
+
+def _random_hermitian(rng, n, d):
+    a = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+    return (a + a.conj().swapaxes(-1, -2)) / 2.0
+
+
+def _signed_permutation(rng, d, permuted):
+    """Rows of +-1 at distinct columns: a random signed permutation, or the
+    identity with one sign for every row."""
+    n = d * d
+    cols = rng.permutation(n) if permuted else np.arange(n)
+    signs = rng.choice([-1.0, 1.0], n) if permuted else np.full(n, rng.choice([-1.0, 1.0]))
+    return sp.csr_matrix((signs, (np.arange(n), cols)), shape=(n, n))
+
+
+class TestBatchedLayer:
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.integers(1, 6), st.integers(1, 12), st.integers(0, 2**32 - 1))
+    def test_scaling_matches_per_block_reference(self, n, d, seed):
+        rng = np.random.default_rng(seed)
+        x, s = _random_pd(rng, n, d), _random_pd(rng, n, d)
+        got = _Scaling(x, s)
+        for i in range(n):
+            for name, want in _reference_scaling(x[i], s[i]).items():
+                have = getattr(got, name)[i]
+                assert np.max(np.abs(have - want)) <= 1e-12 * np.max(np.abs(want)), name
+
+    def test_step_length_is_the_per_block_minimum(self, rng):
+        isqrt = _Scaling(*(2 * [_random_pd(rng, 5, 6)])).x_isqrt
+        dx = 3.0 * _random_hermitian(rng, 5, 6)
+        per_block = []
+        for i in range(5):
+            lam = np.linalg.eigvalsh(isqrt[i] @ dx[i] @ isqrt[i])[0]
+            per_block.append(1.0 if lam >= -1e-14 else min(1.0, -1.0 / lam))
+        assert min(per_block) < 1.0
+        assert _psd_step_length(isqrt, dx) == pytest.approx(min(per_block), rel=1e-12)
+
+    def test_step_length_is_one_on_psd_directions(self, rng):
+        isqrt = _Scaling(*(2 * [_random_pd(rng, 4, 5)])).x_isqrt
+        assert _psd_step_length(isqrt, _random_pd(rng, 4, 5)) == 1.0
+
+    def test_step_length_is_zero_with_one_non_finite_block(self, rng):
+        isqrt = _Scaling(*(2 * [_random_pd(rng, 4, 5)])).x_isqrt
+        dx = _random_pd(rng, 4, 5)
+        dx[2, 1, 3] = np.nan
+        assert _psd_step_length(isqrt, dx) == 0.0
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.integers(1, 6), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_shared_gather_matches_the_two_sparse_products(self, d, permuted, seed):
+        """Two blocks whose rows hold one +-1 each, at the same columns and with
+        the same relative signs, like an F_k block and its PSD slack: one
+        gather of the K of both congruences equals the sum of their parts."""
+        rng = np.random.default_rng(seed)
+        sub = _signed_permutation(rng, d, permuted)
+        subs = (sub, rng.choice([-1.0, 1.0]) * sub)
+        ws = _random_pd(rng, 2, d)
+        ref = sum(s @ (s @ _congruence_matrix(w[None])).T for s, w in zip(subs, ws))
+        (index, signs), (index2, signs2) = map(_signed_rows, subs)
+        identity = np.array_equal(sub.indices, np.arange(d * d))
+        assert (index is None) is (index2 is None) is identity
+        assert (signs is None) is (signs2 is None)
+        if not identity:
+            assert np.array_equal(index, index2)
+            assert signs is None or np.array_equal(signs, signs2)
+        got = _gather_part(_congruence_matrix(ws), index, signs)
+        assert got.flags.c_contiguous
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_rows_with_other_coefficients_are_not_gathered(self):
+        assert _signed_rows(sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 2.0]]))) is None
+        assert _signed_rows(sp.csr_matrix(np.array([[1.0, 1.0], [0.0, -1.0]]))) is None
+
+    def test_symmetric_solves_are_bit_identical(self, monkeypatch):
+        prob = _symmetric_problem(monkeypatch, "quadratures_errors", m=3)
+        first, second = solve(prob), solve(prob)
+        assert first.status is SDPStatus.OPTIMAL
+        assert first.stop_reason == second.stop_reason == "converged"
+        assert np.array_equal(first.y, second.y)
+        assert first.variables.keys() == second.variables.keys()
+        for name, x in first.variables.items():
+            assert np.array_equal(x, second.variables[name])
+        assert first.history == second.history
+
+    @pytest.mark.parametrize("groups", [1, 2])
+    def test_eigen_solves_per_size_group_per_iteration(self, monkeypatch, groups):
+        """Nine 5x5 blocks (plus a 3x3 one for two size groups): at most three
+        eigh calls (the scaling) and four eigvalsh calls (the step lengths) per
+        size group per iteration, however many blocks a group holds."""
+        prob = _symmetric_problem(monkeypatch, "quadratures_errors", m=3)
+        if groups == 2:
+            prob.add_variable("aux", 3)
+            prob.add_equality({"aux": np.eye(3)}, 1.0)
+        calls = {"eigh": 0, "eigvalsh": 0}
+        for name in calls:
+            def counting(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counting)
+        sol = solve(prob)
+        assert sol.status is SDPStatus.OPTIMAL
+        assert 0 < calls["eigh"] <= 3 * groups * sol.iterations
+        assert 0 < calls["eigvalsh"] <= 4 * groups * sol.iterations
+
+
 class TestValidation:
     def test_unknown_variable_in_objective(self):
         p = SDPProblem()
@@ -406,24 +532,6 @@ class TestValidation:
         p.add_variable("Y", 3)
         with pytest.raises(SDPError, match="dimension"):
             p.add_psd_constraint([("X", ScalarMap(2)), ("Y", ScalarMap(3))])
-
-
-class TestDumpLoad:
-    def test_canonical_round_trip(self, tmp_path):
-        p = _trace_min_problem()
-        canon = p.canonicalize()
-        path = tmp_path / "problem.json"
-        canon.dump(path)
-        again = CanonicalSDP.load(path)
-        sol = solve(again)
-        assert sol.status is SDPStatus.OPTIMAL
-        assert sol.objective == pytest.approx(3.0, abs=1e-7)
-
-    def test_json_is_self_describing(self, tmp_path):
-        canon = _trace_min_problem().canonicalize()
-        payload = canon.dump_json_dict()
-        assert set(payload) >= {"block_names", "block_dims", "a_blocks", "c_blocks", "b"}
-        json.dumps(payload)  # serializable
 
 
 JITTERS = (0.0, 1e-13, 1e-10, 1e-7)

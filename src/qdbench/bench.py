@@ -222,6 +222,7 @@ def _result(sol, cfg: SDPConfig, verdict_margin, m: int, cutoff: int, tag: str,
         diagnostics={
             "solver_status": sol.status.value,
             "solver_iterations": sol.iterations,
+            "stop_reason": sol.stop_reason,
             "primal_residual": sol.primal_residual,
             "dual_residual": sol.dual_residual,
             "duality_gap": sol.duality_gap,

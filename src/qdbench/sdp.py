@@ -26,31 +26,32 @@ a non-finite block or failed eigen-solve gives step 0.  A is one CSR matrix
 over the ``hvec`` coordinates of every stack and the orthant.
 
 Once per solve, the constraint rows are grouped by the set of Hermitian blocks
-each one touches (the orthant is left out): groups keep the order of their
-first row and rows keep their order within a group, and ``y`` is mapped back
-to the caller's row order.  Each block's rows then form a few runs of
-consecutive Schur indices, and its Schur part is added with one slice add per
-pair of runs; ``np.ix_`` is left for a block whose runs average fewer than
-``MIN_MEAN_RUN`` rows.  In the block-circulant standard form an E_k block has
-at most M + 1 runs and an F_k or slack block one; a problem whose rows are
-already grouped, such as the general formulation, keeps its order.
+each one touches (the orthant is left out), in a stable order, and ``y`` is
+mapped back to the caller's row order.  Each block's rows then form a few runs
+of consecutive Schur indices (in the block-circulant standard form at most
+M + 1 for an E_k block, one for an F_k or slack block), and each piece of its
+Schur part is added with one slice add per pair of runs; ``np.ix_`` is left
+for rows whose runs average fewer than ``MIN_MEAN_RUN``.
 
 Each iteration assembles the dense Schur complement, block by block, straight
-into one Fortran-ordered buffer, with no symmetrized copies.  A block with
-fewer constraint rows than d^2 conjugates the Hermitian matrices of its rows
-by the scaling W.  Any other block uses K, the (d^2, d^2) matrix of
-X -> W X W in ``hvec`` coordinates, which ``_congruence_matrix`` builds in
-closed form from products of two entries of W (no stack of conjugated basis
-matrices); the block's part is A_b K A_b^T.  If every row of A_b holds one
-coefficient +-1 (F_k, a PSD slack, tau_minus), that part is a signed gather
-of K; blocks with equal rows, columns and relative signs (F_k and its slack)
-share one K, of the sum of their congruences, and one gather, skipped for
-identity columns.  K is never formed as a stack.  The factored matrix is the
-symmetric matrix of the buffer's lower triangle.  It is factored once, in
-place, and the predictor and corrector Newton solves share the factor.  The
-factorization is a Cholesky with a fixed ladder of diagonal jitters (0,
-1e-13, 1e-10, 1e-7 times the mean diagonal), the buffer re-assembled before
-each retry, and a ``lstsq`` fallback.  All arithmetic, these included, is
+into one Fortran-ordered buffer.  A block with fewer constraint rows than d^2
+conjugates the Hermitian matrices of its rows by the scaling W.  Any other
+block uses K, the (d^2, d^2) matrix of X -> W X W in ``hvec`` coordinates,
+which ``_congruence_matrix`` builds in closed form from products of two
+entries of W into one buffer per block dimension.  Its part A_b K A_b^T is
+formed and added a chunk of columns at a time, T = A_c K for a chunk c of its
+rows and then A_b T^T, each about ``GATHER_SIZE`` entries; a row holding one
+coefficient (most rows: the partial-transpose, mask and entry rows) makes
+both products scaled gathers of rows.  Blocks whose rows each hold one
+coefficient +-1, with equal rows, columns and relative signs (F_k and its
+slack, tau_minus and its slack), share one K, of the sum of their
+congruences, and add s_i s_j K[c_j, c_i] from row gathers of K, or K itself
+for identity columns.  A solve's largest arrays are thus the Schur buffer and
+one K.  The factored matrix is the symmetric matrix of the buffer's lower
+triangle.  It is factored once, in place, and the predictor and corrector
+Newton solves share the factor.  The factorization is a Cholesky with a fixed
+ladder of diagonal jitters (0, 1e-13, 1e-10, 1e-7 times the mean diagonal),
+the buffer re-assembled before each retry, and a ``lstsq`` fallback.  All arithmetic, these included, is
 deterministic: identical problems and configuration reproduce bit-identical
 iterate sequences.
 
@@ -137,26 +138,22 @@ def hmat(v: np.ndarray, d: int) -> np.ndarray:
     return a
 
 
-def _hermitian_basis(d: int) -> np.ndarray:
-    """Stack (d^2, d, d) of the orthonormal Hermitian basis matching hvec order."""
-    return hmat(np.eye(d * d), d)
-
-
 # Products per chunk of pairs in _congruence_matrix: temporaries stay near
 # 0.5 MB, where a 40x40 block's whole pair block would take 10 MB each.
 K_CHUNK = 1 << 15
 
 
-def _congruence_matrix(ws: np.ndarray) -> np.ndarray:
+def _congruence_matrix(ws: np.ndarray, out=None) -> np.ndarray:
     """Real symmetric (d^2, d^2) matrix of X -> sum_n W_n X W_n in hvec
-    coordinates, for a (n, d, d) stack of Hermitian W_n.
+    coordinates, for a (n, d, d) stack of Hermitian W_n, written into ``out``
+    when given.
 
-    Entry (a, b) is <E_a, W E_b W> for the basis of :func:`_hermitian_basis`,
-    and every entry is a product of two entries of W.  For pairs p = (i, j),
-    q = (k, l), i < j, k < l, let A = W_ik W_lj and B = W_il W_kj, summed over
-    the W_n; the (real, imaginary) pair rows of p against the (real,
-    imaginary) pair columns of q are [[Re(A + B), Im(B - A)], [Im(A + B),
-    Re(A - B)]].  As W is Hermitian, W_lj = conj(W_jl), so A and B multiply
+    Entry (a, b) is <E_a, W E_b W> for the orthonormal Hermitian basis
+    E_a = hmat(e_a), and every entry is a product of two entries of W.  For
+    pairs p = (i, j), q = (k, l), i < j, k < l, let A = W_ik W_lj and
+    B = W_il W_kj, summed over the W_n; the (real, imaginary) pair rows of p
+    against the (real, imaginary) pair columns of q are [[Re(A + B),
+    Im(B - A)], [Im(A + B), Re(A - B)]].  As W is Hermitian, W_lj = conj(W_jl), so A and B multiply
     rows i and conj(rows j) of W gathered at the columns k and l; they are
     formed for a chunk of about ``K_CHUNK`` products at a time.  The diagonal
     rows are |W_xy|^2 and sqrt2 (Re, -Im) of W_xk conj(W_xl); the pair rows'
@@ -167,7 +164,7 @@ def _congruence_matrix(ws: np.ndarray) -> np.ndarray:
     npair = iu.size
     sqrt2 = math.sqrt(2.0)
     dg, re, im = slice(0, d), slice(d, d + npair), slice(d + npair, d * d)
-    k = np.empty((d * d, d * d))
+    k = np.empty((d * d, d * d)) if out is None else out
     k[dg, dg] = np.sum(ws.real ** 2 + ws.imag ** 2, axis=0)
     z = np.sum(ws[:, :, iu] * ws[:, :, ju].conj(), axis=0)
     k[dg, re] = sqrt2 * z.real
@@ -197,26 +194,14 @@ def _congruence_matrix(ws: np.ndarray) -> np.ndarray:
 
 
 class LinearMatrixMap:
-    """Real-linear map from a Hermitian variable block to a Hermitian output."""
+    """Real-linear map from a Hermitian variable block to a Hermitian output,
+    given by its sparse (out_dim^2, var_dim^2) matrix in hvec coordinates."""
 
     var_dim: int
     out_dim: int
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def adjoint(self, y: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
     def coordinate_matrix(self) -> sp.csr_matrix:
-        """Sparse (out_dim^2, var_dim^2) matrix of the map in hvec coordinates.
-
-        Generic implementation probes the basis; subclasses override with
-        closed forms where cheap.
-        """
-        basis = _hermitian_basis(self.out_dim)
-        rows = hvec(np.stack([self.adjoint(b) for b in basis]))
-        return sp.csr_matrix(rows)
+        raise NotImplementedError
 
 
 class ScalarMap(LinearMatrixMap):
@@ -226,12 +211,6 @@ class ScalarMap(LinearMatrixMap):
         self.var_dim = dim
         self.out_dim = dim
         self.scale = float(scale)
-
-    def apply(self, x):
-        return self.scale * x
-
-    def adjoint(self, y):
-        return self.scale * y
 
     def coordinate_matrix(self):
         n = self.out_dim * self.out_dim
@@ -255,12 +234,6 @@ class HadamardMaskMap(LinearMatrixMap):
         self.out_dim = mask.shape[0]
         self.mask = mask
 
-    def apply(self, x):
-        return self.mask * x
-
-    def adjoint(self, y):
-        return self.mask * y
-
     def coordinate_matrix(self):
         d = self.out_dim
         iu, ju, _ = _hvec_meta(d)
@@ -280,14 +253,6 @@ class BlockSwapMap(LinearMatrixMap):
         self.d = d
         self.var_dim = m * d
         self.out_dim = m * d
-
-    def apply(self, x):
-        m, d = self.m, self.d
-        blocks = x.reshape(m, d, m, d)
-        return np.transpose(blocks, (2, 1, 0, 3)).reshape(m * d, m * d)
-
-    def adjoint(self, y):
-        return self.apply(y)
 
     def coordinate_matrix(self):
         """Signed permutation: entry (a, b) of the output is entry (s, t) of
@@ -321,6 +286,14 @@ class SDPStatus(str, Enum):
 class SDPConfig:
     tol: float = 1e-8
     max_iter: int = 200
+
+    def __post_init__(self):
+        it, tol = self.max_iter, self.tol
+        if isinstance(it, bool) or not isinstance(it, (int, np.integer)) or it < 1:
+            raise SDPError(f"SDPConfig.max_iter must be an integer >= 1, got {it!r}")
+        if isinstance(tol, bool) or not isinstance(tol, (int, float, np.floating)) \
+                or not (math.isfinite(tol) and tol > 0):
+            raise SDPError(f"SDPConfig.tol must be finite and positive, got {tol!r}")
 
 
 @dataclass
@@ -783,11 +756,14 @@ def _row_order(a_blocks, m):
     return np.argsort(rank[group.reshape(-1)], kind="stable")
 
 
-# A block whose rows average fewer than this many per run of consecutive rows
+# An index whose rows average fewer than this many per run of consecutive rows
 # is scattered by np.ix_.  Each slice add has a fixed cost of about 2.5 us, so
 # R runs cost R^2 of them; on a 2-vCPU x86 VM the two scatters cost the same
 # at a mean run of about 16 rows, for blocks of 64 to 520 rows.
 MIN_MEAN_RUN = 16
+# Largest entry count of the arrays a K-path term forms per chunk: 2 MB, or
+# chunks of 144 of the 1727 rows of a 40x40 block in benchmark_general, M = 4.
+GATHER_SIZE = 1 << 18
 
 
 def _row_runs(rows):
@@ -802,52 +778,95 @@ def _row_runs(rows):
             for l, h in zip(lo, hi)]
 
 
-def _scatter_plan(a):
-    """For a CSR matrix: the rows holding an entry, those rows of ``a``, and
-    their runs, or None in place of the runs where ``np.ix_`` is cheaper."""
-    rows = np.flatnonzero(np.diff(a.indptr))
+def _index(rows):
+    """Sorted unique Schur indices and their runs, or None in place of the
+    runs where ``np.ix_`` is cheaper."""
     runs = _row_runs(rows)
     if len(runs) > 1 and rows.size < MIN_MEAN_RUN * len(runs):
         runs = None
-    return rows, a[rows], runs
+    return rows, runs
 
 
-def _scatter_add(schur, rows, runs, part):
-    """``schur[rows, rows] += part.T`` for sorted unique ``rows``: one slice
-    add per pair of ``runs`` (from :func:`_row_runs`), or an ``np.ix_`` add
-    when ``runs`` is None."""
-    if runs is None:
-        schur[np.ix_(rows, rows)] += part.T
+def _scatter_add(target, index_i, index_j, part):
+    """``target[rows_i, rows_j] += part`` for two indices from :func:`_index`:
+    one slice add per pair of runs, or one ``np.ix_`` add when either index
+    has no runs."""
+    (rows_i, runs_i), (rows_j, runs_j) = index_i, index_j
+    if runs_i is None or runs_j is None:
+        target[np.ix_(rows_i, rows_j)] += part
         return
-    part_t = part.T
-    for dst_i, src_i in runs:
-        for dst_j, src_j in runs:
-            schur[dst_i, dst_j] += part_t[src_i, src_j]
+    for dst_i, src_i in runs_i:
+        for dst_j, src_j in runs_j:
+            target[dst_i, dst_j] += part[src_i, src_j]
 
 
-def _signed_rows(sub):
-    """Gather data for a ``sub`` whose rows each hold exactly one coefficient
-    +-1, whose Schur part ``sub K sub^T`` is then s_i s_j K[c_i, c_j] for the
-    column c_i and sign s_i of row i: the flat index of those entries in K
-    (None when c is the identity) and the signs relative to the first row's
-    (None when all agree).  None for any other ``sub``."""
-    if not (np.all(np.diff(sub.indptr) == 1) and np.all(np.abs(sub.data) == 1.0)):
-        return None
-    cols, n = sub.indices, sub.shape[1]
-    signs = sub.data * sub.data[0]
-    index = None if np.array_equal(cols, np.arange(n)) else np.add.outer(cols * n, cols)
-    return index, (None if np.all(signs == 1.0) else signs)
+class _SchurTerm:
+    """Schur part of a block, or of blocks sharing one K, added straight into
+    the Schur buffer in memory order (see the module docstring).  K is
+    symmetric only to rounding: a ``signed`` term (rows of one +-1 each) adds
+    s_i s_j K[c_j, c_i], gathered from rows of K, the others A_b (A_b K)^T.
+    """
+
+    def __init__(self, rows, sub, d, signed, k):
+        n_rows, n_cols = sub.shape
+        self.sub, self.signed, self.index, self.k = sub, signed, _index(rows), k
+        self.mats = hmat(sub.toarray(), d) if k is None else None
+        self.identity = (signed and n_rows == n_cols
+                         and np.array_equal(sub.indices, np.arange(n_cols))
+                         and np.all(sub.data * sub.data[0] == 1.0))
+        n_chunks = -(-n_rows * max(n_rows, n_cols) // GATHER_SIZE)
+        step = -(-n_rows // n_chunks)
+        self.chunks = [(sub[lo:lo + step], _index(rows[lo:lo + step]))
+                       for lo in range(0, n_rows, step)]
+
+    def add(self, schur, ws):
+        target = schur.T  # C order, like every piece below
+        if self.mats is not None:
+            part = self.sub @ hvec((ws @ self.mats) @ ws).T
+            _scatter_add(target, self.index, self.index, part)
+            return
+        k = _congruence_matrix(ws, out=self.k)
+        if self.identity:
+            _scatter_add(target, self.index, self.index, k)
+            return
+        for sub_c, index_c in self.chunks:
+            t = sub_c @ k
+            if self.signed:
+                piece = t.take(self.sub.indices, axis=1)
+                piece *= self.sub.data
+                _scatter_add(target, index_c, self.index, piece)
+            else:
+                _scatter_add(target, self.index, index_c, self.sub @ t.T)
 
 
-def _gather_part(k, index, signs):
-    """The Schur part ``K.ravel()[index]`` in C order with the outer product of
-    ``signs`` applied, for the output of :func:`_signed_rows`; K itself (no
-    copy) for the unsigned identity.  May overwrite ``k``."""
-    part = k if index is None else k.ravel()[index]
-    if signs is not None:
-        part *= signs[:, None]
-        part *= signs[None, :]
-    return part
+def _schur_terms(a_blocks, dims, where):
+    """Loop-invariant Schur assembly plan: (g, js, term) for stack g, its
+    entries js and the :class:`_SchurTerm` adding their part.  K-path blocks
+    whose rows each hold one +-1 are keyed by (d, rows, cols, relative
+    signs); a key's blocks share one stack and one term.  The K-path terms of
+    a dimension share one K buffer: a fresh K per term made the assembly of
+    eight 16x16 blocks with 256 rows 1.5x slower.
+    """
+    terms, shared, k_bufs = [], {}, {}
+    for bi, (a, d) in enumerate(zip(a_blocks, dims)):
+        if not a.nnz:
+            continue
+        rows = np.flatnonzero(np.diff(a.indptr))
+        sub = a[rows]
+        g, j = where[bi]
+        k_path = rows.size >= d * d
+        signed = k_path and bool(np.all(np.diff(sub.indptr) == 1)
+                                 and np.all(np.abs(sub.data) == 1.0))
+        key = ((d, rows.tobytes(), sub.indices.tobytes(), (sub.data * sub.data[0]).tobytes())
+               if signed else bi)
+        if key in shared:
+            shared[key][1].append(j)
+            continue
+        if k_path and d not in k_bufs:
+            k_bufs[d] = np.empty((d * d, d * d))
+        shared[key] = (g, [j], _SchurTerm(rows, sub, d, signed, k_bufs[d] if k_path else None))
+        terms.append(shared[key])
+    return terms
 
 
 def _factor_schur(assemble):
@@ -921,26 +940,9 @@ def solve(problem, config: SDPConfig | None = None) -> SDPSolution:
     cuts = np.cumsum([len(idx) * d * d for d, idx in groups])
     c_mats = [hmat(np.stack([canon.c_blocks[bi] for bi in idx]), d) for d, idx in groups]
 
-    # Loop-invariant Schur assembly data, per block touched by some row: its
-    # scatter plan and, on the small-row path, the Hermitian matrices of its
-    # rows (None on the K path).  K-path blocks whose rows each hold one
-    # coefficient +-1 are keyed by (d, rows, cols, signs) instead: the blocks
-    # of one key get one K, of the sum of their congruences, and one gather.
-    schur_terms, shared = [], {}
-    for bi, (a, d) in enumerate(zip(a_blocks, dims)):
-        if not a.nnz:
-            continue
-        rows, sub, runs = _scatter_plan(a)
-        signed = _signed_rows(sub) if rows.size >= d * d else None
-        if signed is None:
-            mats = hmat(sub.toarray(), d) if rows.size < d * d else None
-            schur_terms.append((where[bi], rows, sub, runs, mats))
-            continue
-        # Equal keys mean equal dimensions, so the members share one stack.
-        g, j = where[bi]
-        key = (d, rows.tobytes(), sub.indices.tobytes(), (sub.data * sub.data[0]).tobytes())
-        shared.setdefault(key, (rows, runs) + signed + (g, []))[-1].append(j)
-    orth_rows, orth_sub, orth_runs = _scatter_plan(a_orth)
+    terms = _schur_terms(a_blocks, dims, where)
+    orth_rows = np.flatnonzero(np.diff(a_orth.indptr))
+    orth_index, orth_sub = _index(orth_rows), a_orth[orth_rows]
 
     nu = sum(dims) + n_orth
     b_norm = 1.0 + float(np.linalg.norm(b))
@@ -1038,23 +1040,14 @@ def solve(problem, config: SDPConfig | None = None) -> SDPSolution:
 
         def assemble_schur():
             # Schur complement  M[i,j] = <A_i, W A_j W>  summed over blocks, in
-            # Fortran order so that _factor_schur factors it in place.  Each
-            # part is symmetric up to rounding, is formed in C order and is
-            # added transposed, so a slice add walks both arrays in memory
-            # order.  One K is formed per block or shared key, never a stack.
+            # Fortran order so that _factor_schur factors it in place.  Every
+            # piece is formed in C order and added into schur.T, so a slice
+            # add walks both arrays in memory order.
             schur = np.zeros((m, m), order="F")
-            for (g, j), rows, sub, runs, mats in schur_terms:
-                w = scalings[g].w[j:j + 1]
-                if mats is not None:
-                    part = sub @ hvec((w @ mats) @ w).T
-                else:
-                    part = sub @ (sub @ _congruence_matrix(w)).T
-                _scatter_add(schur, rows, runs, part)
-            for rows, runs, index, signs, g, js in shared.values():
-                k = _congruence_matrix(scalings[g].w[js])
-                _scatter_add(schur, rows, runs, _gather_part(k, index, signs))
+            for g, js, term in terms:
+                term.add(schur, scalings[g].w[js])
             if orth_rows.size:
-                _scatter_add(schur, orth_rows, orth_runs,
+                _scatter_add(schur.T, orth_index, orth_index,
                              (orth_sub.multiply(w_orth2) @ orth_sub.T).toarray())
             return schur
 

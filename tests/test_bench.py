@@ -193,6 +193,17 @@ class TestBenchmarkSymmetric:
         assert payload["M"] == m and payload["N"] == cutoff
         assert payload["verdict"] in ("QuantumDomain", "Inconclusive")
 
+    @pytest.mark.parametrize("max_iter, status, reason", [
+        (200, "Optimal", "converged"), (2, "MaxIterations", "max_iter")])
+    def test_diagnostics_say_why_the_solve_stopped(self, max_iter, status, reason):
+        m, cutoff = 2, 7
+        gram, _ = pure_ring_gram(m, 0.4, cutoff + 1)
+        res = benchmark_symmetric(gram, Tomography(coherent_state(0.4, cutoff + 1)), m,
+                                  cutoff=cutoff, solver_config=SDPConfig(max_iter=max_iter))
+        assert res.diagnostics["solver_status"] == status
+        assert res.diagnostics["stop_reason"] == reason
+        assert set(res.to_json_dict()) == {"M", "scenario", "N", "bound", "verdict", "residuals"}
+
 
 class TestBenchmarkGeneral:
     def test_matches_symmetric_under_tomography(self):

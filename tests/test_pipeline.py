@@ -215,6 +215,19 @@ class TestCLI:
         assert f"'{section}.{key}' is not finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key, value", [("max_iter", 0), ("tol", -1.0)])
+    def test_bad_solver_setting_names_the_field(self, tmp_path, capsys, key, value):
+        with open(bundled_config_path("noisy_memory"), encoding="utf-8") as fh:
+            config = json.load(fh)
+        config.setdefault("solver", {})[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        code = cli.main(["sweep", "--config", str(path), "--m-values", "2", "--cutoff", "8",
+                         "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert f"SDPConfig.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_help_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["sweep", "--help"])

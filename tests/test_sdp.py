@@ -1,5 +1,7 @@
 """Tests for the dense Hermitian SDP solver."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -14,13 +16,24 @@ from qdbench.bench import (QuadraturesWithErrors, Tomography, benchmark_general,
 from qdbench.channels import loss_channel
 from qdbench.fock import DensityMatrix, noisy_coherent, rotation
 from qdbench.gramopt import optimize_gram, rotation_ensemble
-from qdbench.sdp import (CanonicalSDP, HadamardMaskMap, LinearMatrixMap, ScalarMap, SDPConfig,
-                         SDPError, SDPProblem, SDPStatus, BlockSwapMap, hmat, hvec, solve)
-from qdbench.sdp import (_congruence_matrix, _factor_schur, _gather_part, _hermitian_basis,
-                         _psd_step_length, _row_order, _row_runs, _Scaling, _scatter_add,
-                         _signed_rows)
+from qdbench.sdp import (CanonicalSDP, HadamardMaskMap, ScalarMap, SDPConfig, SDPError,
+                         SDPProblem, SDPStatus, BlockSwapMap, hmat, hvec, solve)
+from qdbench.sdp import (_congruence_matrix, _factor_schur, _psd_step_length, _row_order,
+                         _row_runs, _Scaling, _scatter_add, _schur_terms)
 
 from conftest import brute_negativity, dense_partial_transpose
+
+
+def _hermitian_basis(d):
+    """Stack (d^2, d, d) of the orthonormal Hermitian basis in hvec order."""
+    return hmat(np.eye(d * d), d)
+
+
+def _probed_coordinate_matrix(linear_map, d):
+    """Matrix of a real-linear map of d x d Hermitian matrices in hvec
+    coordinates, one basis matrix at a time: the reference for the closed
+    forms."""
+    return hvec(np.stack([linear_map(b) for b in _hermitian_basis(d)])).T
 
 
 class TestHermitianCoordinates:
@@ -105,24 +118,30 @@ class TestSolveBasics:
 
     def test_block_swap_map_adjointness(self, rng):
         m, d = 3, 4
-        swap = BlockSwapMap(m, d)
+        swap = BlockSwapMap(m, d).coordinate_matrix()
         a = rng.standard_normal((m * d, m * d)) + 1j * rng.standard_normal((m * d, m * d))
         a = (a + a.conj().T) / 2
         b = rng.standard_normal((m * d, m * d)) + 1j * rng.standard_normal((m * d, m * d))
         b = (b + b.conj().T) / 2
-        lhs = np.real(np.trace(swap.apply(a) @ b))
-        rhs = np.real(np.trace(a @ swap.adjoint(b)))
-        assert abs(lhs - rhs) <= 1e-10
-        np.testing.assert_allclose(swap.apply(a),
-                                   dense_partial_transpose(a, m, d), atol=1e-14)
+        assert abs(hvec(b) @ (swap @ hvec(a)) - hvec(a) @ (swap @ hvec(b))) <= 1e-10
+        np.testing.assert_allclose(swap @ hvec(a), hvec(dense_partial_transpose(a, m, d)),
+                                   atol=1e-14)
 
     @pytest.mark.parametrize("m, d", [(1, 1), (2, 3), (3, 4), (4, 10)])
     def test_block_swap_closed_form_matches_basis_probe(self, m, d):
-        swap = BlockSwapMap(m, d)
-        closed = swap.coordinate_matrix()
-        probed = LinearMatrixMap.coordinate_matrix(swap)
+        closed = BlockSwapMap(m, d).coordinate_matrix()
+        probed = _probed_coordinate_matrix(lambda x: dense_partial_transpose(x, m, d), m * d)
         assert closed.shape == probed.shape == ((m * d) ** 2, (m * d) ** 2)
-        assert abs(closed - probed).max() <= 1e-15
+        assert np.max(np.abs(closed.toarray() - probed)) <= 1e-15
+
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    def test_scalar_and_mask_closed_forms_match_basis_probe(self, rng, d):
+        mask = rng.integers(0, 2, (d, d)).astype(float)
+        mask = np.triu(mask) + np.triu(mask, 1).T
+        for closed, linear_map in ((ScalarMap(d, -2.5), lambda x: -2.5 * x),
+                                   (HadamardMaskMap(mask), lambda x: mask * x)):
+            probed = _probed_coordinate_matrix(linear_map, d)
+            assert np.max(np.abs(closed.coordinate_matrix().toarray() - probed)) <= 1e-15
 
 
 class TestSolverContracts:
@@ -272,7 +291,7 @@ class TestCongruenceMatrix:
         k_dims = []
         real_k = sdp._congruence_matrix
         monkeypatch.setattr(sdp, "_congruence_matrix",
-                            lambda ws: k_dims.append(ws.shape[-1]) or real_k(ws))
+                            lambda ws, **kw: k_dims.append(ws.shape[-1]) or real_k(ws, **kw))
         first = solve(prob)
         second = solve(prob)
         assert first.status is SDPStatus.OPTIMAL
@@ -301,25 +320,29 @@ def _run_rows(pieces):
     return np.array(rows)
 
 
+_RUN_PIECES = st.one_of(
+    st.lists(st.tuples(st.integers(0, 5), st.integers(1, 9)), min_size=1, max_size=12),
+    st.integers(1, 30).map(lambda n: [(0, n)]),             # one run
+    st.integers(1, 30).map(lambda n: [(1, 1)] * n))         # all singletons
+
+
 class TestRowGrouping:
     @settings(max_examples=80, deadline=None, database=None)
-    @given(st.one_of(
-        st.lists(st.tuples(st.integers(0, 5), st.integers(1, 9)), min_size=1, max_size=12),
-        st.integers(1, 30).map(lambda n: [(0, n)]),             # one run
-        st.integers(1, 30).map(lambda n: [(1, 1)] * n)),        # all singletons
-        st.integers(0, 2**32 - 1))
-    def test_run_pair_scatter_matches_ix_reference(self, pieces, seed):
-        rows = _run_rows(pieces)
+    @given(_RUN_PIECES, _RUN_PIECES, st.integers(0, 2**32 - 1))
+    def test_run_pair_scatter_matches_ix_reference(self, pieces, pieces_j, seed):
+        rows, rows_j = _run_rows(pieces), _run_rows(pieces_j)
         rng = np.random.default_rng(seed)
-        size = int(rows[-1]) + 1 + int(rng.integers(0, 3))
-        part = rng.standard_normal((rows.size, rows.size))
+        size = max(int(rows[-1]), int(rows_j[-1])) + 1 + int(rng.integers(0, 3))
+        part = rng.standard_normal((rows.size, rows_j.size))
         ref = np.asfortranarray(rng.standard_normal((size, size)))
-        got = ref.copy(order="F")
-        ref[np.ix_(rows, rows)] += part.T
-        runs = _row_runs(rows)
+        got, got_ix = ref.copy(order="F"), ref.copy(order="F")
+        ref[np.ix_(rows, rows_j)] += part
+        runs, runs_j = _row_runs(rows), _row_runs(rows_j)
         assert len(runs) == 1 + np.count_nonzero(np.diff(rows) != 1)
-        _scatter_add(got, rows, runs, part)
+        _scatter_add(got, (rows, runs), (rows_j, runs_j), part)
+        _scatter_add(got_ix, (rows, None), (rows_j, runs_j), part)
         assert np.array_equal(got, ref)
+        assert np.array_equal(got_ix, ref)
 
     @pytest.mark.parametrize("scenario_kind", ["tomography", "quadratures_errors"])
     def test_blocks_of_symmetric_problem_have_few_runs(self, monkeypatch, scenario_kind):
@@ -441,27 +464,28 @@ class TestBatchedLayer:
     @given(st.integers(1, 6), st.booleans(), st.integers(0, 2**32 - 1))
     def test_shared_gather_matches_the_two_sparse_products(self, d, permuted, seed):
         """Two blocks whose rows hold one +-1 each, at the same columns and with
-        the same relative signs, like an F_k block and its PSD slack: one
-        gather of the K of both congruences equals the sum of their parts."""
+        the same relative signs, like an F_k block and its PSD slack: one term,
+        with the K of both congruences, adds the sum of their parts."""
         rng = np.random.default_rng(seed)
         sub = _signed_permutation(rng, d, permuted)
         subs = (sub, rng.choice([-1.0, 1.0]) * sub)
         ws = _random_pd(rng, 2, d)
         ref = sum(s @ (s @ _congruence_matrix(w[None])).T for s, w in zip(subs, ws))
-        (index, signs), (index2, signs2) = map(_signed_rows, subs)
-        identity = np.array_equal(sub.indices, np.arange(d * d))
-        assert (index is None) is (index2 is None) is identity
-        assert (signs is None) is (signs2 is None)
-        if not identity:
-            assert np.array_equal(index, index2)
-            assert signs is None or np.array_equal(signs, signs2)
-        got = _gather_part(_congruence_matrix(ws), index, signs)
-        assert got.flags.c_contiguous
+        terms = _schur_terms(subs, [d, d], {0: (0, 0), 1: (0, 1)})
+        assert [js for _, js, _ in terms] == [[0, 1]]
+        got = _assemble(terms, [ws], d * d)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_rows_with_other_coefficients_are_not_gathered(self):
-        assert _signed_rows(sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 2.0]]))) is None
-        assert _signed_rows(sp.csr_matrix(np.array([[1.0, 1.0], [0.0, -1.0]]))) is None
+        """Blocks with equal rows share one K only if each row holds one +-1."""
+        where = {0: (0, 0), 1: (0, 1)}
+        assert len(_schur_terms([sp.csr_matrix(np.eye(4))] * 2, [2, 2], where)) == 1
+        for entry, value in (((3, 3), 2.0), ((3, 0), 1.0)):
+            other = np.eye(4)
+            other[entry] = value
+            terms = _schur_terms([sp.csr_matrix(other)] * 2, [2, 2], where)
+            assert [js for _, js, _ in terms] == [[0], [1]]
+            assert not any(term.signed for _, _, term in terms)
 
     def test_symmetric_solves_are_bit_identical(self, monkeypatch):
         prob = _symmetric_problem(monkeypatch, "quadratures_errors", m=3)
@@ -495,6 +519,97 @@ class TestBatchedLayer:
         assert 0 < calls["eigvalsh"] <= 4 * groups * sol.iterations
 
 
+def _assemble(terms, stacks, m):
+    """The Schur matrix that a plan from ``_schur_terms`` adds up."""
+    schur = np.zeros((m, m), order="F")
+    for g, js, term in terms:
+        term.add(schur, stacks[g][js])
+    return schur
+
+
+_ROW_KINDS = ("+-1", "1/sqrt2", "single", "dense")
+
+
+def _block_rows(rng, kinds, n):
+    """Dense rows over n columns: one +-1, one +-1/sqrt2 or one arbitrary
+    coefficient at a random column, or up to four arbitrary ones."""
+    rows = np.zeros((len(kinds), n))
+    for i, kind in enumerate(kinds):
+        if kind == "dense":
+            cols = rng.choice(n, size=min(n, int(rng.integers(2, 5))), replace=False)
+            rows[i, cols] = rng.uniform(0.1, 3.0, cols.size) * rng.choice([-1.0, 1.0], cols.size)
+        else:
+            value = {"+-1": 1.0, "1/sqrt2": np.sqrt(0.5), "single": rng.uniform(0.1, 3.0)}[kind]
+            rows[i, rng.integers(n)] = rng.choice([-1.0, 1.0]) * value
+    return rows
+
+
+class TestKPathAssembly:
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(st.integers(1, 4).flatmap(lambda d: st.tuples(st.just(d), st.lists(
+               st.sampled_from(_ROW_KINDS), min_size=d * d, max_size=d * d + 12))),
+           st.integers(0, 3), st.booleans(), st.sampled_from([1, 50, sdp.GATHER_SIZE]),
+           st.integers(0, 2**32 - 1))
+    def test_assembly_matches_dense_products(self, d_kinds, spread, identity, gather, seed):
+        """The assembled Schur matrix is sum_b A_b K_b A_b^T.  Block 0 mixes
+        rows of one coefficient with dense rows; blocks 1 and 2 are a signed
+        pair sharing one K, with identity or permuted columns.  Each block's
+        rows form one run (spread 0) or many, and its part is added in chunks
+        of one row, a few rows or all of them."""
+        d, kinds = d_kinds
+        n = d * d
+        rng = np.random.default_rng(seed)
+        m = (len(kinds) + n) * (1 + spread)
+
+        def positions(size):
+            return np.sort(rng.choice(m, size, replace=False)) if spread else np.arange(size)
+
+        signed = np.zeros((n, n))
+        if identity:
+            signed[np.arange(n), np.arange(n)] = rng.choice([-1.0, 1.0])
+        else:
+            signed[np.arange(n), rng.permutation(n)] = rng.choice([-1.0, 1.0], n)
+        blocks = []
+        for at, rows in ((positions(len(kinds)), _block_rows(rng, kinds, n)),
+                         (positions(n), signed)):
+            a = np.zeros((m, n))
+            a[at] = rows
+            blocks.append(a)
+        blocks.append(rng.choice([-1.0, 1.0]) * blocks[1])
+        ws = _random_pd(rng, 3, d)
+        ref = sum(a @ _congruence_matrix(w[None]) @ a.T for a, w in zip(blocks, ws))
+        default, sdp.GATHER_SIZE = sdp.GATHER_SIZE, gather
+        try:
+            terms = _schur_terms([sp.csr_matrix(a) for a in blocks], [d] * 3,
+                                 {bi: (0, bi) for bi in range(3)})
+        finally:
+            sdp.GATHER_SIZE = default
+        assert any({1, 2} <= set(js) for _, js, _ in terms)
+        got = _assemble(terms, [ws], m)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_peak_memory_is_one_k_plus_the_schur_matrix(self, monkeypatch):
+        """benchmark_general at M = 4, N = 9: 1739 Schur rows, 1727 of them on
+        tau, whose K is 1600 x 1600.  The tracemalloc peak of three iterations
+        stays within 1.4 times the Schur buffer plus one K; forming each part
+        whole, with its two sparse products, peaks at 2.1 times."""
+        m, cutoff = 4, 9
+        gram, outs = _small_benchmark_inputs(m, cutoff)
+        prob = _benchmark_problem(monkeypatch, benchmark_general, gram,
+                                  [Tomography(outs[0])] + [_errors_scenario(o) for o in outs[1:]],
+                                  cutoff=cutoff)
+        canon = prob.canonicalize()
+        n = m * (cutoff + 1)
+        tracemalloc.start()
+        try:
+            sol = solve(canon, SDPConfig(max_iter=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sol.iterations == 3
+        assert peak <= 1.4 * (8 * canon.b.size ** 2 + 8 * n ** 4)
+
+
 class TestValidation:
     def test_unknown_variable_in_objective(self):
         p = SDPProblem()
@@ -525,6 +640,14 @@ class TestValidation:
         p.add_variable("X", 2)
         with pytest.raises(SDPError, match="already declared"):
             p.add_variable("X", 3)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"max_iter": 0}, "max_iter"), ({"max_iter": 2.5}, "max_iter"),
+        ({"max_iter": True}, "max_iter"), ({"tol": -1.0}, "tol"), ({"tol": 0.0}, "tol"),
+        ({"tol": float("nan")}, "tol"), ({"tol": float("inf")}, "tol")])
+    def test_config_rejects_bad_settings(self, kwargs, name):
+        with pytest.raises(SDPError, match=f"SDPConfig.{name}"):
+            SDPConfig(**kwargs)
 
     def test_psd_constraint_mixed_dims(self):
         p = SDPProblem()

@@ -29,13 +29,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .blocksym import (BipartiteBlockMatrix, StandardForm, negativity,
                        negativity_stform, symmetry_check, to_standard_form)
 from .fock import DensityMatrix, fit_dim, quadratures
 from .gramopt import GramMatrix
-from .sdp import (BlockSwapMap, HadamardMaskMap, ScalarMap, SDPConfig,
-                  SDPProblem, SDPStatus)
+from .sdp import (SDPConfig, SDPProblem, SDPStatus, block_swap_matrix, mask_matrix)
 
 __all__ = [
     "Tomography",
@@ -248,12 +248,12 @@ def _gram_rows_symmetric(prob: SDPProblem, e_names, zeta, d: int,
             continue
         coeff = {e_names[mm]: np.diag(np.real(omega ** (dist * (mm - j_idx)))).astype(complex)
                  for mm in range(m)}
-        prob.add_equality(coeff, float(target.real), label=f"gram-re-{dist}")
+        prob.add_equality(coeff, float(target.real))
         if dist == 0 or (m % 2 == 0 and dist == m // 2):
             continue  # g(dist) is real by construction there
         coeff_im = {e_names[mm]: np.diag(np.imag(omega ** (dist * (mm - j_idx)))).astype(complex)
                     for mm in range(m)}
-        prob.add_equality(coeff_im, float(target.imag), label=f"gram-im-{dist}")
+        prob.add_equality(coeff_im, float(target.imag))
 
 
 def benchmark_symmetric(gram: GramMatrix, seed_scenario, m: int, cutoff: int = 15,
@@ -298,8 +298,8 @@ def benchmark_symmetric(gram: GramMatrix, seed_scenario, m: int, cutoff: int = 1
         for mm in range(m):
             mask = (src == mm).astype(float)
             if mask.any():
-                terms.append((e_names[mm], HadamardMaskMap(mask)))
-        terms.append((f_names[k], ScalarMap(d, 1.0)))
+                terms.append((e_names[mm], mask_matrix(mask)))
+        terms.append((f_names[k], sp.identity(d * d, format="csr")))
         prob.add_psd_constraint(terms, label=f"pt-sector-{k}")
 
     def pin(target, label):
@@ -343,32 +343,34 @@ def benchmark_general(gram: GramMatrix, scenarios, cutoff: int = 15,
     prob.add_variable("tau_minus", n_full)
     prob.set_objective({"tau_minus": np.eye(n_full)})
     prob.add_psd_constraint(
-        [("tau", BlockSwapMap(m, d)), ("tau_minus", ScalarMap(n_full, 1.0))],
+        [("tau", block_swap_matrix(m, d)), ("tau_minus", sp.identity(n_full**2, format="csr"))],
         label="pt-plus-witness")
 
-    def embed(op: np.ndarray, k: int) -> np.ndarray:
-        big = np.zeros((n_full, n_full), dtype=complex)
-        big[k * d:(k + 1) * d, k * d:(k + 1) * d] = op
-        return big
+    def embed(op: np.ndarray, k: int, l: int) -> np.ndarray:
+        """op placed in sub-block (k, l) of an n_full x n_full matrix."""
+        unit = np.zeros((m, m))
+        unit[k, l] = 1.0
+        return np.kron(unit, op)
 
     for k, sc in enumerate(scenarios):
         def pin(target, label):
-            prob.fix_diagonal_subblock("tau", k * d, target / m, label=label)
+            prob.add_entry_equalities({"tau": 1.0}, target / m, offset=k * d, label=label)
 
-        _add_scenario_rows(prob, sc, d, lambda op: {"tau": embed(m * op, k)}, pin,
+        _add_scenario_rows(prob, sc, d, lambda op: {"tau": embed(m * op, k, k)}, pin,
                            suffix=f"-{k}")
 
     for k in range(m):
         for l in range(k, m):
-            if k == l:
-                if isinstance(scenarios[k], Tomography):
-                    continue  # trace already pinned by tomography rows
-                prob.add_subblock_trace_equality("tau", k, k, d, gram.z[k, k].real,
-                                                 scale=float(m), label=f"gram-{k}-{k}")
-            else:
-                # Tr(block_kl) = Z_lk, block_kl = M * tau_sub(k, l)
-                prob.add_subblock_trace_equality("tau", k, l, d, complex(gram.z[l, k]),
-                                                 scale=float(m), label=f"gram-{k}-{l}")
+            if k == l and isinstance(scenarios[k], Tomography):
+                continue  # trace already pinned by tomography rows
+            # Tr(block_kl) = Z_lk with block_kl = M tau_sub(k, l): the real and
+            # imaginary parts of M sum_i tau[kd + i, ld + i] are <C, tau> for
+            # C = M (E + E^T) / 2 and C = M i (E - E^T) / 2, E = embed(I, k, l).
+            e = embed(np.eye(d), k, l)
+            z = complex(gram.z[l, k])
+            prob.add_equality({"tau": m / 2 * (e + e.T)}, z.real)
+            if k != l:
+                prob.add_equality({"tau": 0.5j * m * (e - e.T)}, z.imag)
 
     sol = prob.solve(cfg)
     return _result(sol, cfg, verdict_margin, m, cutoff, "+".join(sc.tag for sc in scenarios),

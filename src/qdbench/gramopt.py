@@ -234,7 +234,8 @@ def _solve_general(states, weights, phases, config) -> tuple:
     prob.set_objective({"rho_in": c_obj}, maximize=True)
 
     for k, st in enumerate(states):
-        prob.fix_diagonal_subblock("rho_in", k * d, st.matrix / m, label=f"test-state-{k}")
+        prob.add_entry_equalities({"rho_in": 1.0}, st.matrix / m, offset=k * d,
+                                  label=f"test-state-{k}")
 
     sol = prob.solve(config)
     _check_gram_solution(sol)
@@ -431,19 +432,17 @@ def cptp_reachable(g: GramMatrix, d: GramMatrix, tol: float = 1e-9,
     prob.add_variable("t_neg", 1)
     prob.set_objective({"t_pos": np.eye(1), "t_neg": -np.eye(1)}, maximize=True)
     for k in range(m):
-        row = prob.new_equality_row(1.0, label=f"diag-{k}")
-        prob.row_add_real_part(row, "Q", k, k, 1.0)
-        prob.row_add_real_part(row, "t_pos", 0, 0, 1.0)
-        prob.row_add_real_part(row, "t_neg", 0, 0, -1.0)
+        prob.add_equality({"Q": np.diag(np.eye(m)[k]), "t_pos": np.eye(1), "t_neg": -np.eye(1)},
+                          1.0)
     for k in range(m):
         for l in range(k + 1, m):
             if free_mask[k, l]:
                 continue
-            z = p_fixed[k, l]
-            row_re = prob.new_equality_row(float(z.real), label=f"fixed-re-{k}-{l}")
-            prob.row_add_real_part(row_re, "Q", k, l, 1.0)
-            row_im = prob.new_equality_row(float(z.imag), label=f"fixed-im-{k}-{l}")
-            prob.row_add_real_part(row_im, "Q", k, l, -1j)
+            # Re Q_kl and Im Q_kl are <C, Q> for C = (E + E^T) / 2 and i (E - E^T) / 2.
+            e = np.zeros((m, m))
+            e[k, l] = 1.0
+            prob.add_equality({"Q": (e + e.T) / 2}, p_fixed[k, l].real)
+            prob.add_equality({"Q": 0.5j * (e - e.T)}, p_fixed[k, l].imag)
     sol = prob.solve(solver_config or SDPConfig())
     if sol.status is not SDPStatus.OPTIMAL:
         return CPTPOrderResult(False, None, -np.inf,

@@ -74,11 +74,16 @@ DEFAULT_CONFIG = {
 _SCENARIO_KINDS = ("tomography", "quadratures", "quadratures_sampled", "quadratures_errors")
 
 
-def _check_finite(value, field: str) -> None:
-    """Reject NaN and infinities (``json.load`` accepts both), naming the field."""
+def _check_number(value, default, field: str) -> None:
+    """Reject NaN and infinities (``json.load`` accepts both), and fractions in
+    a field whose default is an integer or a list of them, naming the field."""
+    defaults = default if isinstance(default, list) else [default]
+    integer = bool(defaults) and all(type(v) is int for v in defaults)
     for item in value if isinstance(value, list) else [value]:
         if isinstance(item, float) and not math.isfinite(item):
             raise ValueError(f"configuration field '{field}' is not finite ({item})")
+        if integer and isinstance(item, float) and not item.is_integer():
+            raise ValueError(f"configuration field '{field}' must be an integer, got {item}")
 
 
 def _merge_config(base: dict, override: dict, path: str = "") -> dict:
@@ -90,14 +95,14 @@ def _merge_config(base: dict, override: dict, path: str = "") -> dict:
         if isinstance(base[key], dict) and isinstance(value, dict):
             out[key] = _merge_config(base[key], value, here)
         else:
-            _check_finite(value, here)
+            _check_number(value, base[key], here)
             out[key] = value
     return out
 
 
 def load_config(path_or_dict) -> dict:
     """Merge a user config (path or dict) over the defaults, rejecting unknown
-    keys and non-finite numbers."""
+    keys, non-finite numbers and fractions in integer fields."""
     if isinstance(path_or_dict, dict):
         user = path_or_dict
     else:
@@ -200,7 +205,7 @@ def scenario_from_json_dict(payload: dict):
         return Quadratures(payload["moments"])
     if kind == "quadratures_errors":
         return QuadraturesWithErrors(payload["moments"], payload["std_errors"],
-                                     int(payload.get("sigma_level", 1)))
+                                     payload.get("sigma_level", 1))
     raise ValueError(f"unknown scenario kind {kind!r}")
 
 

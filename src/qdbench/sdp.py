@@ -8,9 +8,13 @@ Problem form:
                           affine matrix expressions required PSD,
                           X_v >= 0 (every declared variable block).
 
-``<A, B> = Re Tr(A B)`` for Hermitian A, B.  Interval constraints are
-canonicalized into pairs of one-sided inequalities with nonnegative slack
-variables; PSD constraints get a slack block tied by entry-wise equalities.
+``<A, B> = Re Tr(A B)`` for Hermitian A, B.  Every constraint is a block of
+real rows on the ``hvec`` coordinates of the variables, in which
+``<C, X> = hvec(C) . hvec(X)``; :class:`SDPProblem` stores each block as an
+array of targets and one CSR matrix per variable it touches.  Interval rows
+are canonicalized into pairs of one-sided inequalities with nonnegative slack
+variables; a PSD constraint is a slack block S and the rows
+``S - sum_i L_i(X_i) == constant``, each L_i given by its coordinate matrix.
 
 The solver is a primal-dual interior-point method with Nesterov-Todd scaling
 and a Mehrotra predictor-corrector step, run directly on the Hermitian cone
@@ -34,13 +38,12 @@ Schur part is added with one slice add per pair of runs; ``np.ix_`` is left
 for rows whose runs average fewer than ``MIN_MEAN_RUN``.
 
 Each iteration assembles the dense Schur complement, block by block, straight
-into one Fortran-ordered buffer.  A block with fewer constraint rows than d^2
-conjugates the Hermitian matrices of its rows by the scaling W.  Any other
-block uses K, the (d^2, d^2) matrix of X -> W X W in ``hvec`` coordinates,
-which ``_congruence_matrix`` builds in closed form from products of two
-entries of W into one buffer per block dimension.  Its part A_b K A_b^T is
-formed and added a chunk of columns at a time, T = A_c K for a chunk c of its
-rows and then A_b T^T, each about ``GATHER_SIZE`` entries; a row holding one
+into one Fortran-ordered buffer.  Every block uses K, the (d^2, d^2) matrix of
+X -> W X W in ``hvec`` coordinates for its scaling W, which
+``_congruence_matrix`` builds in closed form from products of two entries of
+W into one buffer per block dimension.  Its part A_b K A_b^T is formed and
+added a chunk of columns at a time, T = A_c K for a chunk c of its rows and
+then A_b T^T, each about ``GATHER_SIZE`` entries; a row holding one
 coefficient (most rows: the partial-transpose, mask and entry rows) makes
 both products scaled gathers of rows.  Blocks whose rows each hold one
 coefficient +-1, with equal rows, columns and relative signs (F_k and its
@@ -51,9 +54,9 @@ one K.  The factored matrix is the symmetric matrix of the buffer's lower
 triangle.  It is factored once, in place, and the predictor and corrector
 Newton solves share the factor.  The factorization is a Cholesky with a fixed
 ladder of diagonal jitters (0, 1e-13, 1e-10, 1e-7 times the mean diagonal),
-the buffer re-assembled before each retry, and a ``lstsq`` fallback.  All arithmetic, these included, is
-deterministic: identical problems and configuration reproduce bit-identical
-iterate sequences.
+the buffer re-assembled before each retry, and a ``lstsq`` fallback.  All
+arithmetic, these included, is deterministic: identical problems and
+configuration reproduce bit-identical iterate sequences.
 
 Reported per-iteration dual objectives are the gap-consistent estimate
 ``<c, x> - <x, s>``, which is a true lower bound on the primal objective at
@@ -77,10 +80,8 @@ __all__ = [
     "SDPProblem",
     "CanonicalSDP",
     "SDPError",
-    "LinearMatrixMap",
-    "ScalarMap",
-    "HadamardMaskMap",
-    "BlockSwapMap",
+    "mask_matrix",
+    "block_swap_matrix",
     "solve",
     "hvec",
     "hmat",
@@ -189,85 +190,35 @@ def _congruence_matrix(ws: np.ndarray, out=None) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Linear matrix maps (terms of PSD constraints)
+# Coordinate matrices of linear maps (terms of PSD constraints)
 # ---------------------------------------------------------------------------
 
 
-class LinearMatrixMap:
-    """Real-linear map from a Hermitian variable block to a Hermitian output,
-    given by its sparse (out_dim^2, var_dim^2) matrix in hvec coordinates."""
-
-    var_dim: int
-    out_dim: int
-
-    def coordinate_matrix(self) -> sp.csr_matrix:
-        raise NotImplementedError
-
-
-class ScalarMap(LinearMatrixMap):
-    """X -> c * X for a real scalar c."""
-
-    def __init__(self, dim: int, scale: float = 1.0):
-        self.var_dim = dim
-        self.out_dim = dim
-        self.scale = float(scale)
-
-    def coordinate_matrix(self):
-        n = self.out_dim * self.out_dim
-        return sp.identity(n, format="csr") * self.scale
+def mask_matrix(mask: np.ndarray) -> sp.csr_matrix:
+    """hvec-coordinate matrix of X -> mask o X (entrywise) for a real
+    symmetric mask: diagonal, which keeps the constraint rows sparse."""
+    mask = np.asarray(mask, dtype=float)
+    if mask.ndim != 2 or mask.shape[0] != mask.shape[1] or np.any(mask != mask.T):
+        raise SDPError(f"Hadamard mask must be square and symmetric, got shape {mask.shape}")
+    iu, ju, _ = _hvec_meta(mask.shape[0])
+    return sp.diags(np.concatenate([np.diag(mask), mask[iu, ju], mask[iu, ju]]), format="csr")
 
 
-class HadamardMaskMap(LinearMatrixMap):
-    """X -> mask o X (entrywise) for a real symmetric 0/1-style mask.
-
-    Self-adjoint and diagonal in hvec coordinates, which keeps the
-    canonicalized constraint rows sparse.
-    """
-
-    def __init__(self, mask: np.ndarray):
-        mask = np.asarray(mask, dtype=float)
-        if mask.ndim != 2 or mask.shape[0] != mask.shape[1]:
-            raise SDPError(f"mask must be square, got {mask.shape}")
-        if np.max(np.abs(mask - mask.T)) > 0:
-            raise SDPError("Hadamard mask must be symmetric to preserve Hermiticity")
-        self.var_dim = mask.shape[0]
-        self.out_dim = mask.shape[0]
-        self.mask = mask
-
-    def coordinate_matrix(self):
-        d = self.out_dim
-        iu, ju, _ = _hvec_meta(d)
-        diag = np.concatenate([np.diag(self.mask), self.mask[iu, ju], self.mask[iu, ju]])
-        return sp.diags(diag, format="csr")
-
-
-class BlockSwapMap(LinearMatrixMap):
-    """Partial transpose on the register factor of an (m*d) x (m*d) matrix.
-
-    Sub-block (k, l) of the output is sub-block (l, k) of the input.
-    Self-adjoint.
-    """
-
-    def __init__(self, m: int, d: int):
-        self.m = m
-        self.d = d
-        self.var_dim = m * d
-        self.out_dim = m * d
-
-    def coordinate_matrix(self):
-        """Signed permutation: entry (a, b) of the output is entry (s, t) of
-        the input, a diagonal entry stays in place, and the imaginary part of
-        a pair flips sign when s > t."""
-        m, d = self.m, self.d
-        n = m * d
-        iu, ju, pair_index = _hvec_meta(n)
-        npair = iu.size
-        s = (ju // d) * d + iu % d
-        t = (iu // d) * d + ju % d
-        p = pair_index[np.minimum(s, t), np.maximum(s, t)]
-        cols = np.concatenate([np.arange(n), n + p, n + npair + p])
-        vals = np.concatenate([np.ones(n + npair), np.where(s < t, 1.0, -1.0)])
-        return sp.csr_matrix((vals, (np.arange(n * n), cols)), shape=(n * n, n * n))
+def block_swap_matrix(m: int, d: int) -> sp.csr_matrix:
+    """hvec-coordinate matrix of the partial transpose on the register factor
+    of an (m*d) x (m*d) matrix: sub-block (k, l) of the output is sub-block
+    (l, k) of the input.  A signed permutation: entry (a, b) of the output is
+    entry (s, t) of the input, a diagonal entry stays in place, and the
+    imaginary part of a pair flips sign when s > t."""
+    n = m * d
+    iu, ju, pair_index = _hvec_meta(n)
+    npair = iu.size
+    s = (ju // d) * d + iu % d
+    t = (iu // d) * d + ju % d
+    p = pair_index[np.minimum(s, t), np.maximum(s, t)]
+    cols = np.concatenate([np.arange(n), n + p, n + npair + p])
+    vals = np.concatenate([np.ones(n + npair), np.where(s < t, 1.0, -1.0)])
+    return sp.csr_matrix((vals, (np.arange(n * n), cols)), shape=(n * n, n * n))
 
 
 # ---------------------------------------------------------------------------
@@ -326,18 +277,25 @@ def _check_hermitian_coeff(name, mat, dim):
 
 
 class SDPProblem:
-    """Incrementally built SDP over named Hermitian PSD variable blocks."""
+    """Incrementally built SDP over named Hermitian PSD variable blocks.
+
+    Constraints are stored as blocks of rows.  Each ``add_*`` method forms
+    its block with array operations and adds it through :meth:`_add_rows`: an
+    array of targets and, for each variable the rows touch, one CSR matrix on
+    that variable's ``hvec`` coordinates (``<C, X> = hvec(C) . hvec(X)``).
+    Rows keep the order in which they were added, and :meth:`canonicalize`
+    concatenates the blocks.  A variable is checked when a constraint names
+    it, so an unknown one fails at add time.
+    """
 
     def __init__(self):
-        self._var_names: list[str] = []
-        self._var_dims: dict[str, int] = {}
+        self._var_dims: dict[str, int] = {}   # in declaration order
         self._objective: dict[str, np.ndarray] = {}
         self._maximize = False
-        self._rows: list[dict] = []          # sparse rows: {var: (coords, vals)}
-        self._row_targets: list[float] = []
-        self._row_labels: list = []
+        self._blocks: list[tuple[int, dict, np.ndarray]] = []  # (first row, coeffs, targets)
+        self._n_rows = 0
         self._intervals: list[tuple[int, float, float]] = []  # (row index, lo, hi)
-        self._psd_slacks: list[tuple[str, int]] = []
+        self._n_psd = 0
 
     # -- variables -----------------------------------------------------------
 
@@ -347,7 +305,6 @@ class SDPProblem:
             raise SDPError(f"variable '{name}' already declared")
         if dim < 1:
             raise SDPError(f"variable '{name}' must have dimension >= 1")
-        self._var_names.append(name)
         self._var_dims[name] = int(dim)
 
     def variable_dim(self, name: str) -> int:
@@ -365,260 +322,160 @@ class SDPProblem:
         }
         self._maximize = bool(maximize)
 
-    # -- low-level row builders ----------------------------------------------
+    # -- constraints -----------------------------------------------------------
 
-    def _new_row(self, target: float, label=None) -> int:
-        self._rows.append({})
-        self._row_targets.append(float(target))
-        self._row_labels.append(label)
-        return len(self._rows) - 1
-
-    def _row_add_coords(self, row: int, var: str, coords, vals) -> None:
-        """Append the nonzero (coordinate, value) pairs to a row's entry for var."""
-        kept = [(int(c), float(v)) for c, v in zip(coords, vals) if v != 0.0]
-        if kept:
-            entry = self._rows[row].setdefault(var, ([], []))
-            entry[0].extend(c for c, _ in kept)
-            entry[1].extend(v for _, v in kept)
-
-    def _row_add_dense(self, row: int, var: str, coeff: np.ndarray) -> None:
-        coeff = _check_hermitian_coeff(var, coeff, self.variable_dim(var))
-        vec = hvec(coeff)
-        nz = np.nonzero(vec)[0]
-        self._row_add_coords(row, var, nz, vec[nz])
-
-    # -- public constraints ----------------------------------------------------
-
-    def new_equality_row(self, target: float, label=None) -> int:
-        """Open an empty equality row; fill it with :meth:`row_add_real_part`."""
-        return self._new_row(target, label)
-
-    def row_add_real_part(self, row: int, var: str, i: int, j: int, weight: complex) -> None:
-        """Add the term Re(weight * X_ij) to an open row's functional."""
-        d = self.variable_dim(var)
-        if not (0 <= i < d and 0 <= j < d):
-            raise SDPError(f"entry ({i},{j}) out of range for variable '{var}' of dim {d}")
-        w = complex(weight)
-        _, _, pair_index = _hvec_meta(d)
-        npair = d * (d - 1) // 2
-        inv_sqrt2 = 1.0 / math.sqrt(2.0)
-        if i == j:
-            # X_ii is real: Re(w X_ii) = Re(w) X_ii
-            self._row_add_coords(row, var, [i], [w.real])
-            return
-        if i < j:
-            p = pair_index[i, j]
-            coords = [d + p, d + npair + p]
-            vals = [w.real * inv_sqrt2, -w.imag * inv_sqrt2]
-        else:
-            p = pair_index[j, i]
-            coords = [d + p, d + npair + p]
-            vals = [w.real * inv_sqrt2, w.imag * inv_sqrt2]
-        self._row_add_coords(row, var, coords, vals)
-
-    def fix_diagonal_subblock(self, var: str, offset: int, target: np.ndarray,
-                              scale: float = 1.0, label=None) -> None:
-        """Pin scale * X[offset:offset+t, offset:offset+t] == target entrywise."""
-        target = np.asarray(target, dtype=complex)
-        t = target.shape[0]
-        if target.shape != (t, t):
-            raise SDPError(f"subblock target must be square, got {target.shape}")
-        if float(np.max(np.abs(target - target.conj().T))) > 1e-9:
-            raise SDPError(f"subblock target {label or ''} is not Hermitian")
-        for i in range(t):
-            row = self._new_row(float(np.real(target[i, i])), label)
-            self.row_add_real_part(row, var, offset + i, offset + i, scale)
-            for j in range(i + 1, t):
-                z = target[i, j]
-                row_re = self._new_row(float(z.real), label)
-                self.row_add_real_part(row_re, var, offset + i, offset + j, scale)
-                row_im = self._new_row(float(z.imag), label)
-                self.row_add_real_part(row_im, var, offset + i, offset + j, -1j * scale)
-
-    def add_subblock_trace_equality(self, var: str, block_row: int, block_col: int, d: int,
-                                    target: complex, scale: float = 1.0, label=None) -> None:
-        """scale * Tr X_sub(block_row, block_col) == target (complex), d x d sub-blocks."""
-        target = complex(target)
-        row_re = self._new_row(target.real, label)
-        for i in range(d):
-            self.row_add_real_part(row_re, var, block_row * d + i, block_col * d + i, scale)
-        if block_row == block_col:
-            if abs(target.imag) > 1e-12:
-                raise SDPError(f"diagonal sub-block trace {label or ''} must have a real target")
-            return
-        row_im = self._new_row(target.imag, label)
-        for i in range(d):
-            self.row_add_real_part(row_im, var, block_row * d + i, block_col * d + i, -1j * scale)
-
-    def add_equality(self, coeffs: dict, target: float, label=None) -> None:
-        """sum_v <coeff_v, X_v> == target."""
-        row = self._new_row(target, label)
+    def _add_rows(self, coeffs: dict, targets) -> int:
+        """Append a block of rows, given its targets and, per variable, a
+        (rows, d_v^2) matrix on the variable's hvec coordinates; zero
+        coefficients are not stored.  Returns the index of the block's first
+        row."""
+        targets = np.asarray(targets, dtype=float)
+        block = {}
         for var, mat in coeffs.items():
-            self._row_add_dense(row, var, mat)
+            block[var] = sp.csr_matrix(mat)
+            block[var].eliminate_zeros()
+        first = self._n_rows
+        self._blocks.append((first, block, targets))
+        self._n_rows += targets.size
+        return first
+
+    def _hvec_row(self, coeffs: dict) -> dict:
+        return {var: hvec(_check_hermitian_coeff(var, mat, self.variable_dim(var)))[None]
+                for var, mat in coeffs.items()}
+
+    def add_equality(self, coeffs: dict, target: float) -> None:
+        """sum_v <coeff_v, X_v> == target."""
+        self._add_rows(self._hvec_row(coeffs), [target])
 
     def add_interval(self, coeffs: dict, lower: float, upper: float, label=None) -> None:
         """lower <= sum_v <coeff_v, X_v> <= upper."""
         if not (lower <= upper):
             raise SDPError(f"interval constraint {label or ''} has lower {lower} > upper {upper}")
         if lower == upper:
-            self.add_equality(coeffs, lower, label=label)
+            self.add_equality(coeffs, lower)
             return
-        row = self._new_row(lower, label)
-        for var, mat in coeffs.items():
-            self._row_add_dense(row, var, mat)
+        row = self._add_rows(self._hvec_row(coeffs), [lower])
         self._intervals.append((row, float(lower), float(upper)))
 
-    def add_entry_equalities(self, weights: dict, target: np.ndarray, label=None) -> None:
-        """Entrywise: sum_v w_v * X_v == target, for real or complex scalars w_v.
+    def add_entry_equalities(self, weights: dict, target: np.ndarray, offset: int = 0,
+                             label=None) -> None:
+        """Entrywise: sum_v w_v * X_v[offset:offset+t, offset:offset+t] == target
+        for a Hermitian t x t target and real scalars w_v.
 
-        Expands into d^2 sparse rows (diagonal, real and imaginary parts of the
-        strict upper triangle).
+        Adds t^2 rows: the t diagonal entries, then the real and imaginary
+        parts of each entry of the target's strict upper triangle.
         """
-        dims = {self.variable_dim(v) for v in weights}
-        if len(dims) != 1:
-            raise SDPError(f"entrywise equality {label or ''} mixes variable dimensions {dims}")
-        d = dims.pop()
         target = np.asarray(target, dtype=complex)
-        if target.shape != (d, d):
-            raise SDPError(f"entrywise target must be {d}x{d}, got {target.shape}")
+        t = target.shape[0]
+        if target.shape != (t, t):
+            raise SDPError(f"entrywise target {label or ''} must be square, got {target.shape}")
         if float(np.max(np.abs(target - target.conj().T))) > 1e-9:
             raise SDPError(f"entrywise target {label or ''} is not Hermitian")
-        iu, ju, _ = _hvec_meta(d)
+        iu, ju, _ = _hvec_meta(t)
         npair = iu.size
+        pair_rows = t + 2 * np.arange(npair)
+        rows = np.concatenate([np.arange(t), pair_rows, pair_rows + 1])
         inv_sqrt2 = 1.0 / math.sqrt(2.0)
-        for i in range(d):
-            row = self._new_row(float(np.real(target[i, i])), label)
-            for var, w in weights.items():
-                wr = complex(w)
-                if wr.imag != 0.0:
-                    raise SDPError("diagonal entries need real weights")
-                self._row_add_coords(row, var, [i], [wr.real])
-        for p in range(npair):
-            i, j = int(iu[p]), int(ju[p])
-            t = target[i, j]
-            # Re(w X_ij) = Re w Re X_ij - Im w Im X_ij, likewise for Im.
-            row_re = self._new_row(float(t.real), label)
-            row_im = self._new_row(float(t.imag), label)
-            for var, w in weights.items():
-                wr = complex(w)
-                cr, ci = d + p, d + npair + p
-                self._row_add_coords(row_re, var, [cr, ci],
-                                     [wr.real * inv_sqrt2, -wr.imag * inv_sqrt2])
-                self._row_add_coords(row_im, var, [cr, ci],
-                                     [wr.imag * inv_sqrt2, wr.real * inv_sqrt2])
+        coeffs = {}
+        for var, w in weights.items():
+            d = self.variable_dim(var)
+            if offset < 0 or offset + t > d:
+                raise SDPError(f"entrywise pin {label or ''} of size {t} at offset {offset} "
+                               f"runs past variable '{var}' of dimension {d}")
+            w = complex(w)
+            if w.imag != 0.0:
+                raise SDPError(f"entrywise pin {label or ''} needs real weights")
+            _, _, pair_index = _hvec_meta(d)
+            p = pair_index[offset + iu, offset + ju]
+            cols = np.concatenate([offset + np.arange(t), d + p, d + d * (d - 1) // 2 + p])
+            vals = np.concatenate([np.full(t, w.real), np.full(2 * npair, w.real * inv_sqrt2)])
+            coeffs[var] = sp.csr_matrix((vals, (rows, cols)), shape=(t * t, d * d))
+        targets = np.empty(t * t)
+        targets[:t] = target.diagonal().real
+        targets[t::2] = target[iu, ju].real
+        targets[t + 1::2] = target[iu, ju].imag
+        self._add_rows(coeffs, targets)
 
     def add_psd_constraint(self, terms, constant=None, label=None) -> str:
         """Require  constant + sum_i L_i(X_{v_i})  to be PSD.
 
-        ``terms`` is a list of (variable name, LinearMatrixMap).  Returns the
-        name of the internal slack block holding the expression value.
+        ``terms`` is a list of (variable name, coordinate matrix): the sparse
+        (dout^2, d_v^2) matrix of L_i in hvec coordinates.  Adds a slack block
+        S and the dout^2 rows  S - sum_i L_i(X_{v_i}) == constant.  Returns
+        the slack's name.
         """
         if not terms and constant is None:
             raise SDPError(f"PSD constraint {label or ''} is empty")
-        out_dims = set()
-        for var, lmap in terms:
-            if lmap.var_dim != self.variable_dim(var):
-                raise SDPError(
-                    f"PSD constraint {label or ''}: map for '{var}' expects dimension "
-                    f"{lmap.var_dim}, variable has {self.variable_dim(var)}")
-            out_dims.add(lmap.out_dim)
+        sizes = {cm.shape[0] for _, cm in terms}
         if constant is not None:
             constant = np.asarray(constant, dtype=complex)
-            out_dims.add(constant.shape[0])
-        if len(out_dims) != 1:
-            raise SDPError(f"PSD constraint {label or ''} mixes output dimensions {out_dims}")
-        dout = out_dims.pop()
+            sizes.add(constant.shape[0] ** 2)
+        dout = math.isqrt(max(sizes))
+        if len(sizes) != 1 or dout * dout != max(sizes):
+            raise SDPError(f"PSD constraint {label or ''} needs one output dimension, "
+                           f"got hvec sizes {sorted(sizes)}")
+        n = dout * dout
+        coeffs = {}
+        for var, cm in terms:
+            d = self.variable_dim(var)
+            if cm.shape[1] != d * d:
+                raise SDPError(f"PSD constraint {label or ''}: matrix for '{var}' expects "
+                               f"dimension {math.sqrt(cm.shape[1]):g}, variable has {d}")
+            coeffs[var] = coeffs.get(var, sp.csr_matrix((n, d * d))) - cm
         if constant is None:
-            constant = np.zeros((dout, dout), dtype=complex)
-        constant = _check_hermitian_coeff(label or "psd-constant", constant, dout)
-
-        slack = f"_psd_slack_{len(self._psd_slacks)}"
+            constant = np.zeros((dout, dout))
+        target = hvec(_check_hermitian_coeff(label or "psd-constant", constant, dout))
+        slack = f"_psd_slack_{self._n_psd}"
         self.add_variable(slack, dout)
-        self._psd_slacks.append((slack, dout))
-
-        target_vec = hvec(constant)
-        coord_mats = [(var, lmap.coordinate_matrix().tocsr()) for var, lmap in terms]
-        nout = dout * dout
-        for r in range(nout):
-            row = self._new_row(float(target_vec[r]), label)
-            self._row_add_coords(row, slack, [r], [1.0])
-            for var, cm in coord_mats:
-                lo, hi = cm.indptr[r], cm.indptr[r + 1]
-                if hi > lo:
-                    self._row_add_coords(row, var, cm.indices[lo:hi], -cm.data[lo:hi])
+        self._n_psd += 1
+        self._add_rows({slack: sp.identity(n, format="csr"), **coeffs}, target)
         return slack
 
     # -- canonicalization ------------------------------------------------------
 
     def canonicalize(self) -> "CanonicalSDP":
-        self.validate()
-        n_slack = 2 * len(self._intervals)
-        m = len(self._rows) + len(self._intervals)
-
-        blocks = [(name, self._var_dims[name]) for name in self._var_names]
-        c_blocks = []
+        """Concatenate the row blocks into one CSR matrix per variable, and
+        turn each interval row  lo <= f <= hi  into  f - s_lo == lo  plus an
+        extra row  s_lo + s_hi == hi - lo  over two orthant slacks."""
+        if not self._var_dims:
+            raise SDPError("problem has no variables")
+        n_int = len(self._intervals)
+        m = self._n_rows + n_int
         sign = -1.0 if self._maximize else 1.0
-        for name, d in blocks:
+        a_blocks, c_blocks = [], []
+        for name, d in self._var_dims.items():
+            parts = [(first, block[name].tocoo()) for first, block, _ in self._blocks
+                     if name in block]
+            none = np.zeros(0, dtype=int)
+            rows = np.concatenate([none] + [first + c.row for first, c in parts])
+            cols = np.concatenate([none] + [c.col for _, c in parts])
+            vals = np.concatenate([np.zeros(0)] + [c.data for _, c in parts])
+            a_blocks.append(sp.csr_matrix((vals, (rows, cols)), shape=(m, d * d)))
             coeff = self._objective.get(name)
             c_blocks.append(sign * hvec(coeff) if coeff is not None else np.zeros(d * d))
-        c_orthant = np.zeros(n_slack)
 
-        b = np.array(self._row_targets + [0.0] * len(self._intervals), dtype=float)
-        builders = {name: ([], [], []) for name, _ in blocks}
-        orthant_builder = ([], [], [])
-
-        for r, row in enumerate(self._rows):
-            for var, (coords, vals) in row.items():
-                rr, cc, vv = builders[var]
-                rr.extend([r] * len(coords))
-                cc.extend(coords)
-                vv.extend(vals)
-        base = len(self._rows)
+        b = np.concatenate([t for _, _, t in self._blocks] + [np.zeros(n_int)])
+        rows, cols, vals = [], [], []
         for k, (row, lo, hi) in enumerate(self._intervals):
-            s_lo, s_hi = 2 * k, 2 * k + 1
-            rr, cc, vv = orthant_builder
-            # row already has target lo; append -s_lo so  f - s_lo = lo
-            rr.append(row); cc.append(s_lo); vv.append(-1.0)
-            # extra row: s_lo + s_hi = hi - lo
-            rr.append(base + k); cc.append(s_lo); vv.append(1.0)
-            rr.append(base + k); cc.append(s_hi); vv.append(1.0)
-            b[base + k] = hi - lo
-
-        a_blocks = []
-        for name, d in blocks:
-            rr, cc, vv = builders[name]
-            a_blocks.append(sp.csr_matrix(
-                (np.array(vv, dtype=float), (np.array(rr, dtype=int), np.array(cc, dtype=int))),
-                shape=(m, d * d)))
-        rr, cc, vv = orthant_builder
+            extra = self._n_rows + k
+            rows += [row, extra, extra]
+            cols += [2 * k, 2 * k, 2 * k + 1]
+            vals += [-1.0, 1.0, 1.0]
+            b[extra] = hi - lo
         a_orthant = sp.csr_matrix(
-            (np.array(vv, dtype=float), (np.array(rr, dtype=int), np.array(cc, dtype=int))),
-            shape=(m, n_slack))
+            (np.array(vals, dtype=float), (np.array(rows, dtype=int), np.array(cols, dtype=int))),
+            shape=(m, 2 * n_int))
 
         return CanonicalSDP(
-            block_names=[name for name, _ in blocks],
-            block_dims=[d for _, d in blocks],
+            block_names=list(self._var_dims),
+            block_dims=list(self._var_dims.values()),
             a_blocks=a_blocks,
             c_blocks=c_blocks,
             a_orthant=a_orthant,
-            c_orthant=c_orthant,
+            c_orthant=np.zeros(2 * n_int),
             b=b,
             maximize=self._maximize,
-            row_labels=self._row_labels + [None] * len(self._intervals),
         )
-
-    def validate(self) -> None:
-        """Fail fast on structural problems; raises SDPError naming the issue."""
-        if not self._var_names:
-            raise SDPError("problem has no variables")
-        for name in self._objective:
-            if name not in self._var_dims:
-                raise SDPError(f"objective references unknown variable '{name}'")
-        for r, row in enumerate(self._rows):
-            for var in row:
-                if var not in self._var_dims:
-                    label = self._row_labels[r]
-                    raise SDPError(f"constraint {label or r} references unknown variable '{var}'")
 
     def solve(self, config: SDPConfig | None = None) -> SDPSolution:
         return solve(self, config)
@@ -636,7 +493,6 @@ class CanonicalSDP:
     c_orthant: np.ndarray
     b: np.ndarray
     maximize: bool
-    row_labels: list
 
 
 # ---------------------------------------------------------------------------
@@ -761,7 +617,7 @@ def _row_order(a_blocks, m):
 # R runs cost R^2 of them; on a 2-vCPU x86 VM the two scatters cost the same
 # at a mean run of about 16 rows, for blocks of 64 to 520 rows.
 MIN_MEAN_RUN = 16
-# Largest entry count of the arrays a K-path term forms per chunk: 2 MB, or
+# Largest entry count of the arrays a Schur term forms per chunk: 2 MB, or
 # chunks of 144 of the 1727 rows of a 40x40 block in benchmark_general, M = 4.
 GATHER_SIZE = 1 << 18
 
@@ -807,10 +663,9 @@ class _SchurTerm:
     s_i s_j K[c_j, c_i], gathered from rows of K, the others A_b (A_b K)^T.
     """
 
-    def __init__(self, rows, sub, d, signed, k):
+    def __init__(self, rows, sub, signed, k):
         n_rows, n_cols = sub.shape
         self.sub, self.signed, self.index, self.k = sub, signed, _index(rows), k
-        self.mats = hmat(sub.toarray(), d) if k is None else None
         self.identity = (signed and n_rows == n_cols
                          and np.array_equal(sub.indices, np.arange(n_cols))
                          and np.all(sub.data * sub.data[0] == 1.0))
@@ -821,10 +676,6 @@ class _SchurTerm:
 
     def add(self, schur, ws):
         target = schur.T  # C order, like every piece below
-        if self.mats is not None:
-            part = self.sub @ hvec((ws @ self.mats) @ ws).T
-            _scatter_add(target, self.index, self.index, part)
-            return
         k = _congruence_matrix(ws, out=self.k)
         if self.identity:
             _scatter_add(target, self.index, self.index, k)
@@ -841,10 +692,10 @@ class _SchurTerm:
 
 def _schur_terms(a_blocks, dims, where):
     """Loop-invariant Schur assembly plan: (g, js, term) for stack g, its
-    entries js and the :class:`_SchurTerm` adding their part.  K-path blocks
-    whose rows each hold one +-1 are keyed by (d, rows, cols, relative
-    signs); a key's blocks share one stack and one term.  The K-path terms of
-    a dimension share one K buffer: a fresh K per term made the assembly of
+    entries js and the :class:`_SchurTerm` adding their part.  Blocks whose
+    rows each hold one +-1 are keyed by (d, rows, cols, relative signs); a
+    key's blocks share one stack and one term.  The terms of a dimension
+    share one K buffer: a fresh K per term made the assembly of
     eight 16x16 blocks with 256 rows 1.5x slower.
     """
     terms, shared, k_bufs = [], {}, {}
@@ -854,17 +705,15 @@ def _schur_terms(a_blocks, dims, where):
         rows = np.flatnonzero(np.diff(a.indptr))
         sub = a[rows]
         g, j = where[bi]
-        k_path = rows.size >= d * d
-        signed = k_path and bool(np.all(np.diff(sub.indptr) == 1)
-                                 and np.all(np.abs(sub.data) == 1.0))
+        signed = bool(np.all(np.diff(sub.indptr) == 1) and np.all(np.abs(sub.data) == 1.0))
         key = ((d, rows.tobytes(), sub.indices.tobytes(), (sub.data * sub.data[0]).tobytes())
                if signed else bi)
         if key in shared:
             shared[key][1].append(j)
             continue
-        if k_path and d not in k_bufs:
+        if d not in k_bufs:
             k_bufs[d] = np.empty((d * d, d * d))
-        shared[key] = (g, [j], _SchurTerm(rows, sub, d, signed, k_bufs[d] if k_path else None))
+        shared[key] = (g, [j], _SchurTerm(rows, sub, signed, k_bufs[d]))
         terms.append(shared[key])
     return terms
 

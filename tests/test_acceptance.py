@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from qdbench.bench import (Quadratures, QuadraturesWithErrors, Tomography,
                            benchmark_symmetric)
@@ -24,7 +25,7 @@ from qdbench.gramopt import (GramMatrix, cptp_reachable, gram_purity, optimize_g
                              purity_upper_bound, rotation_ensemble)
 from qdbench.pipeline import bundled_config_path, load_config, run_pipeline
 from qdbench.sampling import sample_homodyne
-from qdbench.sdp import ScalarMap, SDPProblem, SDPStatus
+from qdbench.sdp import SDPProblem, SDPStatus
 
 from conftest import (brute_negativity, brute_trace_norm_pt, coherent_overlap,
                       dense_partial_transpose, random_block_matrix)
@@ -97,7 +98,7 @@ def test_criterion_3_negativity_sdp_correctness():
         n = m * d
         prob.add_variable("tau_minus", n)
         prob.set_objective({"tau_minus": np.eye(n)})
-        prob.add_psd_constraint([("tau_minus", ScalarMap(n))], constant=pt)
+        prob.add_psd_constraint([("tau_minus", sp.identity(n * n))], constant=pt)
         sol = prob.solve()
         assert sol.status is SDPStatus.OPTIMAL
         worst = max(worst, abs(sol.objective - oracle))

@@ -10,7 +10,7 @@ from qdbench import cli
 from qdbench.bench import QuadraturesWithErrors, benchmark_symmetric
 from qdbench.blocksym import twirl
 from qdbench.fock import coherent_state, noisy_coherent
-from qdbench.gramopt import optimize_gram, rotation_ensemble
+from qdbench.gramopt import GramMatrix, optimize_gram, rotation_ensemble
 from qdbench.pipeline import (DEFAULT_CONFIG, bundled_config_path, load_config,
                               run_pipeline, scenario_from_json_dict)
 from qdbench.sampling import read_records_csv
@@ -227,6 +227,35 @@ class TestCLI:
         assert code == 1
         assert f"SDPConfig.{key}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("solver", "max_iter", 2.7), ("scenario", "sigma_levels", [2.5]),
+        ("bench", "cutoff", 8.9), ("ensemble", "m_values", [2, 2.9]),
+        ("scenario", "samples_per_bin", 400.5)])
+    def test_fractional_integer_field_names_the_field(self, tmp_path, capsys, section, key,
+                                                      value):
+        with open(bundled_config_path("noisy_memory"), encoding="utf-8") as fh:
+            config = json.load(fh)
+        config.setdefault(section, {})[key] = value
+        path = tmp_path / "fraction.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        code = cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert f"'{section}.{key}' must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_integral_numbers_in_integer_fields_are_accepted(self):
+        cfg = load_config({"bench": {"cutoff": 9.0}, "ensemble": {"m_values": [2.0, 3]}})
+        assert cfg["bench"]["cutoff"] == 9 and cfg["ensemble"]["m_values"] == [2, 3]
+
+    def test_fractional_scenario_sigma_level_is_rejected(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(dict(LAB_SCENARIO, sigma_level=1.5)), encoding="utf-8")
+        gram_path = tmp_path / "gram.json"
+        gram_path.write_text(json.dumps(GramMatrix(np.eye(2)).to_json_dict()), encoding="utf-8")
+        code = cli.main(["bench", "--gram", str(gram_path), "--scenario", str(path)])
+        assert code == 1
+        assert "sigma_level" in capsys.readouterr().err
 
     def test_help_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:

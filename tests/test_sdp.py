@@ -16,8 +16,8 @@ from qdbench.bench import (QuadraturesWithErrors, Tomography, benchmark_general,
 from qdbench.channels import loss_channel
 from qdbench.fock import DensityMatrix, noisy_coherent, rotation
 from qdbench.gramopt import optimize_gram, rotation_ensemble
-from qdbench.sdp import (CanonicalSDP, HadamardMaskMap, ScalarMap, SDPConfig, SDPError,
-                         SDPProblem, SDPStatus, BlockSwapMap, hmat, hvec, solve)
+from qdbench.sdp import (CanonicalSDP, SDPConfig, SDPError, SDPProblem, SDPStatus,
+                         block_swap_matrix, hmat, hvec, mask_matrix, solve)
 from qdbench.sdp import (_congruence_matrix, _factor_schur, _psd_step_length, _row_order,
                          _row_runs, _Scaling, _scatter_add, _schur_terms)
 
@@ -87,7 +87,7 @@ class TestSolveBasics:
         p = SDPProblem()
         p.add_variable("tau_minus", 4)
         p.set_objective({"tau_minus": np.eye(4)})
-        p.add_psd_constraint([("tau_minus", ScalarMap(4))], constant=pt)
+        p.add_psd_constraint([("tau_minus", sp.identity(16))], constant=pt)
         sol = p.solve()
         assert sol.status is SDPStatus.OPTIMAL
         assert sol.objective == pytest.approx(oracle, abs=1e-6)
@@ -111,14 +111,14 @@ class TestSolveBasics:
         p.set_objective({"X": np.array([[0, 0.5], [0.5, 0]], dtype=complex)}, maximize=True)
         p.add_equality({"X": np.diag([1.0, 0.0])}, 1.0)
         p.add_equality({"X": np.diag([0.0, 1.0])}, 1.0)
-        p.add_psd_constraint([("X", HadamardMaskMap(mask)), ("S", ScalarMap(2, -1.0))],
+        p.add_psd_constraint([("X", mask_matrix(mask)), ("S", -sp.identity(4))],
                              constant=np.eye(2) * 0.0)
         sol = p.solve()
         assert sol.status is SDPStatus.OPTIMAL
 
     def test_block_swap_map_adjointness(self, rng):
         m, d = 3, 4
-        swap = BlockSwapMap(m, d).coordinate_matrix()
+        swap = block_swap_matrix(m, d)
         a = rng.standard_normal((m * d, m * d)) + 1j * rng.standard_normal((m * d, m * d))
         a = (a + a.conj().T) / 2
         b = rng.standard_normal((m * d, m * d)) + 1j * rng.standard_normal((m * d, m * d))
@@ -129,7 +129,7 @@ class TestSolveBasics:
 
     @pytest.mark.parametrize("m, d", [(1, 1), (2, 3), (3, 4), (4, 10)])
     def test_block_swap_closed_form_matches_basis_probe(self, m, d):
-        closed = BlockSwapMap(m, d).coordinate_matrix()
+        closed = block_swap_matrix(m, d)
         probed = _probed_coordinate_matrix(lambda x: dense_partial_transpose(x, m, d), m * d)
         assert closed.shape == probed.shape == ((m * d) ** 2, (m * d) ** 2)
         assert np.max(np.abs(closed.toarray() - probed)) <= 1e-15
@@ -138,10 +138,123 @@ class TestSolveBasics:
     def test_scalar_and_mask_closed_forms_match_basis_probe(self, rng, d):
         mask = rng.integers(0, 2, (d, d)).astype(float)
         mask = np.triu(mask) + np.triu(mask, 1).T
-        for closed, linear_map in ((ScalarMap(d, -2.5), lambda x: -2.5 * x),
-                                   (HadamardMaskMap(mask), lambda x: mask * x)):
+        for closed, linear_map in ((-2.5 * sp.identity(d * d), lambda x: -2.5 * x),
+                                   (mask_matrix(mask), lambda x: mask * x)):
             probed = _probed_coordinate_matrix(linear_map, d)
-            assert np.max(np.abs(closed.coordinate_matrix().toarray() - probed)) <= 1e-15
+            assert np.max(np.abs(closed.toarray() - probed)) <= 1e-15
+
+
+_PROBLEM_DIMS = {"A": 4, "B": 4, "C": 3, "D": 6}
+_CONSTRAINT_KINDS = ("equality", "interval", "entries", "psd")
+
+
+def _add_random_constraint(prob, kind, xs, rng):
+    """Add one random constraint of the given kind to ``prob``; return its
+    rows' functionals evaluated directly on the dense Hermitian ``xs`` (a PSD
+    constraint's slack gets a random value in ``xs``), and its targets."""
+    names = list(_PROBLEM_DIMS)
+    if kind in ("equality", "interval"):
+        used = rng.choice(names, size=int(rng.integers(1, len(names) + 1)), replace=False)
+        coeffs = {v: _random_hermitian(rng, 1, _PROBLEM_DIMS[v])[0] for v in used}
+        target = float(rng.standard_normal())
+        if kind == "equality":
+            prob.add_equality(coeffs, target)
+        else:
+            prob.add_interval(coeffs, target, target + 1.0)
+        return [sum(np.trace(c @ xs[v]).real for v, c in coeffs.items())], [target]
+    if kind == "entries":
+        used = rng.choice(names, size=int(rng.integers(1, len(names) + 1)), replace=False)
+        room = min(_PROBLEM_DIMS[v] for v in used)
+        t = int(rng.integers(1, room + 1))
+        offset = int(rng.integers(0, room - t + 1))
+        weights = {v: float(rng.standard_normal()) for v in used}
+        target = _random_hermitian(rng, 1, t)[0]
+        prob.add_entry_equalities(weights, target, offset=offset)
+        z = sum(w * xs[v][offset:offset + t, offset:offset + t] for v, w in weights.items())
+        iu, ju = np.triu_indices(t, 1)
+
+        def entries(a):
+            pairs = np.stack([a[iu, ju].real, a[iu, ju].imag], axis=1).ravel()
+            return np.concatenate([a.diagonal().real, pairs])
+
+        return entries(z), entries(target)
+    dout = int(rng.choice([3, 4, 6]))
+    same = [v for v in names if _PROBLEM_DIMS[v] == dout]
+    swaps = {3: [(1, 3), (3, 1)], 4: [(2, 2)], 6: [(2, 3), (3, 2)]}[dout]
+    terms, value = [], np.zeros((dout, dout), dtype=complex)
+    for _ in range(int(rng.integers(1, 4))):
+        var = str(rng.choice(same))
+        x = xs[var]
+        form = rng.choice(["scalar", "mask", "swap"])
+        if form == "scalar":
+            c = float(rng.standard_normal())
+            terms.append((var, c * sp.identity(dout * dout)))
+            value += c * x
+        elif form == "mask":
+            mask = rng.integers(0, 2, (dout, dout)).astype(float)
+            mask = np.triu(mask) + np.triu(mask, 1).T
+            terms.append((var, mask_matrix(mask)))
+            value += mask * x
+        else:
+            m, d = swaps[int(rng.integers(len(swaps)))]
+            terms.append((var, block_swap_matrix(m, d)))
+            value += dense_partial_transpose(x, m, d)
+    constant = _random_hermitian(rng, 1, dout)[0]
+    slack = prob.add_psd_constraint(terms, constant=constant)
+    xs[slack] = _random_hermitian(rng, 1, dout)[0]
+    return hvec(xs[slack] - value), hvec(constant)
+
+
+class TestConstraintRows:
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.lists(st.sampled_from(_CONSTRAINT_KINDS), min_size=1, max_size=8),
+           st.integers(0, 2**32 - 1))
+    def test_canonical_rows_evaluate_each_functional(self, kinds, seed):
+        """A applied to hvec(X_v) gives every row's functional of the dense
+        X_v, in the order the rows were added, with b holding their targets;
+        an interval row's extra row touches the two orthant slacks only."""
+        rng = np.random.default_rng(seed)
+        prob = SDPProblem()
+        for name, d in _PROBLEM_DIMS.items():
+            prob.add_variable(name, d)
+        xs = {name: _random_hermitian(rng, 1, d)[0] for name, d in _PROBLEM_DIMS.items()}
+        values, targets, intervals = [], [], []
+        for kind in kinds:
+            if kind == "interval":
+                intervals.append(len(values))
+            row_values, row_targets = _add_random_constraint(prob, kind, xs, rng)
+            values.extend(row_values)
+            targets.extend(row_targets)
+        canon = prob.canonicalize()
+        n = len(values)
+        assert canon.b.size == n + len(intervals)
+        got = sum(a @ hvec(xs[name]) for name, a in zip(canon.block_names, canon.a_blocks))
+        assert np.max(np.abs(got[:n] - values)) <= 1e-12 * (1.0 + np.max(np.abs(values)))
+        assert np.all(got[n:] == 0.0)
+        assert np.max(np.abs(canon.b[:n] - targets)) <= 1e-15 * (1.0 + np.max(np.abs(targets)))
+        orthant = np.zeros((n + len(intervals), 2 * len(intervals)))
+        for k, row in enumerate(intervals):
+            orthant[row, 2 * k] = -1.0
+            orthant[n + k, 2 * k:2 * k + 2] = 1.0
+        assert np.array_equal(canon.a_orthant.toarray(), orthant)
+        assert np.all(np.abs(canon.b[n:] - 1.0) <= 1e-14)  # hi - lo
+
+    def test_entry_pin_running_past_its_variable_is_rejected(self):
+        p = SDPProblem()
+        p.add_variable("X", 4)
+        p.add_entry_equalities({"X": 1.0}, np.eye(2), offset=2)
+        with pytest.raises(SDPError, match="runs past variable 'X'"):
+            p.add_entry_equalities({"X": 1.0}, np.eye(2), offset=3)
+
+    def test_unknown_variable_fails_at_add_time(self):
+        p = SDPProblem()
+        p.add_variable("X", 2)
+        with pytest.raises(SDPError, match="unknown variable 'Y'"):
+            p.add_equality({"Y": np.eye(2)}, 1.0)
+        with pytest.raises(SDPError, match="unknown variable 'Y'"):
+            p.add_entry_equalities({"Y": 1.0}, np.eye(2))
+        with pytest.raises(SDPError, match="unknown variable 'Y'"):
+            p.add_psd_constraint([("Y", sp.identity(4))])
 
 
 class TestSolverContracts:
@@ -275,10 +388,10 @@ class TestCongruenceMatrix:
         assert np.max(np.abs(got - ref)) <= 1e-13 * scale
         assert np.max(np.abs(got - got.T)) <= 1e-13 * scale
 
-    def test_solve_is_bit_identical_on_both_assembly_paths(self, monkeypatch):
-        """Every block of a benchmark_general problem carries the d^2 rows of
-        the partial-transpose constraint, so it is assembled through K; one
-        extra block with a single row adds the small-row path."""
+    def test_solve_is_bit_identical_with_k_for_every_block(self, monkeypatch):
+        """Every block is assembled through K: the blocks of a benchmark_general
+        problem, which carry the d^2 rows of the partial-transpose constraint,
+        and one extra block with a single row."""
         m, cutoff = 2, 3
         d = cutoff + 1
         gram, outs = _small_benchmark_inputs(m, cutoff)
@@ -295,7 +408,7 @@ class TestCongruenceMatrix:
         first = solve(prob)
         second = solve(prob)
         assert first.status is SDPStatus.OPTIMAL
-        assert set(k_dims) == {m * d}  # K for every block but the one-row one
+        assert set(k_dims) == {m * d, 3}
         assert np.array_equal(first.y, second.y)
         assert first.variables.keys() == second.variables.keys()
         for name, x in first.variables.items():
@@ -383,8 +496,7 @@ class TestRowGrouping:
             block_names=canon.block_names, block_dims=canon.block_dims,
             a_blocks=[a.tocsr()[perm] for a in canon.a_blocks], c_blocks=canon.c_blocks,
             a_orthant=canon.a_orthant.tocsr()[perm], c_orthant=canon.c_orthant,
-            b=canon.b[perm], maximize=canon.maximize,
-            row_labels=[canon.row_labels[i] for i in perm])
+            b=canon.b[perm], maximize=canon.maximize)
         first, second = solve(canon), solve(shuffled)
         assert first.status is second.status is SDPStatus.OPTIMAL
         assert np.max(np.abs(first.y[perm] - second.y)) <= 1e-8
@@ -649,12 +761,16 @@ class TestValidation:
         with pytest.raises(SDPError, match=f"SDPConfig.{name}"):
             SDPConfig(**kwargs)
 
+    def test_asymmetric_mask_is_rejected(self):
+        with pytest.raises(SDPError, match="symmetric"):
+            mask_matrix(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
     def test_psd_constraint_mixed_dims(self):
         p = SDPProblem()
         p.add_variable("X", 2)
         p.add_variable("Y", 3)
         with pytest.raises(SDPError, match="dimension"):
-            p.add_psd_constraint([("X", ScalarMap(2)), ("Y", ScalarMap(3))])
+            p.add_psd_constraint([("X", sp.identity(4)), ("Y", sp.identity(9))])
 
 
 JITTERS = (0.0, 1e-13, 1e-10, 1e-7)
@@ -701,7 +817,7 @@ class TestSchurFactorization:
         p = SDPProblem()
         p.add_variable("tau_minus", 4)
         p.set_objective({"tau_minus": np.eye(4)})
-        p.add_psd_constraint([("tau_minus", ScalarMap(4))],
+        p.add_psd_constraint([("tau_minus", sp.identity(16))],
                              constant=dense_partial_transpose(np.outer(psi, psi.conj()), 2, 2))
         sol = p.solve()
         assert sol.status is SDPStatus.OPTIMAL

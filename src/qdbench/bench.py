@@ -151,6 +151,8 @@ class BenchmarkResult:
             "N": self.cutoff,
             "bound": self.negativity_lower_bound,
             "verdict": self.verdict,
+            "stop_reason": self.diagnostics.get("stop_reason"),
+            "iterations": self.diagnostics.get("solver_iterations"),
             "residuals": {
                 "primal": self.diagnostics.get("primal_residual"),
                 "dual": self.diagnostics.get("dual_residual"),

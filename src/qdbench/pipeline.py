@@ -74,12 +74,29 @@ DEFAULT_CONFIG = {
 _SCENARIO_KINDS = ("tomography", "quadratures", "quadratures_sampled", "quadratures_errors")
 
 
+# Numeric fields whose default is None, and whether they take integers.
+_OPTIONAL_NUMBERS = {"seed_state.dim": True, "bench.verdict_margin": False}
+
+
 def _check_number(value, default, field: str) -> None:
-    """Reject NaN and infinities (``json.load`` accepts both), and fractions in
-    a field whose default is an integer or a list of them, naming the field."""
+    """In a numeric field (one whose default is a number or a list of them, or
+    one of ``_OPTIONAL_NUMBERS``, where ``None`` also passes), reject
+    anything but numbers, NaN and infinities (``json.load`` accepts both), and
+    fractions where an integer is due, naming the field."""
     defaults = default if isinstance(default, list) else [default]
-    integer = bool(defaults) and all(type(v) is int for v in defaults)
+    optional = field in _OPTIONAL_NUMBERS
+    if optional:
+        numeric, integer = True, _OPTIONAL_NUMBERS[field]
+    else:
+        numeric = bool(defaults) and all(type(v) in (int, float) for v in defaults)
+        integer = numeric and all(type(v) is int for v in defaults)
+    if not numeric:
+        return
     for item in value if isinstance(value, list) else [value]:
+        if item is None and optional:
+            continue
+        if isinstance(item, bool) or not isinstance(item, (int, float)):
+            raise ValueError(f"configuration field '{field}' must be a number, got {item!r}")
         if isinstance(item, float) and not math.isfinite(item):
             raise ValueError(f"configuration field '{field}' is not finite ({item})")
         if integer and isinstance(item, float) and not item.is_integer():
@@ -102,7 +119,8 @@ def _merge_config(base: dict, override: dict, path: str = "") -> dict:
 
 def load_config(path_or_dict) -> dict:
     """Merge a user config (path or dict) over the defaults, rejecting unknown
-    keys, non-finite numbers and fractions in integer fields."""
+    keys, and strings, booleans, non-finite numbers and fractions where a
+    number or an integer is due."""
     if isinstance(path_or_dict, dict):
         user = path_or_dict
     else:

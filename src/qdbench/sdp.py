@@ -33,29 +33,19 @@ Once per solve, the constraint rows are grouped by the set of Hermitian blocks
 each one touches (the orthant is left out), in a stable order, and ``y`` is
 mapped back to the caller's row order.  Each block's rows then form a few runs
 of consecutive Schur indices (in the block-circulant standard form at most
-M + 1 for an E_k block, one for an F_k or slack block), and each piece of its
-Schur part is added with one slice add per pair of runs; ``np.ix_`` is left
-for rows whose runs average fewer than ``MIN_MEAN_RUN``.
+M + 1 for an E_k block, one for an F_k or slack block); rows whose runs
+average fewer than ``MIN_MEAN_RUN`` are scattered at flat indices instead.
 
-Each iteration assembles the dense Schur complement, block by block, straight
-into one Fortran-ordered buffer.  Every block uses K, the (d^2, d^2) matrix of
-X -> W X W in ``hvec`` coordinates for its scaling W, which
-``_congruence_matrix`` builds in closed form from products of two entries of
-W into one buffer per block dimension.  Its part A_b K A_b^T is formed and
-added a chunk of columns at a time, T = A_c K for a chunk c of its rows and
-then A_b T^T, each about ``GATHER_SIZE`` entries; a row holding one
-coefficient (most rows: the partial-transpose, mask and entry rows) makes
-both products scaled gathers of rows.  Blocks whose rows each hold one
-coefficient +-1, with equal rows, columns and relative signs (F_k and its
-slack, tau_minus and its slack), share one K, of the sum of their
-congruences, and add s_i s_j K[c_j, c_i] from row gathers of K, or K itself
-for identity columns.  A solve's largest arrays are thus the Schur buffer and
-one K.  The factored matrix is the symmetric matrix of the buffer's lower
-triangle.  It is factored once, in place, and the predictor and corrector
-Newton solves share the factor.  The factorization is a Cholesky with a fixed
-ladder of diagonal jitters (0, 1e-13, 1e-10, 1e-7 times the mean diagonal),
-the buffer re-assembled before each retry, and a ``lstsq`` fallback.  All
-arithmetic, these included, is deterministic: identical problems and
+Each iteration assembles the Schur complement S into one buffer of m(m+1)/2
+doubles, its lower triangle in LAPACK's rectangular full packed storage
+(:class:`_Packed`).  Each block's part A_b K A_b^T, for K the (d^2, d^2) matrix
+of X -> W X W in ``hvec`` coordinates for its scaling W, is added a chunk of
+rows at a time, forming only the rows of a piece that reach the triangle
+(:class:`_SchurTerm`); blocks with equal signed unit rows share one K.  A
+solve's largest arrays are thus the packed S and one K.  S is factored once
+per iteration, in place, by ``dpftrf`` with a ladder of diagonal jitters
+(:func:`_factor_schur`); the predictor and corrector share it through
+``dpftrs``.  All arithmetic is deterministic: identical problems and
 configuration reproduce bit-identical iterate sequences.
 
 Reported per-iteration dual objectives are the gap-consistent estimate
@@ -613,81 +603,125 @@ def _row_order(a_blocks, m):
 
 
 # An index whose rows average fewer than this many per run of consecutive rows
-# is scattered by np.ix_.  Each slice add has a fixed cost of about 2.5 us, so
-# R runs cost R^2 of them; on a 2-vCPU x86 VM the two scatters cost the same
-# at a mean run of about 16 rows, for blocks of 64 to 520 rows.
+# is scattered at flat indices.  A slice add costs about 2.5 us, and R runs
+# cost R^2 of them: on a 2-vCPU x86 VM the two scatters cost the same at a
+# mean run of about 16 rows, for blocks of 64 to 520 rows.
 MIN_MEAN_RUN = 16
 # Largest entry count of the arrays a Schur term forms per chunk: 2 MB, or
 # chunks of 144 of the 1727 rows of a 40x40 block in benchmark_general, M = 4.
 GATHER_SIZE = 1 << 18
-
-
-def _row_runs(rows):
-    """Runs of consecutive values in sorted unique ``rows``, as pairs of
-    (Schur index slice, local index slice)."""
-    if not rows.size:
-        return []
-    cuts = np.flatnonzero(np.diff(rows) != 1) + 1
-    lo = np.concatenate(([0], cuts))
-    hi = np.concatenate((cuts, [rows.size]))
-    return [(slice(int(rows[l]), int(rows[h - 1]) + 1), slice(int(l), int(h)))
-            for l, h in zip(lo, hi)]
+# Rows per strip (a masked square and the rectangle right of it) where a piece
+# meets the diagonal; one masked square per run made sweep_m2_4 8 % slower.
+DIAG_STRIP = 128
+_UPPER = np.triu(np.ones((DIAG_STRIP, DIAG_STRIP), dtype=bool))
 
 
 def _index(rows):
-    """Sorted unique Schur indices and their runs, or None in place of the
-    runs where ``np.ix_`` is cheaper."""
-    runs = _row_runs(rows)
-    if len(runs) > 1 and rows.size < MIN_MEAN_RUN * len(runs):
-        runs = None
-    return rows, runs
+    """Sorted unique Schur indices and their runs of consecutive values, as
+    pairs of (Schur index slice, local index slice), or None in place of the
+    runs where a flat-index scatter is cheaper."""
+    cuts = np.flatnonzero(np.diff(rows) != 1) + 1
+    lo, hi = np.concatenate(([0], cuts)), np.concatenate((cuts, [rows.size]))
+    runs = [(slice(int(rows[l]), int(rows[h - 1]) + 1), slice(int(l), int(h)))
+            for l, h in zip(lo, hi) if h > l]
+    return rows, (None if len(runs) > 1 and rows.size < MIN_MEAN_RUN * len(runs) else runs)
 
 
-def _scatter_add(target, index_i, index_j, part):
-    """``target[rows_i, rows_j] += part`` for two indices from :func:`_index`:
-    one slice add per pair of runs, or one ``np.ix_`` add when either index
-    has no runs."""
+class _Packed:
+    """Lower triangle of a symmetric m x m matrix S in LAPACK's rectangular
+    full packed storage (TRANSR='N', UPLO='L'): m(m+1)/2 doubles in ``buf``.
+    The assembly writes S[q, p], q >= p, as U[p, q]: for k = ceil(m/2), at
+    ``views[0][p, q]`` if p < k, else at ``views[1][p - k, q - k]``.  Below
+    U's diagonal each view aliases the other, so only U's upper triangle may
+    be written."""
+
+    def __init__(self, m, buf=None):
+        self.m, self.k, self.even = m, (m + 1) // 2, 1 - m % 2
+        self.buf = np.zeros(m * (m + 1) // 2) if buf is None else buf
+        ar = self.buf.reshape((m + self.even, self.k), order="F")
+        self.views = (ar.T[:, self.even:], ar[:m - self.k, 1 - self.even:])
+
+    def index(self, p, q):
+        """Flat index in ``buf`` of U[p, q], q >= p."""
+        k, e, n = self.k, self.even, self.m + self.even
+        return np.where(p < k, p * n + q + e, (q - k + 1 - e) * n + p - k)
+
+
+def _scatter_plan(index_i, index_j, k):
+    """Slice adds for ``U[rows_i, rows_j] += part`` on the entries q >= p,
+    given two indices from :func:`_index` and k of :class:`_Packed`: each pair
+    of runs is split at row k, cut to the rows and columns that reach the
+    diagonal, and added in strips there.  ``ops`` is None without runs."""
     (rows_i, runs_i), (rows_j, runs_j) = index_i, index_j
     if runs_i is None or runs_j is None:
-        target[np.ix_(rows_i, rows_j)] += part
-        return
+        return rows_i, rows_j, None
+    ops = []
     for dst_i, src_i in runs_i:
         for dst_j, src_j in runs_j:
-            target[dst_i, dst_j] += part[src_i, src_j]
+            (p0, p1), di = (dst_i.start, dst_i.stop), dst_i.start - src_i.start
+            (q0, q1), dj = (dst_j.start, dst_j.stop), dst_j.start - src_j.start
+            for v, lo, hi, at in ((0, p0, min(p1, k), 0), (1, max(p0, k), p1, k)):
+                hi, c0 = min(hi, q1), max(q0, lo)
+                pieces = [(lo, min(hi, c0), c0, q1, True)]  # wholly above U's diagonal
+                for r0 in range(c0, hi, DIAG_STRIP):
+                    r1 = min(r0 + DIAG_STRIP, hi)
+                    pieces += [(r0, r1, r0, r1, _UPPER[:r1 - r0, :r1 - r0]), (r0, r1, r1, q1, True)]
+                ops += [(v, np.s_[r0 - at:r1 - at, s0 - at:s1 - at],
+                         np.s_[r0 - di:r1 - di, s0 - dj:s1 - dj], mask)
+                        for r0, r1, s0, s1, mask in pieces if r0 < r1 and s0 < s1]
+    return rows_i, rows_j, ops
+
+
+def _scatter_add(packed, plan, part):
+    """``U[rows_i, rows_j] += part`` on the entries q >= p of a :class:`_Packed`,
+    by a plan from :func:`_scatter_plan`."""
+    rows_i, rows_j, ops = plan
+    if ops is None:
+        ii, jj = np.nonzero(rows_j >= rows_i[:, None])
+        packed.buf[packed.index(rows_i[ii], rows_j[jj])] += part[ii, jj]
+        return
+    for v, dst, src, mask in ops:
+        view = packed.views[v][dst]
+        np.add(view, part[src], out=view, where=mask)
 
 
 class _SchurTerm:
     """Schur part of a block, or of blocks sharing one K, added straight into
-    the Schur buffer in memory order (see the module docstring).  K is
-    symmetric only to rounding: a ``signed`` term (rows of one +-1 each) adds
-    s_i s_j K[c_j, c_i], gathered from rows of K, the others A_b (A_b K)^T.
+    the packed Schur matrix (see the module docstring).  K is symmetric only
+    to rounding: a ``signed`` term (rows of one +-1 each) adds s_i s_j
+    K[c_j, c_i], gathered from rows of K, the others A_b (A_b K)^T.  As rows
+    are sorted, a chunk's piece needs the block rows from its first row on
+    (signed) or up to its last one (the others), and forms no other.
     """
 
-    def __init__(self, rows, sub, signed, k):
+    def __init__(self, rows, sub, signed, k, half):
         n_rows, n_cols = sub.shape
-        self.sub, self.signed, self.index, self.k = sub, signed, _index(rows), k
+        self.sub, self.signed, self.k = sub, signed, k
         self.identity = (signed and n_rows == n_cols
                          and np.array_equal(sub.indices, np.arange(n_cols))
                          and np.all(sub.data * sub.data[0] == 1.0))
+        self.plan = _scatter_plan(_index(rows), _index(rows), half) if self.identity else None
         n_chunks = -(-n_rows * max(n_rows, n_cols) // GATHER_SIZE)
         step = -(-n_rows // n_chunks)
-        self.chunks = [(sub[lo:lo + step], _index(rows[lo:lo + step]))
-                       for lo in range(0, n_rows, step)]
+        self.chunks = [
+            (sub[lo:hi], (sub.indices[lo:], sub.data[lo:]),
+             _scatter_plan(_index(rows[lo:hi]), _index(rows[lo:]), half)) if signed else
+            (sub[lo:hi], sub[:hi], _scatter_plan(_index(rows[:hi]), _index(rows[lo:hi]), half))
+            for lo, hi in ((lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step))]
 
-    def add(self, schur, ws):
-        target = schur.T  # C order, like every piece below
+    def add(self, packed, ws):
         k = _congruence_matrix(ws, out=self.k)
         if self.identity:
-            _scatter_add(target, self.index, self.index, k)
+            _scatter_add(packed, self.plan, k)
             return
-        for sub_c, index_c in self.chunks:
+        for sub_c, keep, plan in self.chunks:
             t = sub_c @ k
             if self.signed:
-                piece = t.take(self.sub.indices, axis=1)
-                piece *= self.sub.data
-                _scatter_add(target, index_c, self.index, piece)
+                piece = t.take(keep[0], axis=1)
+                piece *= keep[1]
             else:
-                _scatter_add(target, self.index, index_c, self.sub @ t.T)
+                piece = keep @ t.T
+            _scatter_add(packed, plan, piece)
 
 
 def _schur_terms(a_blocks, dims, where):
@@ -699,6 +733,7 @@ def _schur_terms(a_blocks, dims, where):
     eight 16x16 blocks with 256 rows 1.5x slower.
     """
     terms, shared, k_bufs = [], {}, {}
+    half = (a_blocks[0].shape[0] + 1) // 2 if a_blocks else 0
     for bi, (a, d) in enumerate(zip(a_blocks, dims)):
         if not a.nnz:
             continue
@@ -713,41 +748,37 @@ def _schur_terms(a_blocks, dims, where):
             continue
         if d not in k_bufs:
             k_bufs[d] = np.empty((d * d, d * d))
-        shared[key] = (g, [j], _SchurTerm(rows, sub, signed, k_bufs[d]))
+        shared[key] = (g, [j], _SchurTerm(rows, sub, signed, k_bufs[d], half))
         terms.append(shared[key])
     return terms
 
 
 def _factor_schur(assemble):
-    """Cholesky-factor the Schur matrix in place; return ``rhs -> S^{-1} rhs``.
+    """Cholesky-factor the Schur matrix S in place; return ``rhs -> S^{-1} rhs``.
 
-    ``assemble()`` returns a fresh Fortran-ordered buffer.  The matrix S that
-    is factored is the symmetric matrix of the buffer's lower triangle (the
-    upper triangle agrees with it only up to rounding and is never read).
-    Cholesky with escalating diagonal jitter, ``lstsq`` on S as the last
-    resort.  LAPACK overwrites the lower triangle, so a failed attempt
-    re-assembles the buffer: every attempt factors S plus its jitter times
-    the mean diagonal of S, and nothing else.
+    ``assemble()`` returns a fresh :class:`_Packed` S, factored by ``dpftrf``
+    and solved with by ``dpftrs``.  Cholesky with escalating diagonal jitter,
+    ``lstsq`` on S (unpacked by ``dtfttr``, the only m x m copy) as the last
+    resort.  LAPACK overwrites the buffer, so a failed attempt re-assembles it:
+    every attempt factors S plus its jitter times the mean diagonal of S.
     """
-    mat = assemble()
-    n = mat.shape[0]
-    if n == 0:
+    packed = assemble()
+    m, lapack = packed.m, scipy.linalg.lapack
+    if m == 0:
         return np.zeros_like
-    diag = mat.diagonal().copy()
+    diag_at = packed.index(np.arange(m), np.arange(m))
+    diag = packed.buf[diag_at]
     diag_scale = float(np.mean(diag)) or 1.0
     for attempt, jitter in enumerate((0.0, 1e-13, 1e-10, 1e-7)):
         if attempt:
-            mat = None  # release the failed factor before re-assembling
-            mat = assemble()
-            np.fill_diagonal(mat, diag + jitter * diag_scale)
-        try:
-            cho = scipy.linalg.cho_factor(mat, lower=True, overwrite_a=True,
-                                          check_finite=False)
-        except scipy.linalg.LinAlgError:
-            continue
-        return lambda rhs: scipy.linalg.cho_solve(cho, rhs, check_finite=False)
-    mat = None
-    low = np.tril(assemble())
+            packed = None  # release the failed factor before re-assembling
+            packed = assemble()
+            packed.buf[diag_at] = diag + jitter * diag_scale
+        factor, info = lapack.dpftrf(m, packed.buf, uplo="L", overwrite_a=True)
+        if info == 0:
+            return lambda rhs: lapack.dpftrs(m, factor, rhs, uplo="L")[0]
+    packed = None
+    low = lapack.dtfttr(m, assemble().buf, uplo="L")[0]
     sym = low + np.tril(low, -1).T
     return lambda rhs: np.linalg.lstsq(sym, rhs, rcond=None)[0]
 
@@ -791,7 +822,8 @@ def solve(problem, config: SDPConfig | None = None) -> SDPSolution:
 
     terms = _schur_terms(a_blocks, dims, where)
     orth_rows = np.flatnonzero(np.diff(a_orth.indptr))
-    orth_index, orth_sub = _index(orth_rows), a_orth[orth_rows]
+    orth_plan = _scatter_plan(_index(orth_rows), _index(orth_rows), (m + 1) // 2)
+    orth_sub = a_orth[orth_rows]
 
     nu = sum(dims) + n_orth
     b_norm = 1.0 + float(np.linalg.norm(b))
@@ -888,17 +920,15 @@ def solve(problem, config: SDPConfig | None = None) -> SDPSolution:
         w_orth2 = xo / so
 
         def assemble_schur():
-            # Schur complement  M[i,j] = <A_i, W A_j W>  summed over blocks, in
-            # Fortran order so that _factor_schur factors it in place.  Every
-            # piece is formed in C order and added into schur.T, so a slice
-            # add walks both arrays in memory order.
-            schur = np.zeros((m, m), order="F")
+            # Schur complement  M[i,j] = <A_i, W A_j W>  summed over blocks:
+            # its lower triangle, packed so that _factor_schur factors it in place.
+            packed = _Packed(m)
             for g, js, term in terms:
-                term.add(schur, scalings[g].w[js])
+                term.add(packed, scalings[g].w[js])
             if orth_rows.size:
-                _scatter_add(schur.T, orth_index, orth_index,
+                _scatter_add(packed, orth_plan,
                              (orth_sub.multiply(w_orth2) @ orth_sub.T).toarray())
-            return schur
+            return packed
 
         # The previous factor is freed only here: freed any earlier, its memory
         # goes to this iteration's stacks and the new buffer takes fresh pages.

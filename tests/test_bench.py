@@ -202,7 +202,12 @@ class TestBenchmarkSymmetric:
                                   cutoff=cutoff, solver_config=SDPConfig(max_iter=max_iter))
         assert res.diagnostics["solver_status"] == status
         assert res.diagnostics["stop_reason"] == reason
-        assert set(res.to_json_dict()) == {"M", "scenario", "N", "bound", "verdict", "residuals"}
+        payload = res.to_json_dict()
+        assert set(payload) == {"M", "scenario", "N", "bound", "verdict", "stop_reason",
+                                "iterations", "residuals"}
+        assert payload["stop_reason"] == reason
+        assert payload["iterations"] == res.diagnostics["solver_iterations"]
+        assert (payload["iterations"] == 2) == (reason == "max_iter")
 
 
 class TestBenchmarkGeneral:

@@ -248,6 +248,48 @@ class TestCLI:
         cfg = load_config({"bench": {"cutoff": 9.0}, "ensemble": {"m_values": [2.0, 3]}})
         assert cfg["bench"]["cutoff"] == 9 and cfg["ensemble"]["m_values"] == [2, 3]
 
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("seed_state", "dim", 20.5, "must be an integer"),
+        ("bench", "cutoff", "8.9", "must be a number")])
+    def test_bad_number_exits_1_at_load_naming_the_field(self, tmp_path, capsys, section, key,
+                                                         value, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({section: {key: value}}), encoding="utf-8")
+        code = cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert f"'{section}.{key}' {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("bench", "cutoff", "8.9"), ("bench", "cutoff", True), ("seed_state", "dim", "20"),
+        ("seed_state", "dim", False), ("bench", "verdict_margin", "1e-3"),
+        ("ensemble", "m_values", [2, "3"]), ("solver", "tol", "1e-8"), ("solver", "tol", None),
+        ("bench", "cutoff", None)])
+    def test_non_numbers_in_numeric_fields_are_rejected(self, section, key, value):
+        with pytest.raises(ValueError, match=f"'{section}.{key}' must be a number"):
+            load_config({section: {key: value}})
+
+    def test_none_and_integral_values_in_optional_numeric_fields_pass(self):
+        cfg = load_config({"seed_state": {"dim": 20.0}, "bench": {"verdict_margin": None}})
+        assert cfg["seed_state"]["dim"] == 20 and cfg["bench"]["verdict_margin"] is None
+        cfg = load_config({"seed_state": {"dim": None, "path": "seed.json"},
+                           "bench": {"verdict_margin": 0.001}})
+        assert cfg["seed_state"]["dim"] is None and cfg["bench"]["verdict_margin"] == 0.001
+        with pytest.raises(ValueError, match="'seed_state.dim' must be an integer"):
+            load_config({"seed_state": {"dim": 20.5}})
+
+    def test_results_json_says_why_each_solve_stopped(self, tmp_path):
+        out = tmp_path / "sweep"
+        assert cli.main(["sweep", "--config", "bundled:demo_pure_ring", "--out", str(out),
+                         "--m-values", "2"]) == 0
+        points = json.loads((out / "results.json").read_text(encoding="utf-8"))["bounds"]
+        rows = (out / "bounds.csv").read_text(encoding="utf-8").splitlines()
+        assert rows[0] == "M,scenario,N,bound,verdict" and len(rows) == len(points) + 1
+        for point, row in zip(points, rows[1:]):
+            assert point["stop_reason"] == "converged"
+            assert isinstance(point["iterations"], int) and point["iterations"] >= 1
+            assert row.split(",")[1] == point["scenario"]
+
     def test_fractional_scenario_sigma_level_is_rejected(self, tmp_path, capsys):
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(dict(LAB_SCENARIO, sigma_level=1.5)), encoding="utf-8")

@@ -18,8 +18,8 @@ from qdbench.fock import DensityMatrix, noisy_coherent, rotation
 from qdbench.gramopt import optimize_gram, rotation_ensemble
 from qdbench.sdp import (CanonicalSDP, SDPConfig, SDPError, SDPProblem, SDPStatus,
                          block_swap_matrix, hmat, hvec, mask_matrix, solve)
-from qdbench.sdp import (_congruence_matrix, _factor_schur, _psd_step_length, _row_order,
-                         _row_runs, _Scaling, _scatter_add, _schur_terms)
+from qdbench.sdp import (_congruence_matrix, _factor_schur, _index, _Packed, _psd_step_length,
+                         _row_order, _Scaling, _scatter_add, _scatter_plan, _schur_terms)
 
 from conftest import brute_negativity, dense_partial_transpose
 
@@ -27,6 +27,16 @@ from conftest import brute_negativity, dense_partial_transpose
 def _hermitian_basis(d):
     """Stack (d^2, d, d) of the orthonormal Hermitian basis in hvec order."""
     return hmat(np.eye(d * d), d)
+
+
+def _packed(mat):
+    """The lower triangle of a symmetric matrix, packed."""
+    return _Packed(mat.shape[0], scipy.linalg.lapack.dtrttf(np.asfortranarray(mat), uplo="L")[0])
+
+
+def _unpacked(packed):
+    """The lower triangle that a :class:`_Packed` holds, as an m x m array."""
+    return scipy.linalg.lapack.dtfttr(packed.m, packed.buf, uplo="L")[0]
 
 
 def _probed_coordinate_matrix(linear_map, d):
@@ -440,22 +450,34 @@ _RUN_PIECES = st.one_of(
 
 
 class TestRowGrouping:
-    @settings(max_examples=80, deadline=None, database=None)
-    @given(_RUN_PIECES, _RUN_PIECES, st.integers(0, 2**32 - 1))
-    def test_run_pair_scatter_matches_ix_reference(self, pieces, pieces_j, seed):
-        rows, rows_j = _run_rows(pieces), _run_rows(pieces_j)
+    @settings(max_examples=120, deadline=None, database=None)
+    @given(_RUN_PIECES, _RUN_PIECES, st.integers(0, 4), st.sampled_from([1, 3, sdp.DIAG_STRIP]),
+           st.integers(0, 2**32 - 1))
+    def test_run_pair_scatter_matches_ix_reference(self, pieces, pieces_j, shift, strip, seed):
+        """part[a, b] goes to S[rows_j[b], rows_i[a]] wherever that is in the
+        lower triangle, by slice adds or at flat indices, for odd and even m
+        from 1 up, runs on both sides of row k = ceil(m/2) and across the
+        diagonal, and diagonal strips of 1, 3 or the default number of rows."""
+        rows, rows_j = _run_rows(pieces), _run_rows(pieces_j) + shift
         rng = np.random.default_rng(seed)
-        size = max(int(rows[-1]), int(rows_j[-1])) + 1 + int(rng.integers(0, 3))
+        m = max(int(rows[-1]), int(rows_j[-1])) + 1 + int(rng.integers(0, 2))
         part = rng.standard_normal((rows.size, rows_j.size))
-        ref = np.asfortranarray(rng.standard_normal((size, size)))
-        got, got_ix = ref.copy(order="F"), ref.copy(order="F")
-        ref[np.ix_(rows, rows_j)] += part
-        runs, runs_j = _row_runs(rows), _row_runs(rows_j)
-        assert len(runs) == 1 + np.count_nonzero(np.diff(rows) != 1)
-        _scatter_add(got, (rows, runs), (rows_j, runs_j), part)
-        _scatter_add(got_ix, (rows, None), (rows_j, runs_j), part)
-        assert np.array_equal(got, ref)
-        assert np.array_equal(got_ix, ref)
+        base = rng.standard_normal((m, m))
+        ref = np.tril(base)
+        ii, jj = np.nonzero(rows_j >= rows[:, None])
+        ref[rows_j[jj], rows[ii]] += part[ii, jj]
+        defaults = sdp.MIN_MEAN_RUN, sdp.DIAG_STRIP
+        sdp.MIN_MEAN_RUN, sdp.DIAG_STRIP = 0, strip   # runs on both sides
+        try:
+            index = _index(rows)
+            plan = _scatter_plan(index, _index(rows_j), (m + 1) // 2)
+        finally:
+            sdp.MIN_MEAN_RUN, sdp.DIAG_STRIP = defaults
+        assert len(index[1]) == 1 + np.count_nonzero(np.diff(rows) != 1)
+        for how in (plan, (rows, rows_j, None)):
+            packed = _packed(base)
+            _scatter_add(packed, how, part)
+            assert np.array_equal(_unpacked(packed), ref)
 
     @pytest.mark.parametrize("scenario_kind", ["tomography", "quadratures_errors"])
     def test_blocks_of_symmetric_problem_have_few_runs(self, monkeypatch, scenario_kind):
@@ -466,7 +488,8 @@ class TestRowGrouping:
         assert np.array_equal(np.sort(order), np.arange(canon.b.size))
         for name, a in zip(canon.block_names, canon.a_blocks):
             rows = np.flatnonzero(np.diff(a.tocsr()[order].indptr))
-            assert 1 <= len(_row_runs(rows)) <= (m + 1 if name.startswith("E") else 1), name
+            runs = 1 + np.count_nonzero(np.diff(rows) != 1)
+            assert 1 <= runs <= (m + 1 if name.startswith("E") else 1), name
 
     def test_general_problem_keeps_its_row_order(self, monkeypatch):
         gram, outs = _small_benchmark_inputs(3, 3)
@@ -586,7 +609,7 @@ class TestBatchedLayer:
         terms = _schur_terms(subs, [d, d], {0: (0, 0), 1: (0, 1)})
         assert [js for _, js, _ in terms] == [[0, 1]]
         got = _assemble(terms, [ws], d * d)
-        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert np.max(np.abs(got - np.tril(ref))) <= 1e-13 * np.max(np.abs(ref))
 
     def test_rows_with_other_coefficients_are_not_gathered(self):
         """Blocks with equal rows share one K only if each row holds one +-1."""
@@ -631,12 +654,18 @@ class TestBatchedLayer:
         assert 0 < calls["eigvalsh"] <= 4 * groups * sol.iterations
 
 
-def _assemble(terms, stacks, m):
-    """The Schur matrix that a plan from ``_schur_terms`` adds up."""
-    schur = np.zeros((m, m), order="F")
+def _assemble(terms, stacks, m, orthant=None):
+    """The lower triangle of the Schur matrix that a plan from ``_schur_terms``
+    adds up, with the part of an (m, n) orthant block at weights 1 if given."""
+    packed = _Packed(m)
     for g, js, term in terms:
-        term.add(schur, stacks[g][js])
-    return schur
+        term.add(packed, stacks[g][js])
+    if orthant is not None:
+        rows = np.flatnonzero(np.diff(orthant.indptr))
+        sub = orthant[rows]
+        _scatter_add(packed, _scatter_plan(_index(rows), _index(rows), (m + 1) // 2),
+                     (sub @ sub.T).toarray())
+    return _unpacked(packed)
 
 
 _ROW_KINDS = ("+-1", "1/sqrt2", "single", "dense")
@@ -657,54 +686,65 @@ def _block_rows(rng, kinds, n):
 
 
 class TestKPathAssembly:
-    @settings(max_examples=80, deadline=None, database=None)
-    @given(st.integers(1, 4).flatmap(lambda d: st.tuples(st.just(d), st.lists(
-               st.sampled_from(_ROW_KINDS), min_size=d * d, max_size=d * d + 12))),
-           st.integers(0, 3), st.booleans(), st.sampled_from([1, 50, sdp.GATHER_SIZE]),
-           st.integers(0, 2**32 - 1))
-    def test_assembly_matches_dense_products(self, d_kinds, spread, identity, gather, seed):
-        """The assembled Schur matrix is sum_b A_b K_b A_b^T.  Block 0 mixes
-        rows of one coefficient with dense rows; blocks 1 and 2 are a signed
-        pair sharing one K, with identity or permuted columns.  Each block's
-        rows form one run (spread 0) or many, and its part is added in chunks
-        of one row, a few rows or all of them."""
-        d, kinds = d_kinds
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(st.integers(1, 4).flatmap(lambda d: st.tuples(
+               st.just(d), st.lists(st.sampled_from(_ROW_KINDS), min_size=1, max_size=d * d + 12),
+               st.integers(1, d * d))),
+           st.integers(0, 12), st.booleans(), st.sampled_from([1, 50, sdp.GATHER_SIZE]),
+           st.sampled_from([1, 3, sdp.DIAG_STRIP]), st.integers(0, 2**32 - 1))
+    def test_assembly_matches_dense_products(self, d_kinds, extra, identity, gather, strip,
+                                             seed):
+        """The packed triangle is the lower triangle of sum_b A_b K_b A_b^T plus
+        the orthant part, for m from 1 up, odd and even.  Block 0 mixes rows of
+        one coefficient with dense rows; blocks 1 and 2 are a signed pair
+        sharing one K, with identity or other columns.  Rows sit at random
+        positions, so runs straddle row k and the diagonal; parts are added in
+        chunks of one row, a few rows or all of them.  Entries in the rows that
+        nothing touches stay exactly zero, so no write reached the other
+        half's aliased positions."""
+        d, kinds, n_signed = d_kinds
         n = d * d
+        n_signed = n if identity else n_signed
         rng = np.random.default_rng(seed)
-        m = (len(kinds) + n) * (1 + spread)
+        m = max(len(kinds), n_signed) + extra
 
         def positions(size):
-            return np.sort(rng.choice(m, size, replace=False)) if spread else np.arange(size)
+            return np.sort(rng.choice(m, size, replace=False))
 
-        signed = np.zeros((n, n))
-        if identity:
-            signed[np.arange(n), np.arange(n)] = rng.choice([-1.0, 1.0])
-        else:
-            signed[np.arange(n), rng.permutation(n)] = rng.choice([-1.0, 1.0], n)
+        signed = np.zeros((n_signed, n))
+        cols = np.arange(n) if identity else rng.choice(n, n_signed, replace=False)
+        signs = rng.choice([-1.0, 1.0]) if identity else rng.choice([-1.0, 1.0], n_signed)
+        signed[np.arange(n_signed), cols] = signs
         blocks = []
         for at, rows in ((positions(len(kinds)), _block_rows(rng, kinds, n)),
-                         (positions(n), signed)):
+                         (positions(n_signed), signed)):
             a = np.zeros((m, n))
             a[at] = rows
             blocks.append(a)
         blocks.append(rng.choice([-1.0, 1.0]) * blocks[1])
+        orthant = np.zeros((m, 3))
+        orthant[positions(min(m, 3))] = rng.uniform(-2.0, 2.0, (min(m, 3), 3))
         ws = _random_pd(rng, 3, d)
         ref = sum(a @ _congruence_matrix(w[None]) @ a.T for a, w in zip(blocks, ws))
-        default, sdp.GATHER_SIZE = sdp.GATHER_SIZE, gather
+        ref = ref + orthant @ orthant.T
+        defaults = sdp.GATHER_SIZE, sdp.DIAG_STRIP
+        sdp.GATHER_SIZE, sdp.DIAG_STRIP = gather, strip
         try:
             terms = _schur_terms([sp.csr_matrix(a) for a in blocks], [d] * 3,
                                  {bi: (0, bi) for bi in range(3)})
         finally:
-            sdp.GATHER_SIZE = default
+            sdp.GATHER_SIZE, sdp.DIAG_STRIP = defaults
         assert any({1, 2} <= set(js) for _, js, _ in terms)
-        got = _assemble(terms, [ws], m)
-        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        got = _assemble(terms, [ws], m, sp.csr_matrix(orthant))
+        assert np.max(np.abs(got - np.tril(ref))) <= 1e-13 * np.max(np.abs(ref))
+        untouched = ~np.any([np.any(a != 0.0, axis=1) for a in blocks + [orthant]], axis=0)
+        assert not np.any(got[untouched]) and not np.any(got[:, untouched])
 
     def test_peak_memory_is_one_k_plus_the_schur_matrix(self, monkeypatch):
         """benchmark_general at M = 4, N = 9: 1739 Schur rows, 1727 of them on
         tau, whose K is 1600 x 1600.  The tracemalloc peak of three iterations
-        stays within 1.4 times the Schur buffer plus one K; forming each part
-        whole, with its two sparse products, peaks at 2.1 times."""
+        stays within 1.4 times the packed Schur matrix (m(m+1)/2 doubles) plus
+        one K."""
         m, cutoff = 4, 9
         gram, outs = _small_benchmark_inputs(m, cutoff)
         prob = _benchmark_problem(monkeypatch, benchmark_general, gram,
@@ -719,7 +759,8 @@ class TestKPathAssembly:
         finally:
             tracemalloc.stop()
         assert sol.iterations == 3
-        assert peak <= 1.4 * (8 * canon.b.size ** 2 + 8 * n ** 4)
+        m_schur = canon.b.size
+        assert peak <= 1.4 * (4 * m_schur * (m_schur + 1) + 8 * n ** 4)
 
 
 class TestValidation:
@@ -777,15 +818,15 @@ JITTERS = (0.0, 1e-13, 1e-10, 1e-7)
 
 
 def _reference_schur_solve(mat, rhs):
-    """Factor a fresh jittered copy per attempt; return (solution, jitter or None)."""
+    """Factor a fresh packed, jittered copy per attempt; return (solution,
+    jitter or None)."""
+    n = mat.shape[0]
     scale = float(np.mean(np.diag(mat))) or 1.0
     for jitter in JITTERS:
-        try:
-            cho = scipy.linalg.cho_factor(mat + jitter * scale * np.eye(mat.shape[0]),
-                                          lower=True, check_finite=False)
-        except scipy.linalg.LinAlgError:
-            continue
-        return scipy.linalg.cho_solve(cho, rhs, check_finite=False), jitter
+        packed = _packed(mat + jitter * scale * np.eye(n))
+        factor, info = scipy.linalg.lapack.dpftrf(n, packed.buf, uplo="L")
+        if info == 0:
+            return scipy.linalg.lapack.dpftrs(n, factor, rhs, uplo="L")[0], jitter
     return np.linalg.lstsq(mat, rhs, rcond=None)[0], None
 
 
@@ -805,13 +846,13 @@ def _indefinite(rng, n):
 class TestSchurFactorization:
     def test_factored_at_most_once_per_iteration(self, monkeypatch):
         calls = []
-        real = scipy.linalg.cho_factor
+        real = scipy.linalg.lapack.dpftrf
 
         def counting(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "cho_factor", counting)
+        monkeypatch.setattr(scipy.linalg.lapack, "dpftrf", counting)
         psi = np.zeros(4, dtype=complex)
         psi[0], psi[3] = np.sqrt(0.62), np.sqrt(0.38)
         p = SDPProblem()
@@ -834,7 +875,7 @@ class TestSchurFactorization:
 
         def assemble():
             assembled.append(1)
-            return np.array(mat, order="F")
+            return _packed(mat)
 
         assert np.array_equal(_factor_schur(assemble)(rhs), ref)
         # one assembly per attempt, and one more for lstsq
@@ -843,22 +884,23 @@ class TestSchurFactorization:
 
     @pytest.mark.parametrize("n", [7, 300])
     def test_failed_attempts_restore_the_matrix(self, rng, monkeypatch, n):
-        """The buffer's upper triangle only matches its lower one to rounding,
-        as in the solver; every attempt factors the lower triangle's matrix
-        plus its jitter, and lstsq solves with that same matrix."""
+        """The packed buffer holds the lower triangle only (an upper triangle
+        that agrees with it only to rounding, as in the solver, is never
+        stored); every attempt factors that triangle plus its jitter, and
+        lstsq solves with the same symmetric matrix."""
         mat = _indefinite(rng, n)
         scale = float(np.mean(np.diag(mat)))
         noisy = mat + np.triu(1e-15 * rng.standard_normal((n, n)), 1)
         seen = []
-        real = scipy.linalg.cho_factor
+        real = scipy.linalg.lapack.dpftrf
 
-        def snapshot(a, *args, **kwargs):
-            seen.append(np.tril(a))
-            return real(a, *args, **kwargs)
+        def snapshot(m, buf, *args, **kwargs):
+            seen.append(_unpacked(_Packed(m, buf.copy())))
+            return real(m, buf, *args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "cho_factor", snapshot)
+        monkeypatch.setattr(scipy.linalg.lapack, "dpftrf", snapshot)
         rhs = rng.standard_normal(n)
-        got = _factor_schur(lambda: np.array(noisy, order="F"))(rhs)
+        got = _factor_schur(lambda: _packed(noisy))(rhs)
         assert len(seen) == len(JITTERS)
         for low, jitter in zip(seen, JITTERS):
             assert np.array_equal(low, np.tril(mat + jitter * scale * np.eye(n)))
@@ -874,5 +916,5 @@ class TestSchurFactorization:
         mat = b @ b.T + n * np.eye(n)
         mat = (mat + mat.T) / 2.0
         ref = np.linalg.solve(mat, rhs)
-        got = _factor_schur(lambda: np.array(mat, order="F"))(rhs)
+        got = _factor_schur(lambda: _packed(mat))(rhs)
         assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)

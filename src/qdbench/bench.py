@@ -167,6 +167,20 @@ def _prepare_tomography_state(rho_out: DensityMatrix, d: int) -> np.ndarray:
     return target / (1.0 - lost)
 
 
+def _real_frame(rho: np.ndarray):
+    """(U rho U^dagger, phases of U) for U = diag(e^{i n theta}), theta the
+    phase of the first nonzero superdiagonal entry of rho, when that makes
+    rho real to 1e-14; else (rho, None)."""
+    sup = np.diagonal(rho, 1)
+    nonzero = np.flatnonzero(sup)
+    theta = float(np.angle(sup[nonzero[0]])) if nonzero.size else 0.0
+    phase = np.exp(1j * theta * np.arange(rho.shape[0]))
+    rotated = phase[:, None] * rho * phase.conj()
+    if np.max(np.abs(rotated.imag)) <= 1e-14:
+        return rotated.real, phase
+    return rho, None
+
+
 def _cutoff_guard(cutoff: int, scenario) -> None:
     n_est = scenario.mean_photon_estimate()
     if cutoff < 4.0 * n_est:
@@ -271,6 +285,13 @@ def benchmark_symmetric(gram: GramMatrix, seed_scenario, m: int, cutoff: int = 1
 
     Returns a certified lower bound on the negativity of the true joint
     output state, and the verdict derived from it.
+
+    Tomography data are pinned in the frame of :func:`_real_frame`: its
+    diagonal phase U commutes with the partial-transpose masks, and the Gram
+    rows and the objective read only diagonals and traces, so conjugating
+    every block by U maps the feasible set onto itself.  Real pinned data
+    let ``sdp.solve`` work over real symmetric blocks.  The E_k are returned
+    in the caller's frame.
     """
     if m != gram.m:
         raise ValueError(f"gram has M = {gram.m}, requested M = {m}")
@@ -307,13 +328,20 @@ def benchmark_symmetric(gram: GramMatrix, seed_scenario, m: int, cutoff: int = 1
     def pin(target, label):
         prob.add_entry_equalities({name: 1.0 for name in e_names}, target, label=label)
 
-    _add_scenario_rows(prob, seed_scenario, d,
-                       lambda op: {name: op for name in e_names}, pin)
+    phase = None
+    if isinstance(seed_scenario, Tomography):
+        target, phase = _real_frame(_prepare_tomography_state(seed_scenario.rho_out, d))
+        pin(target, "tomography")
+    else:
+        _add_scenario_rows(prob, seed_scenario, d,
+                           lambda op: {name: op for name in e_names}, pin)
     _gram_rows_symmetric(prob, e_names, gram.circulant_profile(), d,
                          skip_trace_row=isinstance(seed_scenario, Tomography))
 
     sol = prob.solve(cfg)
     e_stack = np.stack([sol.variables[name] for name in e_names])
+    if phase is not None:
+        e_stack = phase.conj()[:, None] * e_stack * phase
     return _result(sol, cfg, verdict_margin, m, cutoff, seed_scenario.tag,
                    StandardForm(e_stack, check=False))
 

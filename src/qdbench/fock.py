@@ -127,10 +127,11 @@ class FockOperator:
 class DensityMatrix:
     """A validated quantum state on the truncated Fock space.
 
-    Validation enforces Hermiticity (max deviation <= 1e-10), positive
-    semidefiniteness (min eigenvalue >= -1e-9; eigenvalues in (-1e-9, 0) are
-    clipped to zero with a logged warning, since numerically reconstructed
-    states are PSD only approximately) and unit trace (|Tr - 1| <= 1e-9).
+    Validation rejects NaN and infinite entries, and enforces Hermiticity
+    (max deviation <= 1e-10), positive semidefiniteness (min eigenvalue >=
+    -1e-9; eigenvalues in (-1e-9, 0) are clipped to zero with a logged
+    warning, since numerically reconstructed states are PSD only
+    approximately) and unit trace (|Tr - 1| <= 1e-9).
 
     ``allow_sub_normalized=True`` admits matrices whose trace falls short of
     one because of Fock-space truncation; the shortfall is recorded in
@@ -143,6 +144,11 @@ class DensityMatrix:
         matrix = np.asarray(matrix, dtype=complex)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {matrix.shape}")
+        bad = [(int(i), int(j)) for i, j in np.argwhere(~np.isfinite(matrix))]
+        if bad:
+            more = f" and {len(bad) - 4} more" if len(bad) > 4 else ""
+            raise ValueError(f"density matrix has non-finite entries at "
+                             f"{', '.join(map(str, bad[:4]))}{more}")
         herm_err = hermitian_part_error(matrix)
         if herm_err > HERMITICITY_TOL:
             raise ValueError(f"density matrix is not Hermitian (deviation {herm_err:.3e})")

@@ -48,9 +48,14 @@ per iteration, in place, by ``dpftrf`` with a ladder of diagonal jitters
 ``dpftrs``.  All arithmetic is deterministic: identical problems and
 configuration reproduce bit-identical iterate sequences.
 
+A problem invariant under complex conjugation (:func:`_real_rows`) is solved
+over real symmetric blocks: its stacks are real, K and A keep the first
+d(d+1)/2 ``hvec`` coordinates of each block, the rows on imaginary parts are
+dropped and ``y`` is zero there.  Any other problem is solved as it is.
+
 Reported per-iteration dual objectives are the gap-consistent estimate
-``<c, x> - <x, s>``, which is a true lower bound on the primal objective at
-every iterate and coincides with ``b . y`` once dual feasibility is reached.
+``<c, x> - <x, s>``.  It is a lower bound on the optimum only at a primal- and
+dual-feasible iterate, where it equals ``b . y``; elsewhere it is an estimate.
 """
 
 from __future__ import annotations
@@ -129,6 +134,21 @@ def hmat(v: np.ndarray, d: int) -> np.ndarray:
     return a
 
 
+def _svec(a: np.ndarray) -> np.ndarray:
+    """The first d(d+1)/2 :func:`hvec` coordinates: all of a real symmetric matrix's."""
+    d = a.shape[-1]
+    return hvec(a)[..., :d * (d + 1) // 2]
+
+
+def _smat(v: np.ndarray, d: int) -> np.ndarray:
+    """Inverse of :func:`_svec`."""
+    iu, ju, _ = _hvec_meta(d)
+    a = np.zeros(v.shape[:-1] + (d, d))
+    a[..., np.arange(d), np.arange(d)] = v[..., :d]
+    a[..., iu, ju] = a[..., ju, iu] = v[..., d:] / math.sqrt(2.0)
+    return a
+
+
 # Products per chunk of pairs in _congruence_matrix: temporaries stay near
 # 0.5 MB, where a 40x40 block's whole pair block would take 10 MB each.
 K_CHUNK = 1 << 15
@@ -148,20 +168,25 @@ def _congruence_matrix(ws: np.ndarray, out=None) -> np.ndarray:
     rows i and conj(rows j) of W gathered at the columns k and l; they are
     formed for a chunk of about ``K_CHUNK`` products at a time.  The diagonal
     rows are |W_xy|^2 and sqrt2 (Re, -Im) of W_xk conj(W_xl); the pair rows'
-    diagonal columns are their transposes.
+    diagonal columns are their transposes.  For a real stack the imaginary
+    parts vanish, so K splits into the real and imaginary coordinate groups,
+    and only its (d(d+1)/2)^2 real part is formed.
     """
     n, d = ws.shape[0], ws.shape[-1]
     iu, ju, _ = _hvec_meta(d)
     npair = iu.size
     sqrt2 = math.sqrt(2.0)
+    real = not np.iscomplexobj(ws)
     dg, re, im = slice(0, d), slice(d, d + npair), slice(d + npair, d * d)
-    k = np.empty((d * d, d * d)) if out is None else out
+    size = d + npair if real else d * d
+    k = np.empty((size, size)) if out is None else out
     k[dg, dg] = np.sum(ws.real ** 2 + ws.imag ** 2, axis=0)
     z = np.sum(ws[:, :, iu] * ws[:, :, ju].conj(), axis=0)
     k[dg, re] = sqrt2 * z.real
-    k[dg, im] = -sqrt2 * z.imag
     k[re, dg] = k[dg, re].T
-    k[im, dg] = k[dg, im].T
+    if not real:
+        k[dg, im] = -sqrt2 * z.imag
+        k[im, dg] = k[dg, im].T
     step = max(1, K_CHUNK // max(npair, 1))
     for lo in range(0, npair, step):
         hi = min(lo + step, npair)
@@ -173,6 +198,8 @@ def _congruence_matrix(ws: np.ndarray, out=None) -> np.ndarray:
             b += wi[t][:, ju] * wj[t][:, iu]
         p_re, p_im = slice(d + lo, d + hi), slice(d + npair + lo, d + npair + hi)
         np.add(a.real, b.real, out=k[p_re, re])
+        if real:
+            continue
         np.subtract(b.imag, a.imag, out=k[p_re, im])
         np.add(a.imag, b.imag, out=k[p_im, re])
         np.subtract(a.real, b.real, out=k[p_im, im])
@@ -257,10 +284,12 @@ class SDPSolution:
         return self.status is SDPStatus.OPTIMAL
 
 
-def _check_hermitian_coeff(name, mat, dim):
+def _check_hermitian_coeff(name, mat, dim, where="objective"):
     mat = np.asarray(mat, dtype=complex)
     if mat.shape != (dim, dim):
         raise SDPError(f"coefficient for variable '{name}' must be {dim}x{dim}, got {mat.shape}")
+    if not np.all(np.isfinite(mat)):
+        raise SDPError(f"{where} has a non-finite coefficient for variable '{name}'")
     if mat.size and float(np.max(np.abs(mat - mat.conj().T))) > 1e-10:
         raise SDPError(f"coefficient for variable '{name}' is not Hermitian")
     return (mat + mat.conj().T) / 2.0
@@ -314,37 +343,45 @@ class SDPProblem:
 
     # -- constraints -----------------------------------------------------------
 
-    def _add_rows(self, coeffs: dict, targets) -> int:
+    def _add_rows(self, coeffs: dict, targets, label=None) -> int:
         """Append a block of rows, given its targets and, per variable, a
         (rows, d_v^2) matrix on the variable's hvec coordinates; zero
         coefficients are not stored.  Returns the index of the block's first
-        row."""
+        row.  A NaN or infinite target or coefficient raises, naming the
+        constraint by its label."""
         targets = np.asarray(targets, dtype=float)
+        if not np.all(np.isfinite(targets)):
+            raise SDPError(f"constraint {label or ''} has a non-finite target")
         block = {}
         for var, mat in coeffs.items():
             block[var] = sp.csr_matrix(mat)
             block[var].eliminate_zeros()
+            if not np.all(np.isfinite(block[var].data)):
+                raise SDPError(f"constraint {label or ''} has a non-finite coefficient "
+                               f"for variable '{var}'")
         first = self._n_rows
         self._blocks.append((first, block, targets))
         self._n_rows += targets.size
         return first
 
-    def _hvec_row(self, coeffs: dict) -> dict:
-        return {var: hvec(_check_hermitian_coeff(var, mat, self.variable_dim(var)))[None]
+    def _hvec_row(self, coeffs: dict, label) -> dict:
+        where = f"constraint {label or ''}"
+        return {var: hvec(_check_hermitian_coeff(var, mat, self.variable_dim(var), where))[None]
                 for var, mat in coeffs.items()}
 
-    def add_equality(self, coeffs: dict, target: float) -> None:
+    def add_equality(self, coeffs: dict, target: float, label=None) -> None:
         """sum_v <coeff_v, X_v> == target."""
-        self._add_rows(self._hvec_row(coeffs), [target])
+        self._add_rows(self._hvec_row(coeffs, label), [target], label)
 
     def add_interval(self, coeffs: dict, lower: float, upper: float, label=None) -> None:
         """lower <= sum_v <coeff_v, X_v> <= upper."""
-        if not (lower <= upper):
-            raise SDPError(f"interval constraint {label or ''} has lower {lower} > upper {upper}")
+        if not (math.isfinite(lower) and math.isfinite(upper) and lower <= upper):
+            raise SDPError(f"interval constraint {label or ''} needs finite lower <= upper, "
+                           f"got [{lower}, {upper}]")
         if lower == upper:
-            self.add_equality(coeffs, lower)
+            self.add_equality(coeffs, lower, label)
             return
-        row = self._add_rows(self._hvec_row(coeffs), [lower])
+        row = self._add_rows(self._hvec_row(coeffs, label), [lower], label)
         self._intervals.append((row, float(lower), float(upper)))
 
     def add_entry_equalities(self, weights: dict, target: np.ndarray, offset: int = 0,
@@ -359,6 +396,8 @@ class SDPProblem:
         t = target.shape[0]
         if target.shape != (t, t):
             raise SDPError(f"entrywise target {label or ''} must be square, got {target.shape}")
+        if not np.all(np.isfinite(target)):
+            raise SDPError(f"constraint {label or ''} has a non-finite target")
         if float(np.max(np.abs(target - target.conj().T))) > 1e-9:
             raise SDPError(f"entrywise target {label or ''} is not Hermitian")
         iu, ju, _ = _hvec_meta(t)
@@ -384,7 +423,7 @@ class SDPProblem:
         targets[:t] = target.diagonal().real
         targets[t::2] = target[iu, ju].real
         targets[t + 1::2] = target[iu, ju].imag
-        self._add_rows(coeffs, targets)
+        self._add_rows(coeffs, targets, label)
 
     def add_psd_constraint(self, terms, constant=None, label=None) -> str:
         """Require  constant + sum_i L_i(X_{v_i})  to be PSD.
@@ -414,11 +453,13 @@ class SDPProblem:
             coeffs[var] = coeffs.get(var, sp.csr_matrix((n, d * d))) - cm
         if constant is None:
             constant = np.zeros((dout, dout))
+        if not np.all(np.isfinite(constant)):
+            raise SDPError(f"PSD constraint {label or ''} has a non-finite constant")
         target = hvec(_check_hermitian_coeff(label or "psd-constant", constant, dout))
         slack = f"_psd_slack_{self._n_psd}"
         self.add_variable(slack, dout)
         self._n_psd += 1
-        self._add_rows({slack: sp.identity(n, format="csr"), **coeffs}, target)
+        self._add_rows({slack: sp.identity(n, format="csr"), **coeffs}, target, label)
         return slack
 
     # -- canonicalization ------------------------------------------------------
@@ -586,6 +627,31 @@ def _all_finite(*arrays):
     return all(np.all(np.isfinite(a)) for a in arrays)
 
 
+def _real_rows(canon):
+    """The rows on real coordinates of a problem invariant under complex
+    conjugation, else None.  A block's first d(d+1)/2 hvec coordinates (its
+    diagonal and the real parts of its pairs) and the orthant are symmetric,
+    the imaginary parts antisymmetric.  No row may mix the two groups, every
+    antisymmetric row must pin its functional to 0.0 and the objective must
+    be symmetric; the real part of a feasible point is then feasible with the
+    same objective, so the minimum over real symmetric blocks is the minimum.
+    """
+    b = canon.b
+    sym = np.diff(canon.a_orthant.tocsr().indptr) > 0
+    anti = np.zeros_like(sym)
+    for a, c, d in zip(canon.a_blocks, canon.c_blocks, canon.block_dims):
+        ns, a = d * (d + 1) // 2, a.tocsr()
+        if np.any(c[ns:]):
+            return None
+        row = np.repeat(np.arange(b.size), np.diff(a.indptr))
+        hit = a.indices >= ns
+        anti[row[hit]] = True
+        sym[row[~hit]] = True
+    if np.any(sym & anti) or np.any(b[anti] != 0.0):
+        return None
+    return np.flatnonzero(~anti)
+
+
 def _row_order(a_blocks, m):
     """Permutation that groups the rows by the set of blocks each one touches.
 
@@ -747,7 +813,7 @@ def _schur_terms(a_blocks, dims, where):
             shared[key][1].append(j)
             continue
         if d not in k_bufs:
-            k_bufs[d] = np.empty((d * d, d * d))
+            k_bufs[d] = np.empty((a.shape[1], a.shape[1]))
         shared[key] = (g, [j], _SchurTerm(rows, sub, signed, k_bufs[d], half))
         terms.append(shared[key])
     return terms
@@ -791,11 +857,19 @@ def solve(problem, config: SDPConfig | None = None) -> SDPSolution:
 
     dims = canon.block_dims
     n_orth = canon.a_orthant.shape[1]
-    m = canon.b.shape[0]
-    b = canon.b
-    c_orth = canon.c_orthant
+    b, c_blocks, c_orth = canon.b, canon.c_blocks, canon.c_orthant
     a_blocks = [a.tocsr() for a in canon.a_blocks]
     a_orth = canon.a_orthant.tocsr()
+    # A conjugation-invariant problem keeps its rows and coordinates on real
+    # parts, and its stacks are real; to_caller[i] is the caller's row i.
+    to_caller = _real_rows(canon)
+    real = to_caller is not None
+    if real:
+        a_blocks = [a[to_caller][:, :d * (d + 1) // 2] for a, d in zip(a_blocks, dims)]
+        c_blocks = [c[:d * (d + 1) // 2] for c, d in zip(c_blocks, dims)]
+        a_orth, b = a_orth[to_caller], b[to_caller]
+    m = b.shape[0]
+    vec, unvec, dtype = (_svec, _smat, float) if real else (hvec, hmat, complex)
     # The solver works on the rows grouped by the blocks they touch, so that
     # each block's rows form few runs; y is mapped back to the caller's order.
     order = _row_order(a_blocks, m)
@@ -805,6 +879,7 @@ def solve(problem, config: SDPConfig | None = None) -> SDPSolution:
         a_blocks = [a[order] for a in a_blocks]
         a_orth = a_orth[order]
         b = b[order]
+        to_caller = order if to_caller is None else to_caller[order]
 
     # Blocks of equal dimension form one (n_b, d, d) stack, in order of first
     # appearance; block bi is entry j of stack g for (g, j) = where[bi].  A is
@@ -817,8 +892,8 @@ def solve(problem, config: SDPConfig | None = None) -> SDPSolution:
     a_all = sp.hstack([a_blocks[bi] for _, idx in groups for bi in idx] + [a_orth],
                       format="csr")
     a_all_t = a_all.T
-    cuts = np.cumsum([len(idx) * d * d for d, idx in groups])
-    c_mats = [hmat(np.stack([canon.c_blocks[bi] for bi in idx]), d) for d, idx in groups]
+    cuts = np.cumsum([len(idx) * a_blocks[idx[0]].shape[1] for _, idx in groups])
+    c_mats = [unvec(np.stack([c_blocks[bi] for bi in idx]), d) for d, idx in groups]
 
     terms = _schur_terms(a_blocks, dims, where)
     orth_rows = np.flatnonzero(np.diff(a_orth.indptr))
@@ -831,11 +906,11 @@ def solve(problem, config: SDPConfig | None = None) -> SDPSolution:
         sum(float(np.vdot(cm, cm).real) for cm in c_mats) + float(c_orth @ c_orth))
 
     def a_apply(xs, xo):
-        return a_all @ np.concatenate([hvec(x).ravel() for x in xs] + [xo])
+        return a_all @ np.concatenate([vec(x).ravel() for x in xs] + [xo])
 
     def a_adjoint(y):
         parts = np.split(a_all_t @ y, cuts)
-        mats = [hmat(v.reshape(len(idx), d * d), d) for v, (d, idx) in zip(parts, groups)]
+        mats = [unvec(v.reshape(len(idx), -1), d) for v, (d, idx) in zip(parts, groups)]
         return mats, parts[-1]
 
     def inner(xs, xo, ss, so):
@@ -847,8 +922,8 @@ def solve(problem, config: SDPConfig | None = None) -> SDPSolution:
     # Initial point: identity scaled to the data magnitudes.
     x_scale = max(1.0, float(np.max(np.abs(b))) if m else 1.0)
     s_scale = max([1.0] + [float(np.max(np.abs(cm))) for cm in c_mats])
-    xs = [x_scale * np.tile(np.eye(d, dtype=complex), (len(idx), 1, 1)) for d, idx in groups]
-    ss = [s_scale * np.tile(np.eye(d, dtype=complex), (len(idx), 1, 1)) for d, idx in groups]
+    xs = [x_scale * np.tile(np.eye(d, dtype=dtype), (len(idx), 1, 1)) for d, idx in groups]
+    ss = [s_scale * np.tile(np.eye(d, dtype=dtype), (len(idx), 1, 1)) for d, idx in groups]
     xo = x_scale * np.ones(n_orth)
     so = s_scale * np.ones(n_orth)
     y = np.zeros(m)
@@ -878,7 +953,7 @@ def solve(problem, config: SDPConfig | None = None) -> SDPSolution:
             "iteration": it,
             "mu": mu,
             "primal_objective": pobj,
-            "dual_objective": pobj - gap,  # gap-consistent bound, == b.y at feasibility
+            "dual_objective": pobj - gap,  # gap-consistent; a bound only when feasible
             "dual_objective_raw": dobj,
             "primal_residual": pres,
             "dual_residual": dres,
@@ -986,16 +1061,16 @@ def solve(problem, config: SDPConfig | None = None) -> SDPSolution:
     else:
         final = best
     _, xs, xo, ss, so, y, pres, dres, gap = final
-    if order is not None:
-        y_caller = np.empty_like(y)
-        y_caller[order] = y
+    if to_caller is not None:
+        y_caller = np.zeros(canon.b.shape[0])
+        y_caller[to_caller] = y
         y = y_caller
 
     sign = -1.0 if canon.maximize else 1.0
     return SDPSolution(
         status=status,
         objective=sign * inner(c_mats, c_orth, xs, xo),
-        variables={name: xs[where[bi][0]][where[bi][1]]
+        variables={name: xs[where[bi][0]][where[bi][1]].astype(complex, copy=False)
                    for bi, name in enumerate(canon.block_names)},
         primal_residual=pres,
         dual_residual=dres,

@@ -9,6 +9,7 @@ from qdbench.blocksym import BipartiteBlockMatrix, gram_of
 from qdbench.channels import heterodyne_mp_channel, loss_channel
 from qdbench.fock import DensityMatrix, _coherent_amplitudes, coherent_state, noisy_coherent, rotation
 from qdbench.gramopt import GramMatrix, optimize_gram, rotation_ensemble
+from qdbench import sdp
 from qdbench.sdp import SDPConfig
 
 from conftest import brute_negativity
@@ -22,6 +23,19 @@ def pure_ring_gram(m, alpha, dim):
     z = gram_of(tau).z.copy()
     np.fill_diagonal(z, 1.0)
     return GramMatrix(z), tau
+
+
+def real_solves(monkeypatch):
+    """Whether each solve runs over real symmetric blocks, in call order."""
+    seen, check = [], sdp._real_rows
+
+    def recorded(canon):
+        kept = check(canon)
+        seen.append(kept is not None)
+        return kept
+
+    monkeypatch.setattr(sdp, "_real_rows", recorded)
+    return seen
 
 
 def rotated_outputs(rho_out, m):
@@ -99,6 +113,37 @@ class TestBenchmarkSymmetric:
             res = benchmark_symmetric(gram, scen, m, cutoff=cutoff)
             assert res.negativity_lower_bound <= 1e-6, scen.tag
             assert not res.certified
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_mp_tomography_in_the_real_frame_never_certifies(self, monkeypatch, m):
+        # The complex-alpha heterodyne output is phase covariant, so its
+        # tomography problem is solved over real symmetric blocks.
+        cutoff = 11
+        d = cutoff + 1
+        seed = noisy_coherent(complex(0.00707, -0.67175), 0.219, d, deficit_tol=1e-6)
+        gram = optimize_gram(rotation_ensemble(seed, m), symmetric=True).gram
+        rho_out = heterodyne_mp_channel(d)(seed)
+        real = real_solves(monkeypatch)
+        res = benchmark_symmetric(gram, Tomography(rho_out), m, cutoff=cutoff)
+        assert real == [True]
+        assert res.diagnostics["solver_status"] == "Optimal"
+        assert res.negativity_lower_bound <= 1e-6
+        assert not res.certified
+        np.testing.assert_allclose(res.optimized_state.block_sum(),
+                                   rho_out.matrix / (1.0 - rho_out.trace_deficit), atol=1e-7)
+
+    def test_tomography_without_a_real_frame_is_pinned_as_given(self, monkeypatch):
+        # Superdiagonal phases 0.4 and 1.6: no diagonal phase makes this real.
+        m, cutoff = 2, 7
+        psi = np.zeros(cutoff + 1, dtype=complex)
+        psi[:3] = np.exp(1j * np.array([0.0, 0.4, 2.0])) / np.sqrt(3.0)
+        rho = DensityMatrix(np.outer(psi, psi.conj()))
+        real = real_solves(monkeypatch)
+        res = benchmark_symmetric(GramMatrix(np.eye(m, dtype=complex)), Tomography(rho), m,
+                                  cutoff=cutoff)
+        assert real == [False]
+        assert res.diagnostics["solver_status"] == "Optimal"
+        np.testing.assert_allclose(res.optimized_state.block_sum(), rho.matrix, atol=1e-7)
 
     @pytest.mark.parametrize("m", [2, 4])
     def test_unconverged_solve_is_inconclusive(self, m):
@@ -221,6 +266,26 @@ class TestBenchmarkGeneral:
         r_sym = benchmark_symmetric(gram, Tomography(rho_out), m, cutoff=cutoff)
         r_gen = benchmark_general(gram, [Tomography(o) for o in outs], cutoff=cutoff)
         assert abs(r_sym.negativity_lower_bound - r_gen.negativity_lower_bound) <= 1e-5
+
+    def test_matches_symmetric_under_complex_alpha_tomography(self, monkeypatch):
+        # The symmetric problem is rotated into the real frame and solved over
+        # real blocks; the general one, with complex Gram rows, is not.
+        m, cutoff = 3, 7
+        d = cutoff + 1
+        seed = noisy_coherent(0.45 * np.exp(2.1j), 0.1, d, deficit_tol=1e-6)
+        gram = optimize_gram(rotation_ensemble(seed, m), symmetric=True).gram
+        rho_out = loss_channel(0.9, d)(seed)
+        outs = rotated_outputs(rho_out, m)
+        real = real_solves(monkeypatch)
+        r_sym = benchmark_symmetric(gram, Tomography(rho_out), m, cutoff=cutoff)
+        r_gen = benchmark_general(gram, [Tomography(o) for o in outs], cutoff=cutoff)
+        assert real == [True, False]
+        assert r_sym.certified and r_gen.certified
+        assert abs(r_sym.negativity_lower_bound - r_gen.negativity_lower_bound) <= 1e-6
+        e = r_sym.optimized_state.e
+        np.testing.assert_allclose(e.sum(axis=0), rho_out.matrix / (1.0 - rho_out.trace_deficit),
+                                   atol=1e-7)
+        assert np.max(np.abs(e.imag)) > 1e-3  # the blocks are back in the caller's frame
 
     def test_quadrature_bound_is_weaker_without_symmetry(self):
         # without the symmetry restriction the feasible set is larger, so the

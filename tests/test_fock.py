@@ -228,6 +228,13 @@ class TestDensityMatrixValidation:
         with pytest.raises(ValueError, match="trace"):
             DensityMatrix(np.diag([0.6, 0.6]))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, -float("inf"))])
+    def test_rejects_non_finite_entries_by_position(self, bad):
+        matrix = np.diag([0.5, 0.5, 0.0]).astype(complex)
+        matrix[0, 2] = matrix[2, 0] = bad
+        with pytest.raises(ValueError, match=r"non-finite entries at \(0, 2\), \(2, 0\)"):
+            DensityMatrix(matrix)
+
     def test_clips_slightly_negative(self):
         rho = DensityMatrix(np.diag([1.0 + 5e-10, -5e-10]))
         assert np.linalg.eigvalsh(rho.matrix)[0] >= -1e-15

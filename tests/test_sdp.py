@@ -19,7 +19,8 @@ from qdbench.gramopt import optimize_gram, rotation_ensemble
 from qdbench.sdp import (CanonicalSDP, SDPConfig, SDPError, SDPProblem, SDPStatus,
                          block_swap_matrix, hmat, hvec, mask_matrix, solve)
 from qdbench.sdp import (_congruence_matrix, _factor_schur, _index, _Packed, _psd_step_length,
-                         _row_order, _Scaling, _scatter_add, _scatter_plan, _schur_terms)
+                         _real_rows, _row_order, _Scaling, _scatter_add, _scatter_plan,
+                         _schur_terms)
 
 from conftest import brute_negativity, dense_partial_transpose
 
@@ -398,6 +399,19 @@ class TestCongruenceMatrix:
         assert np.max(np.abs(got - ref)) <= 1e-13 * scale
         assert np.max(np.abs(got - got.T)) <= 1e-13 * scale
 
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(st.tuples(st.integers(1, 3), st.integers(1, 12)).flatmap(lambda nd: arrays(
+        np.float64, (nd[0], nd[1], nd[1]), elements=st.floats(-1.0, 1.0))))
+    def test_real_stack_gives_the_real_square(self, r):
+        """For real W, K has no entry between the real and imaginary coordinate
+        groups, and a real stack forms exactly its real square."""
+        d = r.shape[-1]
+        half = d * (d + 1) // 2
+        ws = r @ r.swapaxes(-1, -2)
+        full = _congruence_matrix(ws.astype(complex))
+        assert np.all(full[:half, half:] == 0.0) and np.all(full[half:, :half] == 0.0)
+        assert np.array_equal(_congruence_matrix(ws), full[:half, :half])
+
     def test_solve_is_bit_identical_with_k_for_every_block(self, monkeypatch):
         """Every block is assembled through K: the blocks of a benchmark_general
         problem, which carry the d^2 rows of the partial-transpose constraint,
@@ -447,6 +461,15 @@ _RUN_PIECES = st.one_of(
     st.lists(st.tuples(st.integers(0, 5), st.integers(1, 9)), min_size=1, max_size=12),
     st.integers(1, 30).map(lambda n: [(0, n)]),             # one run
     st.integers(1, 30).map(lambda n: [(1, 1)] * n))         # all singletons
+
+
+def _shuffled(canon, perm):
+    """The problem with its rows in the order ``perm``."""
+    return CanonicalSDP(
+        block_names=canon.block_names, block_dims=canon.block_dims,
+        a_blocks=[a.tocsr()[perm] for a in canon.a_blocks], c_blocks=canon.c_blocks,
+        a_orthant=canon.a_orthant.tocsr()[perm], c_orthant=canon.c_orthant,
+        b=canon.b[perm], maximize=canon.maximize)
 
 
 class TestRowGrouping:
@@ -515,15 +538,157 @@ class TestRowGrouping:
     def test_solution_is_in_the_callers_row_order(self, monkeypatch, rng):
         canon = _symmetric_problem(monkeypatch, "quadratures_errors", m=2, cutoff=3).canonicalize()
         perm = rng.permutation(canon.b.size)
-        shuffled = CanonicalSDP(
-            block_names=canon.block_names, block_dims=canon.block_dims,
-            a_blocks=[a.tocsr()[perm] for a in canon.a_blocks], c_blocks=canon.c_blocks,
-            a_orthant=canon.a_orthant.tocsr()[perm], c_orthant=canon.c_orthant,
-            b=canon.b[perm], maximize=canon.maximize)
-        first, second = solve(canon), solve(shuffled)
+        first, second = solve(canon), solve(_shuffled(canon, perm))
         assert first.status is second.status is SDPStatus.OPTIMAL
         assert np.max(np.abs(first.y[perm] - second.y)) <= 1e-8
         assert first.objective == pytest.approx(second.objective, abs=1e-8)
+
+
+def _schur_sizes(monkeypatch):
+    """The Schur size of every ``dpftrf`` call, recorded as the solver runs."""
+    sizes, factor = [], scipy.linalg.lapack.dpftrf
+    monkeypatch.setattr(scipy.linalg.lapack, "dpftrf",
+                        lambda n, *args, **kw: sizes.append(n) or factor(n, *args, **kw))
+    return sizes
+
+
+# <C, X> = -2 Im X_01: a functional on the imaginary part of the only pair.
+_IMAG_PART = np.array([[0.0, -1j], [1j, 0.0]])
+
+
+class TestRealReduction:
+    @pytest.mark.parametrize("m, rows", [(2, 31), (3, 42), (4, 53)])
+    def test_complex_alpha_tomography_row_count(self, monkeypatch, m, rows):
+        """A complex-alpha ring under tomography is solved on its real rows:
+        M d(d+1)/2 partial-transpose rows, d(d+1)/2 pinned entries and the
+        Gram rows, one per circulant distance and part that is not real by
+        construction."""
+        cutoff = 3
+        d = cutoff + 1
+        seed = noisy_coherent(0.5 * np.exp(0.7j), 0.08, d, deficit_tol=1e-2)
+        gram = optimize_gram(rotation_ensemble(seed, m), symmetric=True).gram
+        sizes = _schur_sizes(monkeypatch)
+        res = benchmark_symmetric(gram, Tomography(loss_channel(0.92, d)(seed)), m,
+                                  cutoff=cutoff)
+        half = d * (d + 1) // 2
+        gram_rows = sum(1 if 2 * dist == m else 2 for dist in range(1, m // 2 + 1))
+        assert rows == m * half + half + gram_rows
+        assert res.diagnostics["solver_status"] == "Optimal"
+        assert set(sizes) == {rows}
+
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(st.integers(2, 5), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_real_data_matches_its_phase_conjugated_copy(self, d, n_rows, seed):
+        """Conjugating every coefficient by a diagonal unitary U maps the
+        feasible set onto itself, so the optimum is the same; the copy is not
+        conjugation invariant and takes the complex path."""
+        rng = np.random.default_rng(seed)
+        phases = np.exp(2j * np.pi * rng.random(d))
+
+        def sym(a):
+            return (a + a.T) / 2.0
+
+        x0 = rng.standard_normal((d, d))
+        x0 = x0 @ x0.T + 0.1 * np.eye(d)
+        x0 /= np.trace(x0)
+        c, g = sym(rng.standard_normal((d, d))), sym(rng.standard_normal((d, d)))
+        rows = [sym(rng.standard_normal((d, d))) for _ in range(n_rows)]
+        mask = np.triu(rng.integers(0, 2, (d, d))).astype(float)
+        mask = mask + np.triu(mask, 1).T
+        shift = 0.1 - min(0.0, float(np.linalg.eigvalsh(mask * x0)[0]))
+
+        def solved(u):
+            p = SDPProblem()
+            p.add_variable("X", d)
+            p.set_objective({"X": u(c)})
+            p.add_equality({"X": np.eye(d)}, 1.0)
+            for a in rows[1:]:
+                p.add_equality({"X": u(a)}, float(np.trace(a @ x0)))
+            value = float(np.trace(g @ x0))
+            p.add_interval({"X": u(g)}, value - 0.3, value + 0.3)
+            p.add_psd_constraint([("X", mask_matrix(mask))], constant=shift * np.eye(d))
+            return p.solve()
+
+        real = solved(lambda a: a)
+        rotated = solved(lambda a: phases[:, None] * a * phases.conj())
+        assert real.status is rotated.status is SDPStatus.OPTIMAL
+        assert np.all(real.variables["X"].imag == 0.0)
+        assert np.any(rotated.variables["X"].imag != 0.0)
+        assert abs(real.objective - rotated.objective) <= 1e-7 * (1.0 + abs(real.objective))
+
+    @pytest.mark.parametrize("build", ["quadratures_errors", "general"])
+    def test_non_invariant_problem_keeps_the_complex_path(self, monkeypatch, build):
+        """A problem that fails the check (a <p> interval, or complex Gram
+        rows) forms every K from complex stacks at full size, factors every
+        row, and solves bit-identically with the reduction switched off."""
+        if build == "general":
+            gram, outs = _small_benchmark_inputs(2, 3)
+            prob = _benchmark_problem(monkeypatch, benchmark_general, gram,
+                                      [Tomography(outs[0]), _errors_scenario(outs[1])],
+                                      cutoff=3)
+        else:
+            prob = _symmetric_problem(monkeypatch, build, m=2, cutoff=3)
+        canon = prob.canonicalize()
+        assert _real_rows(canon) is None
+        shapes = []
+        real_k = sdp._congruence_matrix
+        monkeypatch.setattr(sdp, "_congruence_matrix", lambda ws, **kw: shapes.append(
+            (ws.dtype, ws.shape[-1] ** 2, kw["out"].shape[0])) or real_k(ws, **kw))
+        sizes = _schur_sizes(monkeypatch)
+        first = solve(canon)
+        assert first.status is SDPStatus.OPTIMAL
+        assert set(sizes) == {canon.b.size}
+        assert all(dtype == complex and n == k for dtype, n, k in shapes)
+        monkeypatch.setattr(sdp, "_real_rows", lambda canon: None)
+        second = solve(canon)
+        assert np.array_equal(first.y, second.y)
+        for name, x in first.variables.items():
+            assert np.array_equal(x, second.variables[name])
+        assert first.history == second.history
+
+    def test_y_of_a_shuffled_reduced_problem_is_in_the_callers_order(self, monkeypatch, rng):
+        canon = _symmetric_problem(monkeypatch, "tomography", m=2, cutoff=3).canonicalize()
+        kept = _real_rows(canon)
+        n = canon.b.size
+        dropped = np.setdiff1d(np.arange(n), kept)
+        assert kept is not None and dropped.size == n - kept.size > 0
+        perm = rng.permutation(n)
+        first, second = solve(canon), solve(_shuffled(canon, perm))
+        assert first.status is second.status is SDPStatus.OPTIMAL
+        assert first.y.size == second.y.size == n
+        assert np.all(first.y[dropped] == 0.0)
+        assert np.all(second.y[np.argsort(perm)[dropped]] == 0.0)
+        assert np.max(np.abs(first.y[perm] - second.y)) <= 1e-8
+        assert first.objective == pytest.approx(second.objective, abs=1e-8)
+        assert all(x.dtype == complex for x in first.variables.values())
+
+    @pytest.mark.parametrize("add, invariant", [
+        (lambda p: p.add_equality({"X": _IMAG_PART}, 0.0), True),
+        (lambda p: p.add_equality({"X": _IMAG_PART}, 0.5), False),
+        (lambda p: p.add_interval({"X": _IMAG_PART}, -0.1, 0.1), False),
+        (lambda p: p.add_equality({"X": np.eye(2) + _IMAG_PART}, 1.2), False),
+        (lambda p: p.set_objective({"X": np.eye(2) + _IMAG_PART}), False),
+        (lambda p: p.add_interval({"X": np.diag([1.0, 0.0])}, 0.2, 0.4), True),
+    ], ids=["imag-zero", "imag-nonzero", "imag-interval", "mixed-row", "imag-objective",
+            "real-interval"])
+    def test_invariance_check(self, add, invariant):
+        """Rows on imaginary parts must be equalities to 0.0, no row may mix
+        real and imaginary parts, and the objective must be real; an interval
+        on an imaginary part fails through its orthant slack."""
+        p = SDPProblem()
+        p.add_variable("X", 2)
+        p.set_objective({"X": np.diag([1.0, 2.0])})
+        p.add_equality({"X": np.eye(2)}, 1.0)
+        add(p)
+        canon = p.canonicalize()
+        kept = _real_rows(canon)
+        assert (kept is not None) == invariant
+        if invariant:
+            imag = np.diff(canon.a_blocks[0].tocsr()[:, 3:].indptr) > 0
+            assert np.array_equal(kept, np.flatnonzero(~imag))
+        sol = p.solve()
+        assert sol.status is SDPStatus.OPTIMAL
+        assert np.all(sol.variables["X"].imag == 0.0) == invariant
 
 
 def _reference_scaling(x, s):
@@ -805,6 +970,32 @@ class TestValidation:
     def test_asymmetric_mask_is_rejected(self):
         with pytest.raises(SDPError, match="symmetric"):
             mask_matrix(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("add", [
+        lambda p, v: p.add_equality({"X": np.eye(2)}, v, label="row-a"),
+        lambda p, v: p.add_equality({"X": np.diag([1.0, v])}, 1.0, label="row-a"),
+        lambda p, v: p.add_interval({"X": np.eye(2)}, 0.0, v, label="row-a"),
+        lambda p, v: p.add_interval({"X": np.eye(2)}, v, 1.0, label="row-a"),
+        lambda p, v: p.add_entry_equalities({"X": 1.0}, np.diag([v, 0.5]), label="row-a"),
+        lambda p, v: p.add_entry_equalities({"X": v}, np.eye(2), label="row-a"),
+        lambda p, v: p.add_psd_constraint([("X", sp.identity(4))], constant=np.diag([v, 0.0]),
+                                          label="row-a"),
+        lambda p, v: p.add_psd_constraint([("X", v * sp.identity(4))], label="row-a"),
+    ], ids=["target", "coefficient", "upper", "lower", "entry-target", "entry-weight",
+            "psd-constant", "psd-term"])
+    def test_non_finite_data_is_rejected_by_label(self, add, bad):
+        p = SDPProblem()
+        p.add_variable("X", 2)
+        with pytest.raises(SDPError, match="row-a.*finite"):
+            add(p, bad)
+        assert p.canonicalize().b.size == 0
+
+    def test_non_finite_objective_is_rejected(self):
+        p = SDPProblem()
+        p.add_variable("X", 2)
+        with pytest.raises(SDPError, match="objective"):
+            p.set_objective({"X": np.diag([1.0, float("nan")])})
 
     def test_psd_constraint_mixed_dims(self):
         p = SDPProblem()

@@ -33,7 +33,7 @@ import scipy.sparse as sp
 
 from .blocksym import (BipartiteBlockMatrix, StandardForm, negativity,
                        negativity_stform, symmetry_check, to_standard_form)
-from .fock import DensityMatrix, fit_dim, quadratures
+from .fock import DensityMatrix, fit_dim, quadratures, real_frame
 from .gramopt import GramMatrix
 from .sdp import (SDPConfig, SDPProblem, SDPStatus, block_swap_matrix, mask_matrix)
 
@@ -167,20 +167,6 @@ def _prepare_tomography_state(rho_out: DensityMatrix, d: int) -> np.ndarray:
     return target / (1.0 - lost)
 
 
-def _real_frame(rho: np.ndarray):
-    """(U rho U^dagger, phases of U) for U = diag(e^{i n theta}), theta the
-    phase of the first nonzero superdiagonal entry of rho, when that makes
-    rho real to 1e-14; else (rho, None)."""
-    sup = np.diagonal(rho, 1)
-    nonzero = np.flatnonzero(sup)
-    theta = float(np.angle(sup[nonzero[0]])) if nonzero.size else 0.0
-    phase = np.exp(1j * theta * np.arange(rho.shape[0]))
-    rotated = phase[:, None] * rho * phase.conj()
-    if np.max(np.abs(rotated.imag)) <= 1e-14:
-        return rotated.real, phase
-    return rho, None
-
-
 def _cutoff_guard(cutoff: int, scenario) -> None:
     n_est = scenario.mean_photon_estimate()
     if cutoff < 4.0 * n_est:
@@ -286,7 +272,7 @@ def benchmark_symmetric(gram: GramMatrix, seed_scenario, m: int, cutoff: int = 1
     Returns a certified lower bound on the negativity of the true joint
     output state, and the verdict derived from it.
 
-    Tomography data are pinned in the frame of :func:`_real_frame`: its
+    Tomography data are pinned in the frame of :func:`fock.real_frame`: its
     diagonal phase U commutes with the partial-transpose masks, and the Gram
     rows and the objective read only diagonals and traces, so conjugating
     every block by U maps the feasible set onto itself.  Real pinned data
@@ -330,7 +316,7 @@ def benchmark_symmetric(gram: GramMatrix, seed_scenario, m: int, cutoff: int = 1
 
     phase = None
     if isinstance(seed_scenario, Tomography):
-        target, phase = _real_frame(_prepare_tomography_state(seed_scenario.rho_out, d))
+        target, phase = real_frame(_prepare_tomography_state(seed_scenario.rho_out, d))
         pin(target, "tomography")
     else:
         _add_scenario_rows(prob, seed_scenario, d,

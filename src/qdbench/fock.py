@@ -30,6 +30,7 @@ __all__ = [
     "DensityMatrix",
     "TruncationError",
     "fit_dim",
+    "real_frame",
     "number_operator",
     "rotation",
     "destroy",
@@ -75,6 +76,25 @@ def fit_dim(mat: np.ndarray, dim: int, what: str):
             f"{what} loses trace {lost:.3e} when truncated to {dim} levels; "
             f"raise the cutoff", deficit=lost)
     return trunc, lost
+
+
+def real_frame(rho: np.ndarray):
+    """(U rho U^dagger, phases of U) for U = diag(e^{i n theta}), theta the
+    phase of the first nonzero superdiagonal entry of rho, when that makes
+    rho real to 1e-14; else (rho, None).
+
+    A phase-covariant state (a coherent or displaced thermal state of any
+    amplitude phase) is real in this frame, and a problem that reads it only
+    through entrywise pins, diagonals and traces is mapped onto itself by the
+    diagonal unitary U."""
+    sup = np.diagonal(rho, 1)
+    nonzero = np.flatnonzero(sup)
+    theta = float(np.angle(sup[nonzero[0]])) if nonzero.size else 0.0
+    phase = np.exp(1j * theta * np.arange(rho.shape[0]))
+    rotated = phase[:, None] * rho * phase.conj()
+    if np.max(np.abs(rotated.imag)) <= 1e-14:
+        return rotated.real, phase
+    return rho, None
 
 
 def hermitian_part_error(a: np.ndarray) -> float:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocksym import BipartiteBlockMatrix, StandardForm, from_standard_form
-from .fock import DensityMatrix, fidelity, rotation
+from .fock import DensityMatrix, fidelity, real_frame, rotation
 from .sdp import SDPConfig, SDPProblem, SDPStatus
 
 __all__ = [
@@ -266,9 +266,17 @@ def _symmetric_objective(m, d, weights_d) -> np.ndarray:
 
 
 def _solve_symmetric(states, weights_d, config) -> tuple:
-    """Symmetric-sector version: variables are the standard-form blocks E_k."""
+    """Symmetric-sector version: variables are the standard-form blocks E_k.
+
+    The seed is pinned in the frame of :func:`fock.real_frame`: the objective
+    reads only diagonals, so conjugating every E_k by its diagonal phase U
+    maps the feasible set onto itself, and a phase-covariant seed lets
+    ``sdp.solve`` work over real symmetric blocks.  The E_k are returned in
+    the caller's frame.
+    """
     m = len(states)
     d = states[0].dim
+    seed, phase = real_frame(states[0].matrix)
 
     prob = SDPProblem()
     for k in range(m):
@@ -276,8 +284,7 @@ def _solve_symmetric(states, weights_d, config) -> tuple:
     coeff = _symmetric_objective(m, d, weights_d)
     prob.set_objective({f"E{k}": np.diag(coeff[k]).astype(complex) for k in range(m)},
                        maximize=True)
-    prob.add_entry_equalities({f"E{k}": 1.0 for k in range(m)}, states[0].matrix,
-                              label="seed-state")
+    prob.add_entry_equalities({f"E{k}": 1.0 for k in range(m)}, seed, label="seed-state")
     sol = prob.solve(config)
     _check_gram_solution(sol)
     e = np.stack([sol.variables[f"E{k}"] for k in range(m)])
@@ -288,6 +295,8 @@ def _solve_symmetric(states, weights_d, config) -> tuple:
     zeta = np.conj(g)
     idx = np.mod(np.subtract.outer(np.arange(m), np.arange(m)), m)
     z = zeta[idx]
+    if phase is not None:
+        e = phase.conj()[:, None] * e * phase
     blocks = from_standard_form(StandardForm(e, check=False)).blocks
     return z, blocks, sol.objective, sol
 

@@ -39,14 +39,17 @@ average fewer than ``MIN_MEAN_RUN`` are scattered at flat indices instead.
 Each iteration assembles the Schur complement S into one buffer of m(m+1)/2
 doubles, its lower triangle in LAPACK's rectangular full packed storage
 (:class:`_Packed`).  Each block's part A_b K A_b^T, for K the (d^2, d^2) matrix
-of X -> W X W in ``hvec`` coordinates for its scaling W, is added a chunk of
-rows at a time, forming only the rows of a piece that reach the triangle
-(:class:`_SchurTerm`); blocks with equal signed unit rows share one K.  A
-solve's largest arrays are thus the packed S and one K.  S is factored once
-per iteration, in place, by ``dpftrf`` with a ladder of diagonal jitters
-(:func:`_factor_schur`); the predictor and corrector share it through
-``dpftrs``.  All arithmetic is deterministic: identical problems and
-configuration reproduce bit-identical iterate sequences.
+of X -> W X W in ``hvec`` coordinates for its scaling W, is streamed: K is
+never formed, only a chunk of its rows at a time, at the coordinates the
+block's rows touch (:func:`_congruence_rows`).  Rows with one entry gather
+their part from each chunk, and the few rows with several entries are added
+as a border at the end (:class:`_SchurTerm`); blocks whose rows are equal up
+to one sign share one stream over their stacked W.  A solve's largest array
+is thus the packed S, next to chunks of about ``K_CHUNK`` entries.  S is
+factored once per iteration, in place, by ``dpftrf`` with a ladder of
+diagonal jitters (:func:`_factor_schur`); the predictor and corrector share
+it through ``dpftrs``.  All arithmetic is deterministic: identical problems
+and configuration reproduce bit-identical iterate sequences.
 
 A problem invariant under complex conjugation (:func:`_real_rows`) is solved
 over real symmetric blocks: its stacks are real, K and A keep the first
@@ -149,61 +152,57 @@ def _smat(v: np.ndarray, d: int) -> np.ndarray:
     return a
 
 
-# Products per chunk of pairs in _congruence_matrix: temporaries stay near
-# 0.5 MB, where a 40x40 block's whole pair block would take 10 MB each.
-K_CHUNK = 1 << 15
-
-
-def _congruence_matrix(ws: np.ndarray, out=None) -> np.ndarray:
-    """Real symmetric (d^2, d^2) matrix of X -> sum_n W_n X W_n in hvec
-    coordinates, for a (n, d, d) stack of Hermitian W_n, written into ``out``
-    when given.
-
-    Entry (a, b) is <E_a, W E_b W> for the orthonormal Hermitian basis
-    E_a = hmat(e_a), and every entry is a product of two entries of W.  For
-    pairs p = (i, j), q = (k, l), i < j, k < l, let A = W_ik W_lj and
-    B = W_il W_kj, summed over the W_n; the (real, imaginary) pair rows of p
-    against the (real, imaginary) pair columns of q are [[Re(A + B),
-    Im(B - A)], [Im(A + B), Re(A - B)]].  As W is Hermitian, W_lj = conj(W_jl), so A and B multiply
-    rows i and conj(rows j) of W gathered at the columns k and l; they are
-    formed for a chunk of about ``K_CHUNK`` products at a time.  The diagonal
-    rows are |W_xy|^2 and sqrt2 (Re, -Im) of W_xk conj(W_xl); the pair rows'
-    diagonal columns are their transposes.  For a real stack the imaginary
-    parts vanish, so K splits into the real and imaginary coordinate groups,
-    and only its (d(d+1)/2)^2 real part is formed.
-    """
-    n, d = ws.shape[0], ws.shape[-1]
+def _entry_pairs(d: int):
+    """Entry pairs (i, j), i <= j, of a d x d matrix that carry its hvec
+    coordinates: pair g < d is the diagonal entry (g, g), pair d + p the p-th
+    entry of the strict upper triangle.  Coordinate c belongs to pair c, or
+    to pair c - d(d-1)/2 if it is an imaginary part."""
     iu, ju, _ = _hvec_meta(d)
-    npair = iu.size
-    sqrt2 = math.sqrt(2.0)
-    real = not np.iscomplexobj(ws)
-    dg, re, im = slice(0, d), slice(d, d + npair), slice(d + npair, d * d)
-    size = d + npair if real else d * d
-    k = np.empty((size, size)) if out is None else out
-    k[dg, dg] = np.sum(ws.real ** 2 + ws.imag ** 2, axis=0)
-    z = np.sum(ws[:, :, iu] * ws[:, :, ju].conj(), axis=0)
-    k[dg, re] = sqrt2 * z.real
-    k[re, dg] = k[dg, re].T
-    if not real:
-        k[dg, im] = -sqrt2 * z.imag
-        k[im, dg] = k[dg, im].T
-    step = max(1, K_CHUNK // max(npair, 1))
-    for lo in range(0, npair, step):
-        hi = min(lo + step, npair)
-        wi, wj = ws[:, iu[lo:hi]], ws[:, ju[lo:hi]].conj()     # W_ix, W_xj
-        a = wi[0][:, iu] * wj[0][:, ju]
-        b = wi[0][:, ju] * wj[0][:, iu]
-        for t in range(1, n):
-            a += wi[t][:, iu] * wj[t][:, ju]
-            b += wi[t][:, ju] * wj[t][:, iu]
-        p_re, p_im = slice(d + lo, d + hi), slice(d + npair + lo, d + npair + hi)
-        np.add(a.real, b.real, out=k[p_re, re])
-        if real:
-            continue
-        np.subtract(b.imag, a.imag, out=k[p_re, im])
-        np.add(a.imag, b.imag, out=k[p_im, re])
-        np.subtract(a.real, b.real, out=k[p_im, im])
-    return k
+    return np.concatenate([np.arange(d), iu]), np.concatenate([np.arange(d), ju])
+
+
+def _congruence_rows(ws: np.ndarray, rows, cols) -> np.ndarray:
+    """Rows of K, the real symmetric matrix of X -> sum_n W_n X W_n in hvec
+    coordinates for a (n, d, d) stack of Hermitian W_n, at chosen columns.
+
+    ``rows`` = (i, j) and ``cols`` = (k, l) are arrays of entry pairs, i <= j
+    and k <= l (:func:`_entry_pairs`).  Rows and columns of the result are
+    the real parts of the pairs in the given order, then, for a complex
+    stack, their imaginary parts; a diagonal pair's real part is its diagonal
+    coordinate, and its imaginary row and column are zero.
+
+    Entry (a, b) of K is <E_a, W E_b W> for the orthonormal Hermitian basis
+    E_a = hmat(e_a), a product of two entries of W.  For pairs p = (i, j) and
+    q = (k, l), let A = W_ik W_lj and B = W_il W_kj, summed over the W_n; the
+    (real, imaginary) rows of p against the (real, imaginary) columns of q are
+    [[Re(A + B), Im(B - A)], [Im(A + B), Re(A - B)]], times 1/sqrt2 for each
+    diagonal pair among p and q, so one set of products gives both rows of a
+    pair.  As W is Hermitian, W_lj = conj(W_jl), so A and B multiply rows i
+    and conj(rows j) of W gathered at the columns k and l.  For a real stack
+    the imaginary parts vanish and K splits into the real and imaginary
+    coordinate groups; only the real group is formed.
+    """
+    (ri, rj), (ck, cl) = rows, cols
+    wi, wj = ws[:, ri], ws[:, rj].conj()                        # W_ix, W_xj
+    a = wi[0][:, ck] * wj[0][:, cl]
+    b = wi[0][:, cl] * wj[0][:, ck]
+    for t in range(1, ws.shape[0]):
+        a += wi[t][:, ck] * wj[t][:, cl]
+        b += wi[t][:, cl] * wj[t][:, ck]
+    if np.iscomplexobj(ws):
+        nr, nc = ri.size, ck.size
+        out = np.empty((2 * nr, 2 * nc))
+        np.add(a.real, b.real, out=out[:nr, :nc])
+        np.subtract(b.imag, a.imag, out=out[:nr, nc:])
+        np.add(a.imag, b.imag, out=out[nr:, :nc])
+        np.subtract(a.real, b.real, out=out[nr:, nc:])
+    else:
+        out = np.add(a, b, out=a)
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    diag_rows, diag_cols = np.flatnonzero(ri == rj), np.flatnonzero(ck == cl)
+    out[diag_rows] *= inv_sqrt2
+    out[:, diag_cols] *= inv_sqrt2
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -673,13 +672,15 @@ def _row_order(a_blocks, m):
 # cost R^2 of them: on a 2-vCPU x86 VM the two scatters cost the same at a
 # mean run of about 16 rows, for blocks of 64 to 520 rows.
 MIN_MEAN_RUN = 16
-# Largest entry count of the arrays a Schur term forms per chunk: 2 MB, or
-# chunks of 144 of the 1727 rows of a 40x40 block in benchmark_general, M = 4.
-GATHER_SIZE = 1 << 18
-# Rows per strip (a masked square and the rectangle right of it) where a piece
+# Largest entry count of the K rows a Schur term forms per chunk of entry
+# pairs, and of each piece it gathers from them: 1 MB, or chunks of 41 of the
+# 820 pairs of a 40x40 block in benchmark_general, M = 4.
+K_CHUNK = 1 << 17
+# Rows per strip (a masked square and the rectangle beside it) where a piece
 # meets the diagonal; one masked square per run made sweep_m2_4 8 % slower.
 DIAG_STRIP = 128
 _UPPER = np.triu(np.ones((DIAG_STRIP, DIAG_STRIP), dtype=bool))
+_LOWER = _UPPER.T
 
 
 def _index(rows):
@@ -696,28 +697,37 @@ def _index(rows):
 class _Packed:
     """Lower triangle of a symmetric m x m matrix S in LAPACK's rectangular
     full packed storage (TRANSR='N', UPLO='L'): m(m+1)/2 doubles in ``buf``.
-    The assembly writes S[q, p], q >= p, as U[p, q]: for k = ceil(m/2), at
-    ``views[0][p, q]`` if p < k, else at ``views[1][p - k, q - k]``.  Below
-    U's diagonal each view aliases the other, so only U's upper triangle may
-    be written."""
+    For k = ceil(m/2), S[r, c] sits at ``views[0][r, c]`` for r < k, c >= r,
+    and at ``views[1][r - k, c - k]`` for k <= c <= r; both views are
+    row-major.  Outside those triangles each view aliases the other, so the
+    assembly writes only there (:func:`_scatter_plan`)."""
 
     def __init__(self, m, buf=None):
         self.m, self.k, self.even = m, (m + 1) // 2, 1 - m % 2
         self.buf = np.zeros(m * (m + 1) // 2) if buf is None else buf
-        ar = self.buf.reshape((m + self.even, self.k), order="F")
-        self.views = (ar.T[:, self.even:], ar[:m - self.k, 1 - self.even:])
+        up = self.buf.reshape((m + self.even, self.k), order="F").T
+        self.views = (up[:, self.even:], up[1 - self.even:, :m - self.k])
 
-    def index(self, p, q):
-        """Flat index in ``buf`` of U[p, q], q >= p."""
+    def index(self, r, c):
+        """Flat index in ``buf`` of S[r, c] for r < k <= c or k <= c <= r."""
         k, e, n = self.k, self.even, self.m + self.even
-        return np.where(p < k, p * n + q + e, (q - k + 1 - e) * n + p - k)
+        return np.where(r < k, r * n + c + e, (r - k + 1 - e) * n + c - k)
+
+
+def _written(rows_i, rows_j, k):
+    """Mask of the entries of a piece S[rows_i, rows_j] that the assembly
+    writes: columns from the row on in rows before k, from k up to the row
+    after it.  Each entry of a symmetric S is written once, from one side."""
+    r, c = rows_i[:, None], rows_j[None, :]
+    return np.where(r < k, c >= r, (c >= k) & (c <= r))
 
 
 def _scatter_plan(index_i, index_j, k):
-    """Slice adds for ``U[rows_i, rows_j] += part`` on the entries q >= p,
-    given two indices from :func:`_index` and k of :class:`_Packed`: each pair
-    of runs is split at row k, cut to the rows and columns that reach the
-    diagonal, and added in strips there.  ``ops`` is None without runs."""
+    """Slice adds for ``S[rows_i, rows_j] += part`` on the entries that
+    :func:`_written` selects, given two indices from :func:`_index` and k of
+    :class:`_Packed`: each pair of runs is split at row k, cut to the rows and
+    columns that reach the diagonal, and added in strips there.  ``ops`` is
+    None without runs."""
     (rows_i, runs_i), (rows_j, runs_j) = index_i, index_j
     if runs_i is None or runs_j is None:
         return rows_i, rows_j, None
@@ -726,24 +736,33 @@ def _scatter_plan(index_i, index_j, k):
         for dst_j, src_j in runs_j:
             (p0, p1), di = (dst_i.start, dst_i.stop), dst_i.start - src_i.start
             (q0, q1), dj = (dst_j.start, dst_j.stop), dst_j.start - src_j.start
-            for v, lo, hi, at in ((0, p0, min(p1, k), 0), (1, max(p0, k), p1, k)):
-                hi, c0 = min(hi, q1), max(q0, lo)
-                pieces = [(lo, min(hi, c0), c0, q1, True)]  # wholly above U's diagonal
-                for r0 in range(c0, hi, DIAG_STRIP):
-                    r1 = min(r0 + DIAG_STRIP, hi)
-                    pieces += [(r0, r1, r0, r1, _UPPER[:r1 - r0, :r1 - r0]), (r0, r1, r1, q1, True)]
-                ops += [(v, np.s_[r0 - at:r1 - at, s0 - at:s1 - at],
-                         np.s_[r0 - di:r1 - di, s0 - dj:s1 - dj], mask)
-                        for r0, r1, s0, s1, mask in pieces if r0 < r1 and s0 < s1]
+            # Rows before k: columns c >= r, all of them in rows before q0.
+            hi, c0 = min(p1, k, q1), max(q0, p0)
+            pieces = [(0, p0, min(hi, c0), c0, q1, True)]
+            for r0 in range(c0, hi, DIAG_STRIP):
+                r1 = min(r0 + DIAG_STRIP, hi)
+                pieces += [(0, r0, r1, r0, r1, _UPPER[:r1 - r0, :r1 - r0]),
+                           (0, r0, r1, r1, q1, True)]
+            # Rows from k: columns k <= c <= r, all of them in rows from q1.
+            c0 = max(q0, k)
+            lo, hi = max(p0, c0), min(p1, q1)
+            for r0 in range(lo, hi, DIAG_STRIP):
+                r1 = min(r0 + DIAG_STRIP, hi)
+                pieces += [(1, r0, r1, c0, r0, True),
+                           (1, r0, r1, r0, r1, _LOWER[:r1 - r0, :r1 - r0])]
+            pieces.append((1, max(lo, q1), p1, c0, q1, True))
+            ops += [(v, np.s_[r0 - v * k:r1 - v * k, s0 - v * k:s1 - v * k],
+                     np.s_[r0 - di:r1 - di, s0 - dj:s1 - dj], mask)
+                    for v, r0, r1, s0, s1, mask in pieces if r0 < r1 and s0 < s1]
     return rows_i, rows_j, ops
 
 
 def _scatter_add(packed, plan, part):
-    """``U[rows_i, rows_j] += part`` on the entries q >= p of a :class:`_Packed`,
-    by a plan from :func:`_scatter_plan`."""
+    """``S[rows_i, rows_j] += part`` on the entries that :func:`_written`
+    selects in a :class:`_Packed`, by a plan from :func:`_scatter_plan`."""
     rows_i, rows_j, ops = plan
     if ops is None:
-        ii, jj = np.nonzero(rows_j >= rows_i[:, None])
+        ii, jj = np.nonzero(_written(rows_i, rows_j, packed.k))
         packed.buf[packed.index(rows_i[ii], rows_j[jj])] += part[ii, jj]
         return
     for v, dst, src, mask in ops:
@@ -751,54 +770,136 @@ def _scatter_add(packed, plan, part):
         np.add(view, part[src], out=view, where=mask)
 
 
+def _as_slice(idx):
+    """A slice for an index array of consecutive values, else the array."""
+    if idx.size and idx[-1] - idx[0] == idx.size - 1 and np.all(np.diff(idx) == 1):
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
+
+
 class _SchurTerm:
-    """Schur part of a block, or of blocks sharing one K, added straight into
-    the packed Schur matrix (see the module docstring).  K is symmetric only
-    to rounding: a ``signed`` term (rows of one +-1 each) adds s_i s_j
-    K[c_j, c_i], gathered from rows of K, the others A_b (A_b K)^T.  As rows
-    are sorted, a chunk's piece needs the block rows from its first row on
-    (signed) or up to its last one (the others), and forms no other.
+    """Schur part A K A^T of a block, or of blocks whose rows are equal up to
+    one sign (K then sums their congruences), added straight into the packed
+    Schur matrix (see the module docstring); K itself is never formed.
+
+    The term walks the entry pairs its rows touch (:func:`_entry_pairs`) a
+    chunk at a time, in the order of the first Schur row that reaches them,
+    and forms the chunk's rows of K at the touched columns, both rows of a
+    pair from one set of products (:func:`_congruence_rows`).  A row with a
+    single entry s_p at coordinate c_p adds s_p K[c_p, c_q] s_q, against the
+    other single-entry rows q, from the chunk that holds c_p: a piece per run
+    of such rows, gathered in row-major order for the view of :class:`_Packed`
+    it fills (columns from the run on before row k, from k up to the run
+    after it).  Rows with several entries accumulate A_D K over the chunks and
+    are added as a border at the end.
     """
 
-    def __init__(self, rows, sub, signed, k, half):
-        n_rows, n_cols = sub.shape
-        self.sub, self.signed, self.k = sub, signed, k
-        self.identity = (signed and n_rows == n_cols
-                         and np.array_equal(sub.indices, np.arange(n_cols))
-                         and np.all(sub.data * sub.data[0] == 1.0))
-        self.plan = _scatter_plan(_index(rows), _index(rows), half) if self.identity else None
-        n_chunks = -(-n_rows * max(n_rows, n_cols) // GATHER_SIZE)
-        step = -(-n_rows // n_chunks)
-        self.chunks = [
-            (sub[lo:hi], (sub.indices[lo:], sub.data[lo:]),
-             _scatter_plan(_index(rows[lo:hi]), _index(rows[lo:]), half)) if signed else
-            (sub[lo:hi], sub[:hi], _scatter_plan(_index(rows[:hi]), _index(rows[lo:hi]), half))
-            for lo, hi in ((lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step))]
+    def __init__(self, rows, sub, d, half, real):
+        n_coord, kinds = sub.shape[1], 1 if real else 2
+        npair = d * (d - 1) // 2
+        pair_i, pair_j = _entry_pairs(d)
+        one = np.diff(sub.indptr) == 1
+        starts = sub.indptr[:-1][one]
+        s_rows, s_coord, s_val = rows[one], sub.indices[starts], sub.data[starts]
+        self.s_rows, self.s_val = s_rows, s_val
+        self.unit = bool(s_val.size and np.all(s_val == s_val[0]) and abs(s_val[0]) == 1.0)
+        multi = sub[~one]
+        self.d_rows = rows[~one]
+
+        # Every entry pair the rows touch, in the order of its first row; the
+        # columns of every chunk are all of them.
+        nz_row = np.repeat(rows, np.diff(sub.indptr))
+        is_im = sub.indices >= d + npair
+        nz_pair = np.where(is_im, sub.indices - npair, sub.indices)
+        pairs, first = np.unique(nz_pair, return_index=True)
+        pairs = pairs[np.argsort(nz_row[first], kind="stable")]
+        self.cols = (pair_i[pairs], pair_j[pairs])
+        self.n_cols = n_cols = kinds * pairs.size
+
+        def layout(chunk):
+            """Position of each coordinate in the rows (or columns) of K formed
+            for the entry pairs ``chunk``; -1 for coordinates elsewhere."""
+            at = np.full(d + 2 * npair, -1)
+            at[chunk] = np.arange(chunk.size)
+            at[chunk[chunk >= d] + npair] = chunk.size + np.flatnonzero(chunk >= d)
+            return at[:n_coord]
+
+        col_at = layout(pairs)
+        s_col = col_at[s_coord]
+        self.s_col = _as_slice(s_col)
+        self.d_sub = sp.csr_matrix((multi.data, col_at[multi.indices], multi.indptr),
+                                   shape=(self.d_rows.size, n_cols))
+        pair_at = np.empty(d + npair, dtype=int)
+        pair_at[pairs] = np.arange(pairs.size)
+        jk = int(np.searchsorted(s_rows, half))       # first single row at or after k
+        # Chunks of about K_CHUNK entries of K rows (a diagonal pair has one row).
+        in_chunk = (np.cumsum(np.where(pairs < d, 1, kinds)) - 1) // max(1, K_CHUNK // n_cols)
+        self.chunks = []
+        for chunk in np.split(pairs, np.flatnonzero(np.diff(in_chunk)) + 1):
+            at = layout(chunk)
+            s_at = at[s_coord]
+            pieces = []
+            held = np.flatnonzero(s_at >= 0)
+            cuts = np.flatnonzero((np.diff(held) != 1) | (held[1:] == jk)) + 1
+            for run in np.split(held, cuts):
+                if not run.size:
+                    continue
+                i0, i1 = int(run[0]), int(run[-1]) + 1
+                width = s_rows.size - i0 if i0 < jk else i1 - jk
+                step = max(1, K_CHUNK // width)
+                for lo in range(i0, i1, step):
+                    hi = min(lo + step, i1)
+                    c0, c1 = (lo, s_rows.size) if lo < jk else (jk, hi)
+                    pieces.append((_as_slice(s_at[lo:hi]), _as_slice(s_col[c0:c1]),
+                                   s_val[lo:hi, None], s_val[c0:c1],
+                                   _scatter_plan(_index(s_rows[lo:hi]),
+                                                 _index(s_rows[c0:c1]), half)))
+            z_at = np.concatenate([pair_at[chunk] + part * pairs.size for part in range(kinds)])
+            self.chunks.append(((pair_i[chunk], pair_j[chunk]), z_at, pieces))
+        if self.d_rows.size:
+            d_index, s_index = _index(self.d_rows), _index(s_rows)
+            self.border = (_scatter_plan(d_index, d_index, half),
+                           _scatter_plan(d_index, s_index, half),
+                           _scatter_plan(s_index, d_index, half))
 
     def add(self, packed, ws):
-        k = _congruence_matrix(ws, out=self.k)
-        if self.identity:
-            _scatter_add(packed, self.plan, k)
+        d_sub = self.d_sub
+        z = np.empty((d_sub.shape[0], self.n_cols)) if d_sub.shape[0] else None
+        ws = (ws + _ct(ws)) / 2.0
+        for rows, z_at, pieces in self.chunks:
+            k_rows = _congruence_rows(ws, rows, self.cols)
+            for row_at, col_at, s_r, s_c, plan in pieces:
+                piece = k_rows[row_at]
+                if isinstance(col_at, slice):
+                    piece = piece[:, col_at] if self.unit else piece[:, col_at] * (s_r * s_c)
+                else:
+                    piece = piece.take(col_at, axis=1)
+                    if not self.unit:
+                        piece *= s_r * s_c
+                _scatter_add(packed, plan, piece)
+            if z is not None:
+                # Columns z_at of A_D K, as rows z_at of K A_D^T: each entry
+                # sums over A_D's entries in order, whatever the chunks.
+                z[:, z_at] = np.add.reduceat(k_rows[:, d_sub.indices] * d_sub.data,
+                                             d_sub.indptr[:-1], axis=1).T
+        if z is None:
             return
-        for sub_c, keep, plan in self.chunks:
-            t = sub_c @ k
-            if self.signed:
-                piece = t.take(keep[0], axis=1)
-                piece *= keep[1]
-            else:
-                piece = keep @ t.T
-            _scatter_add(packed, plan, piece)
+        dd_plan, ds_plan, sd_plan = self.border
+        _scatter_add(packed, dd_plan, d_sub @ z.T)
+        if self.s_rows.size:
+            ds = z[:, self.s_col] * self.s_val
+            _scatter_add(packed, ds_plan, ds)
+            _scatter_add(packed, sd_plan, ds.T)
 
 
-def _schur_terms(a_blocks, dims, where):
+def _schur_terms(a_blocks, dims, where, real=False):
     """Loop-invariant Schur assembly plan: (g, js, term) for stack g, its
-    entries js and the :class:`_SchurTerm` adding their part.  Blocks whose
-    rows each hold one +-1 are keyed by (d, rows, cols, relative signs); a
-    key's blocks share one stack and one term.  The terms of a dimension
-    share one K buffer: a fresh K per term made the assembly of
-    eight 16x16 blocks with 256 rows 1.5x slower.
+    entries js and the :class:`_SchurTerm` adding their part, over real
+    stacks if ``real``.  Blocks whose rows are equal up to one sign share one
+    stack and one term, keyed by (d, rows, columns, coefficients with the
+    sign of the first one).
     """
-    terms, shared, k_bufs = [], {}, {}
+    terms, shared = [], {}
     half = (a_blocks[0].shape[0] + 1) // 2 if a_blocks else 0
     for bi, (a, d) in enumerate(zip(a_blocks, dims)):
         if not a.nnz:
@@ -806,15 +907,12 @@ def _schur_terms(a_blocks, dims, where):
         rows = np.flatnonzero(np.diff(a.indptr))
         sub = a[rows]
         g, j = where[bi]
-        signed = bool(np.all(np.diff(sub.indptr) == 1) and np.all(np.abs(sub.data) == 1.0))
-        key = ((d, rows.tobytes(), sub.indices.tobytes(), (sub.data * sub.data[0]).tobytes())
-               if signed else bi)
+        key = (d, rows.tobytes(), sub.indices.tobytes(),
+               (sub.data * np.sign(sub.data[0])).tobytes())
         if key in shared:
             shared[key][1].append(j)
             continue
-        if d not in k_bufs:
-            k_bufs[d] = np.empty((a.shape[1], a.shape[1]))
-        shared[key] = (g, [j], _SchurTerm(rows, sub, signed, k_bufs[d], half))
+        shared[key] = (g, [j], _SchurTerm(rows, sub, d, half, real))
         terms.append(shared[key])
     return terms
 
@@ -895,7 +993,7 @@ def solve(problem, config: SDPConfig | None = None) -> SDPSolution:
     cuts = np.cumsum([len(idx) * a_blocks[idx[0]].shape[1] for _, idx in groups])
     c_mats = [unvec(np.stack([c_blocks[bi] for bi in idx]), d) for d, idx in groups]
 
-    terms = _schur_terms(a_blocks, dims, where)
+    terms = _schur_terms(a_blocks, dims, where, real)
     orth_rows = np.flatnonzero(np.diff(a_orth.indptr))
     orth_plan = _scatter_plan(_index(orth_rows), _index(orth_rows), (m + 1) // 2)
     orth_sub = a_orth[orth_rows]

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qdbench import gramopt, sdp
 from qdbench.blocksym import gram_of, symmetry_check, twirl
 from qdbench.fock import DensityMatrix, coherent_state, fidelity, noisy_coherent
 from qdbench.gramopt import (CPTPOrderResult, GramMatrix, cptp_reachable, gram_purity,
@@ -147,6 +148,26 @@ class TestOptimizeGram:
         res = optimize_gram(states, symmetric=True)
         assert res.gram.circulant_deviation() <= 1e-9
         assert symmetry_check(res.rho_in) <= 1e-8
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_complex_seed_runs_over_real_blocks(self, monkeypatch, m):
+        # The noisy_memory seed (alpha = 0.00707 - 0.67175i) is real in the
+        # diagonal-phase frame, so its symmetric Gram optimization is solved
+        # over real blocks; the Gram and rho_in match the complex path's.
+        seed = noisy_coherent(complex(0.00707, -0.67175), 0.219, 12, deficit_tol=1e-6)
+        states = rotation_ensemble(seed, m)
+        real, check = [], sdp._real_rows
+        monkeypatch.setattr(sdp, "_real_rows",
+                            lambda canon: real.append(check(canon) is not None) or check(canon))
+        got = optimize_gram(states, symmetric=True)
+        monkeypatch.setattr(gramopt, "real_frame", lambda rho: (rho, None))
+        ref = optimize_gram(states, symmetric=True)
+        assert real == [True, False]
+        assert got.diagnostics["solver_status"] == "Optimal"
+        assert np.max(np.abs(got.gram.z - ref.gram.z)) <= 1e-8
+        assert np.max(np.abs(got.rho_in.blocks - ref.rho_in.blocks)) <= 1e-8
+        for k in range(m):
+            assert np.max(np.abs(got.rho_in.blocks[k, k] - states[k].matrix)) <= 1e-8
 
     def test_symmetric_requires_rotation_ensemble(self):
         a, b = noisy_coherent(0.4, 0.1, DIM), noisy_coherent(0.5, 0.1, DIM)

@@ -18,9 +18,9 @@ from qdbench.fock import DensityMatrix, noisy_coherent, rotation
 from qdbench.gramopt import optimize_gram, rotation_ensemble
 from qdbench.sdp import (CanonicalSDP, SDPConfig, SDPError, SDPProblem, SDPStatus,
                          block_swap_matrix, hmat, hvec, mask_matrix, solve)
-from qdbench.sdp import (_congruence_matrix, _factor_schur, _index, _Packed, _psd_step_length,
-                         _real_rows, _row_order, _Scaling, _scatter_add, _scatter_plan,
-                         _schur_terms)
+from qdbench.sdp import (_congruence_rows, _entry_pairs, _factor_schur, _index, _Packed,
+                         _psd_step_length, _real_rows, _row_order, _Scaling, _scatter_add,
+                         _scatter_plan, _schur_terms)
 
 from conftest import brute_negativity, dense_partial_transpose
 
@@ -28,6 +28,30 @@ from conftest import brute_negativity, dense_partial_transpose
 def _hermitian_basis(d):
     """Stack (d^2, d, d) of the orthonormal Hermitian basis in hvec order."""
     return hmat(np.eye(d * d), d)
+
+
+def _basis_k(ws):
+    """K of X -> sum_n W_n X W_n in hvec coordinates, one basis matrix at a
+    time: the reference for the row kernel.  A real stack keeps the real
+    coordinate group, the first d(d+1)/2."""
+    d = ws.shape[-1]
+    basis = _hermitian_basis(d)
+    k = sum(hvec((w[None] @ basis) @ w[None]).T for w in ws)
+    half = d * (d + 1) // 2
+    return k if np.iscomplexobj(ws) else k[:half, :half]
+
+
+def _k_matrix(ws):
+    """K in hvec order from the row kernel at every entry pair; a complex
+    stack drops the zero imaginary rows and columns of the diagonal pairs."""
+    d = ws.shape[-1]
+    pairs = _entry_pairs(d)
+    k = _congruence_rows(ws, pairs, pairs)
+    if not np.iscomplexobj(ws):
+        return k
+    n = pairs[0].size
+    keep = np.concatenate([np.arange(n), n + np.arange(d, n)])
+    return k[np.ix_(keep, keep)]
 
 
 def _packed(mat):
@@ -385,19 +409,35 @@ def _errors_scenario(state):
 class TestCongruenceMatrix:
     @settings(max_examples=60, deadline=None, database=None)
     @given(st.tuples(st.integers(1, 3), st.integers(1, 12)).flatmap(lambda nd: arrays(
-        np.float64, (nd[0], 2, nd[1], nd[1]), elements=st.floats(-1.0, 1.0))))
-    def test_matches_conjugated_basis(self, parts):
-        """K of a stack of W is the matrix of X -> sum_n W_n X W_n."""
+        np.float64, (nd[0], 2, nd[1], nd[1]), elements=st.floats(-1.0, 1.0))),
+        st.integers(0, 2**32 - 1))
+    def test_matches_conjugated_basis(self, parts, seed):
+        """The rows of K that the kernel forms at every entry pair are the
+        matrix of X -> sum_n W_n X W_n; at a random subset of row and column
+        pairs, in random order, they are its rows and columns there."""
         r = parts[:, 0] + 1j * parts[:, 1]
         d = r.shape[-1]
         ws = r @ r.conj().swapaxes(-1, -2)
-        got = _congruence_matrix(ws)
-        basis = _hermitian_basis(d)
-        ref = sum(hvec((w[None] @ basis) @ w[None]).T for w in ws)
+        got = _k_matrix(ws)
+        ref = _basis_k(ws)
         scale = max(float(np.max(np.abs(ref))), 1e-300)
         assert got.shape == (d * d, d * d)
         assert np.max(np.abs(got - ref)) <= 1e-13 * scale
         assert np.max(np.abs(got - got.T)) <= 1e-13 * scale
+        rng = np.random.default_rng(seed)
+        pair_i, pair_j = _entry_pairs(d)
+        n = pair_i.size
+        at_r, at_c = (rng.permutation(n)[:int(rng.integers(1, n + 1))] for _ in range(2))
+        rows = _congruence_rows(ws, (pair_i[at_r], pair_j[at_r]), (pair_i[at_c], pair_j[at_c]))
+
+        def coords(at):
+            """hvec coordinates of the kernel's rows for pairs ``at``; -1 for
+            the zero imaginary part of a diagonal pair."""
+            return np.concatenate([at, np.where(at < d, -1, at + n - d)])
+
+        cr, cc = coords(at_r), coords(at_c)
+        want = np.where((cr[:, None] < 0) | (cc[None, :] < 0), 0.0, ref[np.ix_(cr, cc)])
+        assert np.max(np.abs(rows - want)) <= 1e-13 * scale
 
     @settings(max_examples=40, deadline=None, database=None)
     @given(st.tuples(st.integers(1, 3), st.integers(1, 12)).flatmap(lambda nd: arrays(
@@ -408,14 +448,14 @@ class TestCongruenceMatrix:
         d = r.shape[-1]
         half = d * (d + 1) // 2
         ws = r @ r.swapaxes(-1, -2)
-        full = _congruence_matrix(ws.astype(complex))
+        full = _k_matrix(ws.astype(complex))
         assert np.all(full[:half, half:] == 0.0) and np.all(full[half:, :half] == 0.0)
-        assert np.array_equal(_congruence_matrix(ws), full[:half, :half])
+        assert np.array_equal(_k_matrix(ws), full[:half, :half])
 
     def test_solve_is_bit_identical_with_k_for_every_block(self, monkeypatch):
-        """Every block is assembled through K: the blocks of a benchmark_general
-        problem, which carry the d^2 rows of the partial-transpose constraint,
-        and one extra block with a single row."""
+        """Every block is assembled through rows of K: the blocks of a
+        benchmark_general problem, which carry the d^2 rows of the
+        partial-transpose constraint, and one extra block with a single row."""
         m, cutoff = 2, 3
         d = cutoff + 1
         gram, outs = _small_benchmark_inputs(m, cutoff)
@@ -426,9 +466,9 @@ class TestCongruenceMatrix:
         prob.add_equality({"aux": np.eye(3)}, 1.0)
 
         k_dims = []
-        real_k = sdp._congruence_matrix
-        monkeypatch.setattr(sdp, "_congruence_matrix",
-                            lambda ws, **kw: k_dims.append(ws.shape[-1]) or real_k(ws, **kw))
+        real_k = sdp._congruence_rows
+        monkeypatch.setattr(sdp, "_congruence_rows",
+                            lambda ws, *args: k_dims.append(ws.shape[-1]) or real_k(ws, *args))
         first = solve(prob)
         second = solve(prob)
         assert first.status is SDPStatus.OPTIMAL
@@ -477,23 +517,28 @@ class TestRowGrouping:
     @given(_RUN_PIECES, _RUN_PIECES, st.integers(0, 4), st.sampled_from([1, 3, sdp.DIAG_STRIP]),
            st.integers(0, 2**32 - 1))
     def test_run_pair_scatter_matches_ix_reference(self, pieces, pieces_j, shift, strip, seed):
-        """part[a, b] goes to S[rows_j[b], rows_i[a]] wherever that is in the
-        lower triangle, by slice adds or at flat indices, for odd and even m
-        from 1 up, runs on both sides of row k = ceil(m/2) and across the
-        diagonal, and diagonal strips of 1, 3 or the default number of rows."""
+        """part[a, b] is S[rows_i[a], rows_j[b]] of a symmetric S, added to the
+        lower triangle from the side the packed views hold it: columns from
+        the row on in rows before k = ceil(m/2), from k up to the row after
+        it.  By slice adds or at flat indices, for odd and even m from 1 up,
+        runs on both sides of row k and across the diagonal, and diagonal
+        strips of 1, 3 or the default number of rows."""
         rows, rows_j = _run_rows(pieces), _run_rows(pieces_j) + shift
         rng = np.random.default_rng(seed)
         m = max(int(rows[-1]), int(rows_j[-1])) + 1 + int(rng.integers(0, 2))
+        k = (m + 1) // 2
         part = rng.standard_normal((rows.size, rows_j.size))
         base = rng.standard_normal((m, m))
         ref = np.tril(base)
-        ii, jj = np.nonzero(rows_j >= rows[:, None])
-        ref[rows_j[jj], rows[ii]] += part[ii, jj]
+        r, c = rows[:, None], rows_j[None, :]
+        ii, jj = np.nonzero(np.where(r < k, c >= r, (c >= k) & (c <= r)))
+        low, high = np.minimum(rows[ii], rows_j[jj]), np.maximum(rows[ii], rows_j[jj])
+        ref[high, low] += part[ii, jj]
         defaults = sdp.MIN_MEAN_RUN, sdp.DIAG_STRIP
         sdp.MIN_MEAN_RUN, sdp.DIAG_STRIP = 0, strip   # runs on both sides
         try:
             index = _index(rows)
-            plan = _scatter_plan(index, _index(rows_j), (m + 1) // 2)
+            plan = _scatter_plan(index, _index(rows_j), k)
         finally:
             sdp.MIN_MEAN_RUN, sdp.DIAG_STRIP = defaults
         assert len(index[1]) == 1 + np.count_nonzero(np.diff(rows) != 1)
@@ -619,8 +664,9 @@ class TestRealReduction:
     @pytest.mark.parametrize("build", ["quadratures_errors", "general"])
     def test_non_invariant_problem_keeps_the_complex_path(self, monkeypatch, build):
         """A problem that fails the check (a <p> interval, or complex Gram
-        rows) forms every K from complex stacks at full size, factors every
-        row, and solves bit-identically with the reduction switched off."""
+        rows) forms the rows of every K from complex stacks at every
+        coordinate, factors every row, and solves bit-identically with the
+        reduction switched off."""
         if build == "general":
             gram, outs = _small_benchmark_inputs(2, 3)
             prob = _benchmark_problem(monkeypatch, benchmark_general, gram,
@@ -631,9 +677,10 @@ class TestRealReduction:
         canon = prob.canonicalize()
         assert _real_rows(canon) is None
         shapes = []
-        real_k = sdp._congruence_matrix
-        monkeypatch.setattr(sdp, "_congruence_matrix", lambda ws, **kw: shapes.append(
-            (ws.dtype, ws.shape[-1] ** 2, kw["out"].shape[0])) or real_k(ws, **kw))
+        real_k = sdp._congruence_rows
+        monkeypatch.setattr(sdp, "_congruence_rows", lambda ws, rows, cols: shapes.append(
+            (ws.dtype, ws.shape[-1] ** 2, 2 * cols[0].size - ws.shape[-1]))
+            or real_k(ws, rows, cols))
         sizes = _schur_sizes(monkeypatch)
         first = solve(canon)
         assert first.status is SDPStatus.OPTIMAL
@@ -770,22 +817,31 @@ class TestBatchedLayer:
         sub = _signed_permutation(rng, d, permuted)
         subs = (sub, rng.choice([-1.0, 1.0]) * sub)
         ws = _random_pd(rng, 2, d)
-        ref = sum(s @ (s @ _congruence_matrix(w[None])).T for s, w in zip(subs, ws))
+        ref = sum(s @ (s @ _basis_k(w[None])).T for s, w in zip(subs, ws))
         terms = _schur_terms(subs, [d, d], {0: (0, 0), 1: (0, 1)})
         assert [js for _, js, _ in terms] == [[0, 1]]
         got = _assemble(terms, [ws], d * d)
         assert np.max(np.abs(got - np.tril(ref))) <= 1e-13 * np.max(np.abs(ref))
 
-    def test_rows_with_other_coefficients_are_not_gathered(self):
-        """Blocks with equal rows share one K only if each row holds one +-1."""
+    def test_blocks_share_a_term_only_with_rows_equal_up_to_one_sign(self):
+        """Blocks share one term when their rows are equal, or equal after one
+        sign flips them all, whatever the coefficients: like the E_k blocks of
+        the symmetric Gram optimization, which all carry the same pin."""
         where = {0: (0, 0), 1: (0, 1)}
-        assert len(_schur_terms([sp.csr_matrix(np.eye(4))] * 2, [2, 2], where)) == 1
-        for entry, value in (((3, 3), 2.0), ((3, 0), 1.0)):
-            other = np.eye(4)
-            other[entry] = value
-            terms = _schur_terms([sp.csr_matrix(other)] * 2, [2, 2], where)
+        eye = np.eye(4)
+        other = np.eye(4)
+        other[3, 3] = 2.0
+        dense = np.eye(4)
+        dense[3, 0] = 0.5
+        for a in (eye, other, dense):
+            for b in (a, -a):
+                terms = _schur_terms([sp.csr_matrix(a), sp.csr_matrix(b)], [2, 2], where)
+                assert [js for _, js, _ in terms] == [[0, 1]]
+        flipped = eye.copy()
+        flipped[1, 1] = -1.0
+        for a, b in ((eye, other), (eye, dense), (eye, flipped), (other, 0.5 * other)):
+            terms = _schur_terms([sp.csr_matrix(a), sp.csr_matrix(b)], [2, 2], where)
             assert [js for _, js, _ in terms] == [[0], [1]]
-            assert not any(term.signed for _, _, term in terms)
 
     def test_symmetric_solves_are_bit_identical(self, monkeypatch):
         prob = _symmetric_problem(monkeypatch, "quadratures_errors", m=3)
@@ -851,72 +907,86 @@ def _block_rows(rng, kinds, n):
 
 
 class TestKPathAssembly:
-    @settings(max_examples=100, deadline=None, database=None)
+    @settings(max_examples=150, deadline=None, database=None)
     @given(st.integers(1, 4).flatmap(lambda d: st.tuples(
                st.just(d), st.lists(st.sampled_from(_ROW_KINDS), min_size=1, max_size=d * d + 12),
                st.integers(1, d * d))),
-           st.integers(0, 12), st.booleans(), st.sampled_from([1, 50, sdp.GATHER_SIZE]),
+           st.integers(0, 12), st.sampled_from(["identity", "unit", "other"]), st.booleans(),
+           st.booleans(), st.sampled_from([1, 50, sdp.K_CHUNK]),
            st.sampled_from([1, 3, sdp.DIAG_STRIP]), st.integers(0, 2**32 - 1))
-    def test_assembly_matches_dense_products(self, d_kinds, extra, identity, gather, strip,
-                                             seed):
+    def test_assembly_matches_dense_products(self, d_kinds, extra, shared, real, subset, chunk,
+                                             strip, seed):
         """The packed triangle is the lower triangle of sum_b A_b K_b A_b^T plus
-        the orthant part, for m from 1 up, odd and even.  Block 0 mixes rows of
-        one coefficient with dense rows; blocks 1 and 2 are a signed pair
-        sharing one K, with identity or other columns.  Rows sit at random
-        positions, so runs straddle row k and the diagonal; parts are added in
-        chunks of one row, a few rows or all of them.  Entries in the rows that
-        nothing touches stay exactly zero, so no write reached the other
-        half's aliased positions."""
-        d, kinds, n_signed = d_kinds
-        n = d * d
-        n_signed = n if identity else n_signed
+        the orthant part, for m from 1 up, odd and even, over complex or real
+        stacks.  Block 0 mixes rows of one coefficient with dense rows, touches
+        all of its coordinates or a random subset, and has one coordinate hit
+        by two single-entry rows (a partial-transpose row and a pin).  Blocks
+        1 and 2 are equal up to one sign and share one term: identity rows,
+        +-1 rows at other columns, or rows of other single coefficients.  Rows
+        sit at random positions, so runs straddle row k and the diagonal; K is
+        formed for chunks of one row, a few rows or all of them.  Entries in
+        the rows that nothing touches stay exactly zero, so no write reached
+        the other half's aliased positions."""
+        d, kinds, n_shared = d_kinds
+        n = d * (d + 1) // 2 if real else d * d
+        n_shared = n if shared == "identity" else min(n_shared, n)
         rng = np.random.default_rng(seed)
-        m = max(len(kinds), n_signed) + extra
+        m = max(len(kinds) + 1, n_shared) + extra
 
         def positions(size):
             return np.sort(rng.choice(m, size, replace=False))
 
-        signed = np.zeros((n_signed, n))
-        cols = np.arange(n) if identity else rng.choice(n, n_signed, replace=False)
-        signs = rng.choice([-1.0, 1.0]) if identity else rng.choice([-1.0, 1.0], n_signed)
-        signed[np.arange(n_signed), cols] = signs
+        cover = np.sort(rng.choice(n, int(rng.integers(1, n + 1)), replace=False)) \
+            if subset else np.arange(n)
+        rows0 = np.zeros((len(kinds) + 1, n))
+        rows0[:-1, cover] = _block_rows(rng, kinds, cover.size)
+        single = [np.flatnonzero(r) for r in rows0[:-1] if np.count_nonzero(r) == 1]
+        rows0[-1, single[0] if single else rng.choice(cover)] = rng.uniform(0.1, 3.0)
+        rows1 = np.zeros((n_shared, n))
+        cols = np.arange(n) if shared == "identity" else rng.choice(n, n_shared, replace=False)
+        values = rng.choice([-1.0, 1.0], n_shared)
+        if shared == "identity":
+            values[:] = values[0]
+        elif shared == "other":
+            values *= rng.uniform(0.1, 3.0, n_shared)
+        rows1[np.arange(n_shared), cols] = values
         blocks = []
-        for at, rows in ((positions(len(kinds)), _block_rows(rng, kinds, n)),
-                         (positions(n_signed), signed)):
+        for rows in (rows0, rows1):
             a = np.zeros((m, n))
-            a[at] = rows
+            a[positions(rows.shape[0])] = rows
             blocks.append(a)
         blocks.append(rng.choice([-1.0, 1.0]) * blocks[1])
         orthant = np.zeros((m, 3))
         orthant[positions(min(m, 3))] = rng.uniform(-2.0, 2.0, (min(m, 3), 3))
         ws = _random_pd(rng, 3, d)
-        ref = sum(a @ _congruence_matrix(w[None]) @ a.T for a, w in zip(blocks, ws))
+        if real:
+            ws = ws.real
+        ref = sum(a @ _basis_k(w[None]) @ a.T for a, w in zip(blocks, ws))
         ref = ref + orthant @ orthant.T
-        defaults = sdp.GATHER_SIZE, sdp.DIAG_STRIP
-        sdp.GATHER_SIZE, sdp.DIAG_STRIP = gather, strip
+        defaults = sdp.K_CHUNK, sdp.DIAG_STRIP
+        sdp.K_CHUNK, sdp.DIAG_STRIP = chunk, strip
         try:
             terms = _schur_terms([sp.csr_matrix(a) for a in blocks], [d] * 3,
-                                 {bi: (0, bi) for bi in range(3)})
+                                 {bi: (0, bi) for bi in range(3)}, real)
         finally:
-            sdp.GATHER_SIZE, sdp.DIAG_STRIP = defaults
+            sdp.K_CHUNK, sdp.DIAG_STRIP = defaults
         assert any({1, 2} <= set(js) for _, js, _ in terms)
         got = _assemble(terms, [ws], m, sp.csr_matrix(orthant))
         assert np.max(np.abs(got - np.tril(ref))) <= 1e-13 * np.max(np.abs(ref))
         untouched = ~np.any([np.any(a != 0.0, axis=1) for a in blocks + [orthant]], axis=0)
         assert not np.any(got[untouched]) and not np.any(got[:, untouched])
 
-    def test_peak_memory_is_one_k_plus_the_schur_matrix(self, monkeypatch):
+    def test_peak_memory_is_the_schur_matrix_plus_chunks(self, monkeypatch):
         """benchmark_general at M = 4, N = 9: 1739 Schur rows, 1727 of them on
-        tau, whose K is 1600 x 1600.  The tracemalloc peak of three iterations
-        stays within 1.4 times the packed Schur matrix (m(m+1)/2 doubles) plus
-        one K."""
+        tau, whose K would be 1600 x 1600 (20 MB).  The tracemalloc peak of
+        three iterations stays within 1.4 times the packed Schur matrix
+        (m(m+1)/2 doubles) plus four chunks of ``K_CHUNK`` doubles."""
         m, cutoff = 4, 9
         gram, outs = _small_benchmark_inputs(m, cutoff)
         prob = _benchmark_problem(monkeypatch, benchmark_general, gram,
                                   [Tomography(outs[0])] + [_errors_scenario(o) for o in outs[1:]],
                                   cutoff=cutoff)
         canon = prob.canonicalize()
-        n = m * (cutoff + 1)
         tracemalloc.start()
         try:
             sol = solve(canon, SDPConfig(max_iter=3))
@@ -925,7 +995,7 @@ class TestKPathAssembly:
             tracemalloc.stop()
         assert sol.iterations == 3
         m_schur = canon.b.size
-        assert peak <= 1.4 * (4 * m_schur * (m_schur + 1) + 8 * n ** 4)
+        assert peak <= 1.4 * 4 * m_schur * (m_schur + 1) + 4 * 8 * sdp.K_CHUNK
 
 
 class TestValidation:

@@ -790,8 +790,9 @@ class _SchurTerm:
     other single-entry rows q, from the chunk that holds c_p: a piece per run
     of such rows, gathered in row-major order for the view of :class:`_Packed`
     it fills (columns from the run on before row k, from k up to the run
-    after it).  Rows with several entries accumulate A_D K over the chunks and
-    are added as a border at the end.
+    after it).  For the rows with several entries, each chunk gives the
+    columns of A_D K at its coordinates (as rows of K A_D^T), and A_D K is
+    added as a border at the end.
     """
 
     def __init__(self, rows, sub, d, half, real):
@@ -809,8 +810,7 @@ class _SchurTerm:
         # Every entry pair the rows touch, in the order of its first row; the
         # columns of every chunk are all of them.
         nz_row = np.repeat(rows, np.diff(sub.indptr))
-        is_im = sub.indices >= d + npair
-        nz_pair = np.where(is_im, sub.indices - npair, sub.indices)
+        nz_pair = np.where(sub.indices >= d + npair, sub.indices - npair, sub.indices)
         pairs, first = np.unique(nz_pair, return_index=True)
         pairs = pairs[np.argsort(nz_row[first], kind="stable")]
         self.cols = (pair_i[pairs], pair_j[pairs])
@@ -863,8 +863,11 @@ class _SchurTerm:
                            _scatter_plan(s_index, d_index, half))
 
     def add(self, packed, ws):
+        """Add the part for the stack ``ws`` of the blocks' scalings W."""
         d_sub = self.d_sub
         z = np.empty((d_sub.shape[0], self.n_cols)) if d_sub.shape[0] else None
+        # W Hermitian to the last bit makes K exactly symmetric, so no entry
+        # of S depends on which of its two rows' chunks forms it.
         ws = (ws + _ct(ws)) / 2.0
         for rows, z_at, pieces in self.chunks:
             k_rows = _congruence_rows(ws, rows, self.cols)

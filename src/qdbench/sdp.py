@@ -166,10 +166,11 @@ def _congruence_rows(ws: np.ndarray, rows, cols) -> np.ndarray:
     coordinates for a (n, d, d) stack of Hermitian W_n, at chosen columns.
 
     ``rows`` = (i, j) and ``cols`` = (k, l) are arrays of entry pairs, i <= j
-    and k <= l (:func:`_entry_pairs`).  Rows and columns of the result are
-    the real parts of the pairs in the given order, then, for a complex
-    stack, their imaginary parts; a diagonal pair's real part is its diagonal
-    coordinate, and its imaginary row and column are zero.
+    and k <= l (:func:`_entry_pairs`), the diagonal ones first.  Rows and
+    columns of the result are the real parts of the pairs in the given order
+    (a diagonal pair's is its diagonal coordinate), then, for a complex
+    stack, the imaginary parts of the off-diagonal ones: K in hvec order for
+    rows = cols = ``_entry_pairs(d)``.
 
     Entry (a, b) of K is <E_a, W E_b W> for the orthonormal Hermitian basis
     E_a = hmat(e_a), a product of two entries of W.  For pairs p = (i, j) and
@@ -183,25 +184,32 @@ def _congruence_rows(ws: np.ndarray, rows, cols) -> np.ndarray:
     coordinate groups; only the real group is formed.
     """
     (ri, rj), (ck, cl) = rows, cols
+    dr, dc = np.count_nonzero(ri == rj), np.count_nonzero(ck == cl)
     wi, wj = ws[:, ri], ws[:, rj].conj()                        # W_ix, W_xj
     a = wi[0][:, ck] * wj[0][:, cl]
-    b = wi[0][:, cl] * wj[0][:, ck]
+    b = wi[0][dr:, cl[dc:]] * wj[0][dr:, ck[dc:]]
     for t in range(1, ws.shape[0]):
         a += wi[t][:, ck] * wj[t][:, cl]
-        b += wi[t][:, cl] * wj[t][:, ck]
-    if np.iscomplexobj(ws):
-        nr, nc = ri.size, ck.size
-        out = np.empty((2 * nr, 2 * nc))
-        np.add(a.real, b.real, out=out[:nr, :nc])
-        np.subtract(b.imag, a.imag, out=out[:nr, nc:])
-        np.add(a.imag, b.imag, out=out[nr:, :nc])
-        np.subtract(a.real, b.real, out=out[nr:, nc:])
-    else:
-        out = np.add(a, b, out=a)
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    diag_rows, diag_cols = np.flatnonzero(ri == rj), np.flatnonzero(ck == cl)
-    out[diag_rows] *= inv_sqrt2
-    out[:, diag_cols] *= inv_sqrt2
+        b += wi[t][dr:, cl[dc:]] * wj[t][dr:, ck[dc:]]
+    nr, nc = a.shape
+    complex_stack = np.iscomplexobj(ws)
+    out = np.empty((2 * nr - dr, 2 * nc - dc) if complex_stack else (nr, nc))
+    re_re, re_im, im_re, im_im = out[:nr, :nc], out[:nr, nc:], out[nr:, :nc], out[nr:, nc:]
+    off = a[dr:, dc:]
+    np.add(off.real, b.real, out=re_re[dr:, dc:])
+    # B = conj(A) on a diagonal row and B = A on a diagonal column, so those
+    # entries need A alone: sqrt2 Re A (and -sqrt2 Im A, sqrt2 Im A), and
+    # |W_xy|^2 where both pairs are diagonal.
+    sqrt2 = math.sqrt(2.0)
+    np.multiply(a.real[:dr, dc:], sqrt2, out=re_re[:dr, dc:])
+    np.multiply(a.real[dr:, :dc], sqrt2, out=re_re[dr:, :dc])
+    re_re[:dr, :dc] = a.real[:dr, :dc]
+    if complex_stack:
+        np.subtract(b.imag, off.imag, out=re_im[dr:])
+        np.add(off.imag, b.imag, out=im_re[:, dc:])
+        np.subtract(off.real, b.real, out=im_im)
+        np.multiply(a.imag[:dr, dc:], -sqrt2, out=re_im[:dr])
+        np.multiply(a.imag[dr:, :dc], sqrt2, out=im_re[:, :dc])
     return out
 
 
@@ -802,35 +810,34 @@ class _SchurTerm:
         one = np.diff(sub.indptr) == 1
         starts = sub.indptr[:-1][one]
         s_rows, s_coord, s_val = rows[one], sub.indices[starts], sub.data[starts]
-        self.s_rows, self.s_val = s_rows, s_val
+        self.s_val = s_val
         self.unit = bool(s_val.size and np.all(s_val == s_val[0]) and abs(s_val[0]) == 1.0)
-        multi = sub[~one]
-        self.d_rows = rows[~one]
+        multi, d_rows = sub[~one], rows[~one]
 
-        # Every entry pair the rows touch, in the order of its first row; the
-        # columns of every chunk are all of them.
+        # Every entry pair the rows touch, the diagonal ones first and each
+        # group in the order of its first row; the columns of every chunk are
+        # all of them.
         nz_row = np.repeat(rows, np.diff(sub.indptr))
         nz_pair = np.where(sub.indices >= d + npair, sub.indices - npair, sub.indices)
         pairs, first = np.unique(nz_pair, return_index=True)
-        pairs = pairs[np.argsort(nz_row[first], kind="stable")]
+        pairs = pairs[np.lexsort((nz_row[first], pairs >= d))]
         self.cols = (pair_i[pairs], pair_j[pairs])
-        self.n_cols = n_cols = kinds * pairs.size
+        self.n_cols = n_cols = pairs.size + (kinds - 1) * np.count_nonzero(pairs >= d)
 
         def layout(chunk):
             """Position of each coordinate in the rows (or columns) of K formed
             for the entry pairs ``chunk``; -1 for coordinates elsewhere."""
             at = np.full(d + 2 * npair, -1)
             at[chunk] = np.arange(chunk.size)
-            at[chunk[chunk >= d] + npair] = chunk.size + np.flatnonzero(chunk >= d)
+            off = chunk[chunk >= d]
+            at[off + npair] = chunk.size + np.arange(off.size)
             return at[:n_coord]
 
         col_at = layout(pairs)
         s_col = col_at[s_coord]
         self.s_col = _as_slice(s_col)
         self.d_sub = sp.csr_matrix((multi.data, col_at[multi.indices], multi.indptr),
-                                   shape=(self.d_rows.size, n_cols))
-        pair_at = np.empty(d + npair, dtype=int)
-        pair_at[pairs] = np.arange(pairs.size)
+                                   shape=(d_rows.size, n_cols))
         jk = int(np.searchsorted(s_rows, half))       # first single row at or after k
         # Chunks of about K_CHUNK entries of K rows (a diagonal pair has one row).
         in_chunk = (np.cumsum(np.where(pairs < d, 1, kinds)) - 1) // max(1, K_CHUNK // n_cols)
@@ -854,10 +861,12 @@ class _SchurTerm:
                                    s_val[lo:hi, None], s_val[c0:c1],
                                    _scatter_plan(_index(s_rows[lo:hi]),
                                                  _index(s_rows[c0:c1]), half)))
-            z_at = np.concatenate([pair_at[chunk] + part * pairs.size for part in range(kinds)])
+            held_coords = np.flatnonzero(at >= 0)
+            z_at = np.empty(held_coords.size, dtype=int)    # K rows' columns of A_D K
+            z_at[at[held_coords]] = col_at[held_coords]
             self.chunks.append(((pair_i[chunk], pair_j[chunk]), z_at, pieces))
-        if self.d_rows.size:
-            d_index, s_index = _index(self.d_rows), _index(s_rows)
+        if d_rows.size:
+            d_index, s_index = _index(d_rows), _index(s_rows)
             self.border = (_scatter_plan(d_index, d_index, half),
                            _scatter_plan(d_index, s_index, half),
                            _scatter_plan(s_index, d_index, half))
@@ -883,13 +892,14 @@ class _SchurTerm:
             if z is not None:
                 # Columns z_at of A_D K, as rows z_at of K A_D^T: each entry
                 # sums over A_D's entries in order, whatever the chunks.
-                z[:, z_at] = np.add.reduceat(k_rows[:, d_sub.indices] * d_sub.data,
-                                             d_sub.indptr[:-1], axis=1).T
+                terms = k_rows.take(d_sub.indices, axis=1)
+                terms *= d_sub.data
+                z[:, z_at] = np.add.reduceat(terms, d_sub.indptr[:-1], axis=1).T
         if z is None:
             return
         dd_plan, ds_plan, sd_plan = self.border
         _scatter_add(packed, dd_plan, d_sub @ z.T)
-        if self.s_rows.size:
+        if self.s_val.size:
             ds = z[:, self.s_col] * self.s_val
             _scatter_add(packed, ds_plan, ds)
             _scatter_add(packed, sd_plan, ds.T)

@@ -42,16 +42,9 @@ def _basis_k(ws):
 
 
 def _k_matrix(ws):
-    """K in hvec order from the row kernel at every entry pair; a complex
-    stack drops the zero imaginary rows and columns of the diagonal pairs."""
-    d = ws.shape[-1]
-    pairs = _entry_pairs(d)
-    k = _congruence_rows(ws, pairs, pairs)
-    if not np.iscomplexobj(ws):
-        return k
-    n = pairs[0].size
-    keep = np.concatenate([np.arange(n), n + np.arange(d, n)])
-    return k[np.ix_(keep, keep)]
+    """K in hvec order: the row kernel at every entry pair."""
+    pairs = _entry_pairs(ws.shape[-1])
+    return _congruence_rows(ws, pairs, pairs)
 
 
 def _packed(mat):
@@ -427,17 +420,20 @@ class TestCongruenceMatrix:
         rng = np.random.default_rng(seed)
         pair_i, pair_j = _entry_pairs(d)
         n = pair_i.size
-        at_r, at_c = (rng.permutation(n)[:int(rng.integers(1, n + 1))] for _ in range(2))
+
+        def pick():
+            """A random subset of the entry pairs, the diagonal ones first."""
+            at = rng.permutation(n)[:int(rng.integers(1, n + 1))]
+            return np.concatenate([at[at < d], at[at >= d]])
+
+        at_r, at_c = pick(), pick()
         rows = _congruence_rows(ws, (pair_i[at_r], pair_j[at_r]), (pair_i[at_c], pair_j[at_c]))
 
         def coords(at):
-            """hvec coordinates of the kernel's rows for pairs ``at``; -1 for
-            the zero imaginary part of a diagonal pair."""
-            return np.concatenate([at, np.where(at < d, -1, at + n - d)])
+            """hvec coordinates of the kernel's rows for the pairs ``at``."""
+            return np.concatenate([at, at[at >= d] + n - d])
 
-        cr, cc = coords(at_r), coords(at_c)
-        want = np.where((cr[:, None] < 0) | (cc[None, :] < 0), 0.0, ref[np.ix_(cr, cc)])
-        assert np.max(np.abs(rows - want)) <= 1e-13 * scale
+        assert np.max(np.abs(rows - ref[np.ix_(coords(at_r), coords(at_c))])) <= 1e-13 * scale
 
     @settings(max_examples=40, deadline=None, database=None)
     @given(st.tuples(st.integers(1, 3), st.integers(1, 12)).flatmap(lambda nd: arrays(

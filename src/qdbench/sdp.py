@@ -681,8 +681,8 @@ def _row_order(a_blocks, m):
 # mean run of about 16 rows, for blocks of 64 to 520 rows.
 MIN_MEAN_RUN = 16
 # Largest entry count of the K rows a Schur term forms per chunk of entry
-# pairs, and of each piece it gathers from them: 1 MB, or chunks of 41 of the
-# 820 pairs of a 40x40 block in benchmark_general, M = 4.
+# pairs, and of each piece it gathers from them: 1 MB, or chunks of about 40
+# of the 820 pairs of a 40x40 block in benchmark_general, M = 4.
 K_CHUNK = 1 << 17
 # Rows per strip (a masked square and the rectangle beside it) where a piece
 # meets the diagonal; one masked square per run made sweep_m2_4 8 % slower.
@@ -717,7 +717,7 @@ class _Packed:
         self.views = (up[:, self.even:], up[1 - self.even:, :m - self.k])
 
     def index(self, r, c):
-        """Flat index in ``buf`` of S[r, c] for r < k <= c or k <= c <= r."""
+        """Flat index in ``buf`` of S[r, c] for r < k, c >= r, or k <= c <= r."""
         k, e, n = self.k, self.even, self.m + self.even
         return np.where(r < k, r * n + c + e, (r - k + 1 - e) * n + c - k)
 

@@ -217,12 +217,6 @@ def symmetry_check(tau: BipartiteBlockMatrix) -> float:
     return float(np.max(np.abs(rotated - shifted)))
 
 
-def _phase_table(m: int) -> np.ndarray:
-    """omega^{a*b} for a, b in 0..m-1, omega = exp(2 pi i / m)."""
-    a = np.arange(m)
-    return np.exp(2j * np.pi / m * np.outer(a, a))
-
-
 def to_standard_form(tau: BipartiteBlockMatrix, tol: float = SYMMETRY_TOL) -> StandardForm:
     """Standard form of a phase-symmetric matrix.
 

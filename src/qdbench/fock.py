@@ -130,9 +130,6 @@ class FockOperator:
         self.dim = matrix.shape[0]
         self.matrix = matrix
 
-    def dagger(self) -> "FockOperator":
-        return FockOperator(self.matrix.conj().T)
-
     def is_hermitian(self, tol: float = HERMITICITY_TOL) -> bool:
         return hermitian_part_error(self.matrix) <= tol
 

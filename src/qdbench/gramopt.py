@@ -45,6 +45,8 @@ __all__ = [
 
 GRAM_PSD_TOL = 1e-9
 GRAM_DIAG_TOL = 1e-10
+# Most rounds of purity refinement in optimize_gram(refine_purity=True).
+MAX_REFINE_ITERS = 8
 
 
 class GramMatrix:
@@ -302,7 +304,7 @@ def _solve_symmetric(states, weights_d, config) -> tuple:
 
 
 def optimize_gram(test_states, symmetric: bool = False, *, pre_rotate: bool = True,
-                  refine_purity: bool = False, max_refine_iters: int = 8,
+                  refine_purity: bool = False,
                   solver_config: SDPConfig | None = None) -> GramOptResult:
     """Choose purification overlaps for the given test states.
 
@@ -315,9 +317,9 @@ def optimize_gram(test_states, symmetric: bool = False, *, pre_rotate: bool = Tr
     ``pre_rotate`` applies the diagonal phase freedom of the purifications to
     put the achievable overlap phases near zero before optimizing (general
     path only: the symmetric sector admits only the M discrete phase shifts,
-    of which the identity is used).  ``refine_purity`` runs a few rounds of
-    iterated linearization of the Gram purity on top of the h optimum; each
-    round cannot decrease the purity.
+    of which the identity is used).  ``refine_purity`` runs up to
+    ``MAX_REFINE_ITERS`` rounds of iterated linearization of the Gram purity
+    on top of the h optimum; each round cannot decrease the purity.
     """
     m = len(test_states)
     if m < 2:
@@ -362,7 +364,7 @@ def optimize_gram(test_states, symmetric: bool = False, *, pre_rotate: bool = Tr
 
     if refine_purity:
         best_purity = float(np.sum(np.abs(z) ** 2)) / m**2
-        for round_idx in range(max_refine_iters):
+        for round_idx in range(MAX_REFINE_ITERS):
             z_new, blocks_new, _, sol_new = solve_again(weights_from_z(z))
             new_purity = float(np.sum(np.abs(z_new) ** 2)) / m**2
             diagnostics["refine_rounds"] = round_idx + 1

@@ -11,30 +11,30 @@ Problem form:
 ``<A, B> = Re Tr(A B)`` for Hermitian A, B.  Every constraint is a block of
 real rows on the ``hvec`` coordinates of the variables, in which
 ``<C, X> = hvec(C) . hvec(X)``; :class:`SDPProblem` stores each block as an
-array of targets and one CSR matrix per variable it touches.  Interval rows
-are canonicalized into pairs of one-sided inequalities with nonnegative slack
-variables; a PSD constraint is a slack block S and the rows
-``S - sum_i L_i(X_i) == constant``, each L_i given by its coordinate matrix.
+array of targets and one CSR matrix per variable it touches.  An interval
+lo <= f <= hi is two 1x1 slack blocks s_lo, s_hi and the rows
+``f - s_lo == lo`` and ``s_lo + s_hi == hi - lo``; a PSD constraint is a
+slack block S and the rows ``S - sum_i L_i(X_i) == constant``, each L_i given
+by its coordinate matrix.
 
 The solver is a primal-dual interior-point method with Nesterov-Todd scaling
-and a Mehrotra predictor-corrector step, run directly on the Hermitian cone
-(1x1 slack entries live in a nonnegative-orthant block).
+and a Mehrotra predictor-corrector step, run directly on the Hermitian cone.
 
 Hermitian iterates, residuals and directions are held as one (n_b, d, d)
 stack per block dimension (a single stack in the block-circulant standard
-form); the orthant stays a vector.  A stack's scaling takes three batched
-``eigh`` calls and each of its step lengths one batched ``eigvalsh``, with the
-per-block rules kept: each block's eigenvalue floor follows its own largest
-eigenvalue, a non-finite second-order term is dropped for its block only, and
-a non-finite block or failed eigen-solve gives step 0.  A is one CSR matrix
-over the ``hvec`` coordinates of every stack and the orthant.
+form, plus one of 1x1 blocks for interval slacks).  A stack's scaling takes
+three batched ``eigh`` calls and each of its step lengths one batched
+``eigvalsh``, with the per-block rules kept: each block's eigenvalue floor
+follows its own largest eigenvalue, a non-finite second-order term is dropped
+for its block only, and a non-finite block or failed eigen-solve gives step
+0.  A is one CSR matrix over the ``hvec`` coordinates of every stack.
 
-Once per solve, the constraint rows are grouped by the set of Hermitian blocks
-each one touches (the orthant is left out), in a stable order, and ``y`` is
-mapped back to the caller's row order.  Each block's rows then form a few runs
-of consecutive Schur indices (in the block-circulant standard form at most
-M + 1 for an E_k block, one for an F_k or slack block); rows whose runs
-average fewer than ``MIN_MEAN_RUN`` are scattered at flat indices instead.
+Once per solve, the constraint rows are grouped by the set of blocks larger
+than 1x1 each one touches, in a stable order, and ``y`` is mapped back to the
+caller's row order.  Each block's rows then form a few runs of consecutive
+Schur indices (in the block-circulant standard form at most M + 1 for an E_k
+block, one for an F_k or PSD slack block, at most two for an interval
+slack).
 
 Each iteration assembles the Schur complement S into one buffer of m(m+1)/2
 doubles, its lower triangle in LAPACK's rectangular full packed storage
@@ -320,8 +320,8 @@ class SDPProblem:
         self._maximize = False
         self._blocks: list[tuple[int, dict, np.ndarray]] = []  # (first row, coeffs, targets)
         self._n_rows = 0
-        self._intervals: list[tuple[int, float, float]] = []  # (row index, lo, hi)
         self._n_psd = 0
+        self._n_interval = 0
 
     # -- variables -----------------------------------------------------------
 
@@ -381,15 +381,26 @@ class SDPProblem:
         self._add_rows(self._hvec_row(coeffs, label), [target], label)
 
     def add_interval(self, coeffs: dict, lower: float, upper: float, label=None) -> None:
-        """lower <= sum_v <coeff_v, X_v> <= upper."""
+        """lower <= sum_v <coeff_v, X_v> <= upper.
+
+        For lower < upper, adds two 1x1 slack blocks s_lo, s_hi and the rows
+        f - s_lo == lower and s_lo + s_hi == upper - lower; lower == upper is
+        the equality f == lower.
+        """
         if not (math.isfinite(lower) and math.isfinite(upper) and lower <= upper):
             raise SDPError(f"interval constraint {label or ''} needs finite lower <= upper, "
                            f"got [{lower}, {upper}]")
         if lower == upper:
             self.add_equality(coeffs, lower, label)
             return
-        row = self._add_rows(self._hvec_row(coeffs, label), [lower], label)
-        self._intervals.append((row, float(lower), float(upper)))
+        row = self._hvec_row(coeffs, label)
+        s_lo, s_hi = (f"_interval_slack_{self._n_interval}_{side}" for side in ("lo", "hi"))
+        self.add_variable(s_lo, 1)
+        self.add_variable(s_hi, 1)
+        self._n_interval += 1
+        one = np.ones((1, 1))
+        self._add_rows({**row, s_lo: -one}, [lower], label)
+        self._add_rows({s_lo: one, s_hi: one}, [float(upper) - float(lower)], label)
 
     def add_entry_equalities(self, weights: dict, target: np.ndarray, offset: int = 0,
                              label=None) -> None:
@@ -472,13 +483,10 @@ class SDPProblem:
     # -- canonicalization ------------------------------------------------------
 
     def canonicalize(self) -> "CanonicalSDP":
-        """Concatenate the row blocks into one CSR matrix per variable, and
-        turn each interval row  lo <= f <= hi  into  f - s_lo == lo  plus an
-        extra row  s_lo + s_hi == hi - lo  over two orthant slacks."""
+        """Concatenate the row blocks into one CSR matrix per variable."""
         if not self._var_dims:
             raise SDPError("problem has no variables")
-        n_int = len(self._intervals)
-        m = self._n_rows + n_int
+        m = self._n_rows
         sign = -1.0 if self._maximize else 1.0
         a_blocks, c_blocks = [], []
         for name, d in self._var_dims.items():
@@ -492,26 +500,12 @@ class SDPProblem:
             coeff = self._objective.get(name)
             c_blocks.append(sign * hvec(coeff) if coeff is not None else np.zeros(d * d))
 
-        b = np.concatenate([t for _, _, t in self._blocks] + [np.zeros(n_int)])
-        rows, cols, vals = [], [], []
-        for k, (row, lo, hi) in enumerate(self._intervals):
-            extra = self._n_rows + k
-            rows += [row, extra, extra]
-            cols += [2 * k, 2 * k, 2 * k + 1]
-            vals += [-1.0, 1.0, 1.0]
-            b[extra] = hi - lo
-        a_orthant = sp.csr_matrix(
-            (np.array(vals, dtype=float), (np.array(rows, dtype=int), np.array(cols, dtype=int))),
-            shape=(m, 2 * n_int))
-
         return CanonicalSDP(
             block_names=list(self._var_dims),
             block_dims=list(self._var_dims.values()),
             a_blocks=a_blocks,
             c_blocks=c_blocks,
-            a_orthant=a_orthant,
-            c_orthant=np.zeros(2 * n_int),
-            b=b,
+            b=np.concatenate([np.zeros(0)] + [t for _, _, t in self._blocks]),
             maximize=self._maximize,
         )
 
@@ -521,14 +515,12 @@ class SDPProblem:
 
 @dataclass
 class CanonicalSDP:
-    """Self-describing canonical form: min <c,x>, A x = b, x in PSD^k x R_+^n."""
+    """Self-describing canonical form: min <c,x>, A x = b, x in PSD^k."""
 
     block_names: list
     block_dims: list
     a_blocks: list
     c_blocks: list
-    a_orthant: sp.csr_matrix
-    c_orthant: np.ndarray
     b: np.ndarray
     maximize: bool
 
@@ -578,19 +570,10 @@ def _psd_step_length(isqrt, dx):
     return min(1.0, -1.0 / lam_min)
 
 
-def _orthant_step_length(x, dx):
-    neg = dx < 0
-    if not np.any(neg):
-        return 1.0
-    return min(1.0, float(np.min(-x[neg] / dx[neg])))
-
-
-def _step_lengths(scalings, xo, so, dx_m, dx_v, ds_m, ds_v):
-    """Primal and dual step lengths to the boundary over every stack and the orthant."""
-    ap = min([_psd_step_length(sc.x_isqrt, dx) for sc, dx in zip(scalings, dx_m)]
-             + [_orthant_step_length(xo, dx_v)])
-    ad = min([_psd_step_length(sc.s_isqrt, ds) for sc, ds in zip(scalings, ds_m)]
-             + [_orthant_step_length(so, ds_v)])
+def _step_lengths(scalings, dx_m, ds_m):
+    """Primal and dual step lengths to the boundary over every stack."""
+    ap = min(_psd_step_length(sc.x_isqrt, dx) for sc, dx in zip(scalings, dx_m))
+    ad = min(_psd_step_length(sc.s_isqrt, ds) for sc, ds in zip(scalings, ds_m))
     return ap, ad
 
 
@@ -637,14 +620,14 @@ def _all_finite(*arrays):
 def _real_rows(canon):
     """The rows on real coordinates of a problem invariant under complex
     conjugation, else None.  A block's first d(d+1)/2 hvec coordinates (its
-    diagonal and the real parts of its pairs) and the orthant are symmetric,
-    the imaginary parts antisymmetric.  No row may mix the two groups, every
-    antisymmetric row must pin its functional to 0.0 and the objective must
-    be symmetric; the real part of a feasible point is then feasible with the
-    same objective, so the minimum over real symmetric blocks is the minimum.
+    diagonal and the real parts of its pairs) are symmetric, the imaginary
+    parts antisymmetric.  No row may mix the two groups, every antisymmetric
+    row must pin its functional to 0.0 and the objective must be symmetric;
+    the real part of a feasible point is then feasible with the same
+    objective, so the minimum over real symmetric blocks is the minimum.
     """
     b = canon.b
-    sym = np.diff(canon.a_orthant.tocsr().indptr) > 0
+    sym = np.zeros(b.size, dtype=bool)
     anti = np.zeros_like(sym)
     for a, c, d in zip(canon.a_blocks, canon.c_blocks, canon.block_dims):
         ns, a = d * (d + 1) // 2, a.tocsr()
@@ -659,27 +642,25 @@ def _real_rows(canon):
     return np.flatnonzero(~anti)
 
 
-def _row_order(a_blocks, m):
-    """Permutation that groups the rows by the set of blocks each one touches.
+def _row_order(a_blocks, dims, m):
+    """Permutation that groups the rows by the set of blocks larger than 1x1
+    each one touches.
 
     Groups keep the order of their first row and rows keep their order within
     a group (a stable sort), so a problem whose rows are already grouped gets
-    the identity.
+    the identity.  An interval's row thus joins the other rows on its
+    functional's blocks, and its slack-only row the group of rows on no block.
     """
     touched = np.zeros((m, len(a_blocks)), dtype=bool)
-    for bi, a in enumerate(a_blocks):
-        touched[:, bi] = np.diff(a.indptr) > 0
+    for bi, (a, d) in enumerate(zip(a_blocks, dims)):
+        if d > 1:
+            touched[:, bi] = np.diff(a.indptr) > 0
     _, first, group = np.unique(touched, axis=0, return_index=True, return_inverse=True)
     rank = np.empty(first.size, dtype=int)
     rank[np.argsort(first)] = np.arange(first.size)
     return np.argsort(rank[group.reshape(-1)], kind="stable")
 
 
-# An index whose rows average fewer than this many per run of consecutive rows
-# is scattered at flat indices.  A slice add costs about 2.5 us, and R runs
-# cost R^2 of them: on a 2-vCPU x86 VM the two scatters cost the same at a
-# mean run of about 16 rows, for blocks of 64 to 520 rows.
-MIN_MEAN_RUN = 16
 # Largest entry count of the K rows a Schur term forms per chunk of entry
 # pairs, and of each piece it gathers from them: 1 MB, or chunks of about 40
 # of the 820 pairs of a 40x40 block in benchmark_general, M = 4.
@@ -692,14 +673,12 @@ _LOWER = _UPPER.T
 
 
 def _index(rows):
-    """Sorted unique Schur indices and their runs of consecutive values, as
-    pairs of (Schur index slice, local index slice), or None in place of the
-    runs where a flat-index scatter is cheaper."""
+    """Runs of consecutive values of sorted unique Schur indices, as pairs of
+    (Schur index slice, local index slice)."""
     cuts = np.flatnonzero(np.diff(rows) != 1) + 1
     lo, hi = np.concatenate(([0], cuts)), np.concatenate((cuts, [rows.size]))
-    runs = [(slice(int(rows[l]), int(rows[h - 1]) + 1), slice(int(l), int(h)))
+    return [(slice(int(rows[l]), int(rows[h - 1]) + 1), slice(int(l), int(h)))
             for l, h in zip(lo, hi) if h > l]
-    return rows, (None if len(runs) > 1 and rows.size < MIN_MEAN_RUN * len(runs) else runs)
 
 
 class _Packed:
@@ -722,23 +701,13 @@ class _Packed:
         return np.where(r < k, r * n + c + e, (r - k + 1 - e) * n + c - k)
 
 
-def _written(rows_i, rows_j, k):
-    """Mask of the entries of a piece S[rows_i, rows_j] that the assembly
-    writes: columns from the row on in rows before k, from k up to the row
-    after it.  Each entry of a symmetric S is written once, from one side."""
-    r, c = rows_i[:, None], rows_j[None, :]
-    return np.where(r < k, c >= r, (c >= k) & (c <= r))
-
-
-def _scatter_plan(index_i, index_j, k):
-    """Slice adds for ``S[rows_i, rows_j] += part`` on the entries that
-    :func:`_written` selects, given two indices from :func:`_index` and k of
-    :class:`_Packed`: each pair of runs is split at row k, cut to the rows and
-    columns that reach the diagonal, and added in strips there.  ``ops`` is
-    None without runs."""
-    (rows_i, runs_i), (rows_j, runs_j) = index_i, index_j
-    if runs_i is None or runs_j is None:
-        return rows_i, rows_j, None
+def _scatter_plan(runs_i, runs_j, k):
+    """Slice adds for ``S[rows_i, rows_j] += part`` on the entries a
+    :class:`_Packed` holds, given the runs of both row sets (:func:`_index`)
+    and its k: columns from the row on in rows before k, from k up to the row
+    after it, so each entry of a symmetric S is written once, from one side.
+    Each pair of runs is split at row k, cut to the rows and columns that
+    reach the diagonal, and added in strips there."""
     ops = []
     for dst_i, src_i in runs_i:
         for dst_j, src_j in runs_j:
@@ -762,17 +731,12 @@ def _scatter_plan(index_i, index_j, k):
             ops += [(v, np.s_[r0 - v * k:r1 - v * k, s0 - v * k:s1 - v * k],
                      np.s_[r0 - di:r1 - di, s0 - dj:s1 - dj], mask)
                     for v, r0, r1, s0, s1, mask in pieces if r0 < r1 and s0 < s1]
-    return rows_i, rows_j, ops
+    return ops
 
 
-def _scatter_add(packed, plan, part):
-    """``S[rows_i, rows_j] += part`` on the entries that :func:`_written`
-    selects in a :class:`_Packed`, by a plan from :func:`_scatter_plan`."""
-    rows_i, rows_j, ops = plan
-    if ops is None:
-        ii, jj = np.nonzero(_written(rows_i, rows_j, packed.k))
-        packed.buf[packed.index(rows_i[ii], rows_j[jj])] += part[ii, jj]
-        return
+def _scatter_add(packed, ops, part):
+    """``S[rows_i, rows_j] += part`` in a :class:`_Packed`, by a plan from
+    :func:`_scatter_plan`."""
     for v, dst, src, mask in ops:
         view = packed.views[v][dst]
         np.add(view, part[src], out=view, where=mask)
@@ -967,10 +931,8 @@ def solve(problem, config: SDPConfig | None = None) -> SDPSolution:
     canon = problem.canonicalize() if isinstance(problem, SDPProblem) else problem
 
     dims = canon.block_dims
-    n_orth = canon.a_orthant.shape[1]
-    b, c_blocks, c_orth = canon.b, canon.c_blocks, canon.c_orthant
+    b, c_blocks = canon.b, canon.c_blocks
     a_blocks = [a.tocsr() for a in canon.a_blocks]
-    a_orth = canon.a_orthant.tocsr()
     # A conjugation-invariant problem keeps its rows and coordinates on real
     # parts, and its stacks are real; to_caller[i] is the caller's row i.
     to_caller = _real_rows(canon)
@@ -978,65 +940,53 @@ def solve(problem, config: SDPConfig | None = None) -> SDPSolution:
     if real:
         a_blocks = [a[to_caller][:, :d * (d + 1) // 2] for a, d in zip(a_blocks, dims)]
         c_blocks = [c[:d * (d + 1) // 2] for c, d in zip(c_blocks, dims)]
-        a_orth, b = a_orth[to_caller], b[to_caller]
+        b = b[to_caller]
     m = b.shape[0]
     vec, unvec, dtype = (_svec, _smat, float) if real else (hvec, hmat, complex)
     # The solver works on the rows grouped by the blocks they touch, so that
     # each block's rows form few runs; y is mapped back to the caller's order.
-    order = _row_order(a_blocks, m)
+    order = _row_order(a_blocks, dims, m)
     if np.array_equal(order, np.arange(m)):
         order = None
     else:
         a_blocks = [a[order] for a in a_blocks]
-        a_orth = a_orth[order]
         b = b[order]
         to_caller = order if to_caller is None else to_caller[order]
 
     # Blocks of equal dimension form one (n_b, d, d) stack, in order of first
     # appearance; block bi is entry j of stack g for (g, j) = where[bi].  A is
-    # one CSR matrix over the hvec coordinates of the stacks and the orthant.
+    # one CSR matrix over the hvec coordinates of the stacks.
     groups = {}
     for bi, d in enumerate(dims):
         groups.setdefault(d, []).append(bi)
     groups = list(groups.items())
     where = {bi: (g, j) for g, (_, idx) in enumerate(groups) for j, bi in enumerate(idx)}
-    a_all = sp.hstack([a_blocks[bi] for _, idx in groups for bi in idx] + [a_orth],
-                      format="csr")
+    a_all = sp.hstack([a_blocks[bi] for _, idx in groups for bi in idx], format="csr")
     a_all_t = a_all.T
-    cuts = np.cumsum([len(idx) * a_blocks[idx[0]].shape[1] for _, idx in groups])
+    cuts = np.cumsum([len(idx) * a_blocks[idx[0]].shape[1] for _, idx in groups])[:-1]
     c_mats = [unvec(np.stack([c_blocks[bi] for bi in idx]), d) for d, idx in groups]
 
     terms = _schur_terms(a_blocks, dims, where, real)
-    orth_rows = np.flatnonzero(np.diff(a_orth.indptr))
-    orth_plan = _scatter_plan(_index(orth_rows), _index(orth_rows), (m + 1) // 2)
-    orth_sub = a_orth[orth_rows]
 
-    nu = sum(dims) + n_orth
-    b_norm = 1.0 + float(np.linalg.norm(b))
-    c_norm = 1.0 + math.sqrt(
-        sum(float(np.vdot(cm, cm).real) for cm in c_mats) + float(c_orth @ c_orth))
-
-    def a_apply(xs, xo):
-        return a_all @ np.concatenate([vec(x).ravel() for x in xs] + [xo])
+    def a_apply(xs):
+        return a_all @ np.concatenate([vec(x).ravel() for x in xs])
 
     def a_adjoint(y):
         parts = np.split(a_all_t @ y, cuts)
-        mats = [unvec(v.reshape(len(idx), -1), d) for v, (d, idx) in zip(parts, groups)]
-        return mats, parts[-1]
+        return [unvec(v.reshape(len(idx), -1), d) for v, (d, idx) in zip(parts, groups)]
 
-    def inner(xs, xo, ss, so):
-        return sum(float(np.vdot(x, s).real) for x, s in zip(xs, ss)) + float(xo @ so)
+    def inner(xs, ss):
+        return sum(float(np.vdot(x, s).real) for x, s in zip(xs, ss))
 
-    def norm2(mats, vec):
-        return sum(float(np.vdot(a, a).real) for a in mats) + float(vec @ vec)
+    nu = sum(dims)
+    b_norm = 1.0 + float(np.linalg.norm(b))
+    c_norm = 1.0 + math.sqrt(inner(c_mats, c_mats))
 
     # Initial point: identity scaled to the data magnitudes.
     x_scale = max(1.0, float(np.max(np.abs(b))) if m else 1.0)
     s_scale = max([1.0] + [float(np.max(np.abs(cm))) for cm in c_mats])
     xs = [x_scale * np.tile(np.eye(d, dtype=dtype), (len(idx), 1, 1)) for d, idx in groups]
     ss = [s_scale * np.tile(np.eye(d, dtype=dtype), (len(idx), 1, 1)) for d, idx in groups]
-    xo = x_scale * np.ones(n_orth)
-    so = s_scale * np.ones(n_orth)
     y = np.zeros(m)
 
     history = []
@@ -1047,17 +997,16 @@ def solve(problem, config: SDPConfig | None = None) -> SDPSolution:
     it = 0
 
     for it in range(1, cfg.max_iter + 1):
-        rp = b - a_apply(xs, xo)
-        at_mats, at_vec = a_adjoint(y)
+        rp = b - a_apply(xs)
+        at_mats = a_adjoint(y)
         rd_mats = [cm - am - s for cm, am, s in zip(c_mats, at_mats, ss)]
-        rd_vec = c_orth - at_vec - so
 
-        gap = inner(xs, xo, ss, so)
+        gap = inner(xs, ss)
         mu = gap / nu
-        pobj = inner(c_mats, c_orth, xs, xo)
+        pobj = inner(c_mats, xs)
         dobj = float(b @ y)
         pres = float(np.linalg.norm(rp)) / b_norm
-        dres = math.sqrt(norm2(rd_mats, rd_vec)) / c_norm
+        dres = math.sqrt(inner(rd_mats, rd_mats)) / c_norm
         relgap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
 
         history.append({
@@ -1072,9 +1021,7 @@ def solve(problem, config: SDPConfig | None = None) -> SDPSolution:
 
         score = max(pres, dres, relgap)
         if best is None or score < best[0] * (1.0 - 1e-6):
-            best = (score, [x.copy() for x in xs], xo.copy(),
-                    [s.copy() for s in ss], so.copy(), y.copy(),
-                    pres, dres, gap)
+            best = (score, xs, y, pres, dres, gap)
             stall = 0
         else:
             stall += 1
@@ -1092,18 +1039,17 @@ def solve(problem, config: SDPConfig | None = None) -> SDPSolution:
 
         # Infeasibility certificates (Farkas-type, on normalized iterates).
         if dobj > 0 and it > 3:
-            cert = math.sqrt(norm2([am + s for am, s in zip(at_mats, ss)], at_vec + so)) / dobj
-            if cert <= CERT_TOL * c_norm:
+            z = [am + s for am, s in zip(at_mats, ss)]
+            if math.sqrt(inner(z, z)) / dobj <= CERT_TOL * c_norm:
                 status, stop_reason = SDPStatus.PRIMAL_INFEASIBLE, "primal_infeasible"
                 break
         if pobj < 0 and it > 3:
-            cert = float(np.linalg.norm(a_apply(xs, xo))) / (-pobj)
+            cert = float(np.linalg.norm(a_apply(xs))) / (-pobj)
             if cert <= CERT_TOL * b_norm:
                 status, stop_reason = SDPStatus.DUAL_INFEASIBLE, "dual_infeasible"
                 break
 
         scalings = [_Scaling(x, s) for x, s in zip(xs, ss)]
-        w_orth2 = xo / so
 
         def assemble_schur():
             # Schur complement  M[i,j] = <A_i, W A_j W>  summed over blocks:
@@ -1111,9 +1057,6 @@ def solve(problem, config: SDPConfig | None = None) -> SDPSolution:
             packed = _Packed(m)
             for g, js, term in terms:
                 term.add(packed, scalings[g].w[js])
-            if orth_rows.size:
-                _scatter_add(packed, orth_plan,
-                             (orth_sub.multiply(w_orth2) @ orth_sub.T).toarray())
             return packed
 
         # The previous factor is freed only here: freed any earlier, its memory
@@ -1121,40 +1064,38 @@ def solve(problem, config: SDPConfig | None = None) -> SDPSolution:
         solve_schur = None
         solve_schur = _factor_schur(assemble_schur)
 
-        def newton(rc_mats, rc_vec):
+        def newton(rc_mats):
             e_mats = [rc - sc.w @ rd @ sc.w for rc, rd, sc in zip(rc_mats, rd_mats, scalings)]
-            e_vec = rc_vec - w_orth2 * rd_vec
-            dy = solve_schur(rp - a_apply(e_mats, e_vec))
-            dat_mats, dat_vec = a_adjoint(dy)
+            dy = solve_schur(rp - a_apply(e_mats))
+            dat_mats = a_adjoint(dy)
             dx_mats = [e + sc.w @ da @ sc.w for e, da, sc in zip(e_mats, dat_mats, scalings)]
             ds_mats = [rd - da for rd, da in zip(rd_mats, dat_mats)]
-            return ([(a + _ct(a)) / 2.0 for a in dx_mats], e_vec + w_orth2 * dat_vec, dy,
-                    [(a + _ct(a)) / 2.0 for a in ds_mats], rd_vec - dat_vec)
+            return ([(a + _ct(a)) / 2.0 for a in dx_mats], dy,
+                    [(a + _ct(a)) / 2.0 for a in ds_mats])
 
         # Predictor.
-        dxa_m, dxa_v, _, dsa_m, dsa_v = newton([-x for x in xs], -xo)
-        if not _all_finite(*dxa_m, dxa_v, *dsa_m, dsa_v):
+        dxa_m, _, dsa_m = newton([-x for x in xs])
+        if not _all_finite(*dxa_m, *dsa_m):
             stop_reason = "non_finite"
             break
-        ap, ad = _step_lengths(scalings, xo, so, dxa_m, dxa_v, dsa_m, dsa_v)
-        mu_aff = max(0.0, inner([x + ap * dx for x, dx in zip(xs, dxa_m)], xo + ap * dxa_v,
-                                [s + ad * ds for s, ds in zip(ss, dsa_m)], so + ad * dsa_v)) / nu
+        ap, ad = _step_lengths(scalings, dxa_m, dsa_m)
+        mu_aff = max(0.0, inner([x + ap * dx for x, dx in zip(xs, dxa_m)],
+                                [s + ad * ds for s, ds in zip(ss, dsa_m)])) / nu
         sigma = min(1.0, max((mu_aff / mu) ** 3 if mu > 0 else 0.0, 1e-10))
 
         # Corrector with the second-order term in the scaled space.
         with np.errstate(over="ignore", invalid="ignore"):
             rc_mats = [sc.corrector_rhs(dxa, dsa, sigma * mu)
                        for sc, dxa, dsa in zip(scalings, dxa_m, dsa_m)]
-        rc_vec = sigma * mu / so - xo - dxa_v * dsa_v / so
-        if not _all_finite(*rc_mats, rc_vec):
+        if not _all_finite(*rc_mats):
             stop_reason = "non_finite"
             break
 
-        dx_m, dx_v, dy, ds_m, ds_v = newton(rc_mats, rc_vec)
-        if not _all_finite(*dx_m, dx_v, *ds_m, ds_v, dy):
+        dx_m, dy, ds_m = newton(rc_mats)
+        if not _all_finite(*dx_m, *ds_m, dy):
             stop_reason = "non_finite"
             break
-        ap, ad = _step_lengths(scalings, xo, so, dx_m, dx_v, ds_m, ds_v)
+        ap, ad = _step_lengths(scalings, dx_m, ds_m)
         ap = STEP_FRACTION * ap
         ad = STEP_FRACTION * ad
         if max(ap, ad) < 1e-12:
@@ -1162,16 +1103,11 @@ def solve(problem, config: SDPConfig | None = None) -> SDPSolution:
             break  # stalled; report best iterate
 
         xs = [x + ap * dx for x, dx in zip(xs, dx_m)]
-        xo = xo + ap * dx_v
         ss = [s + ad * ds for s, ds in zip(ss, ds_m)]
-        so = so + ad * ds_v
         y = y + ad * dy
 
-    if status is SDPStatus.OPTIMAL:
-        final = (None, xs, xo, ss, so, y, pres, dres, gap)
-    else:
-        final = best
-    _, xs, xo, ss, so, y, pres, dres, gap = final
+    if status is not SDPStatus.OPTIMAL:
+        _, xs, y, pres, dres, gap = best
     if to_caller is not None:
         y_caller = np.zeros(canon.b.shape[0])
         y_caller[to_caller] = y
@@ -1180,7 +1116,7 @@ def solve(problem, config: SDPConfig | None = None) -> SDPSolution:
     sign = -1.0 if canon.maximize else 1.0
     return SDPSolution(
         status=status,
-        objective=sign * inner(c_mats, c_orth, xs, xo),
+        objective=sign * inner(c_mats, xs),
         variables={name: xs[where[bi][0]][where[bi][1]].astype(complex, copy=False)
                    for bi, name in enumerate(canon.block_names)},
         primal_residual=pres,

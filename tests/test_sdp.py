@@ -130,6 +130,35 @@ class TestSolveBasics:
         assert sol.status is SDPStatus.OPTIMAL
         assert sol.objective == pytest.approx(0.3, abs=1e-7)
 
+    @pytest.mark.parametrize("coeff", [
+        np.diag([1.0, 0.0, 2.0]), np.eye(3) + np.array([[0, -1j, 0], [1j, 0, 0], [0, 0, 0]])],
+        ids=["real", "complex"])
+    def test_interval_is_two_1x1_slacks_and_two_equalities(self, coeff):
+        """An interval written by hand as two 1x1 variables and the rows
+        f - s_lo == lo and s_lo + s_hi == hi - lo solves bit-identically to
+        add_interval, over real blocks or complex ones."""
+        def solved(by_hand):
+            p = SDPProblem()
+            p.add_variable("X", 3)
+            p.set_objective({"X": np.diag([3.0, 2.0, 1.0])})
+            p.add_equality({"X": np.eye(3)}, 1.0)
+            if by_hand:
+                p.add_variable("s_lo", 1)
+                p.add_variable("s_hi", 1)
+                p.add_equality({"X": coeff, "s_lo": -np.eye(1)}, 1.1)
+                p.add_equality({"s_lo": np.eye(1), "s_hi": np.eye(1)}, 1.7 - 1.1)
+            else:
+                p.add_interval({"X": coeff}, 1.1, 1.7)
+            return p.solve()
+
+        interval, by_hand = solved(False), solved(True)
+        assert interval.status is SDPStatus.OPTIMAL
+        assert interval.objective == by_hand.objective
+        assert np.array_equal(interval.y, by_hand.y)
+        assert interval.history == by_hand.history
+        assert [x.tobytes() for x in interval.variables.values()] == \
+            [x.tobytes() for x in by_hand.variables.values()]
+
     def test_hadamard_mask_map(self, rng):
         # max <J, X o mask> subject to unit diagonal: PSD slack route
         mask = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -179,17 +208,19 @@ _CONSTRAINT_KINDS = ("equality", "interval", "entries", "psd")
 def _add_random_constraint(prob, kind, xs, rng):
     """Add one random constraint of the given kind to ``prob``; return its
     rows' functionals evaluated directly on the dense Hermitian ``xs`` (a PSD
-    constraint's slack gets a random value in ``xs``), and its targets."""
+    constraint's slack gets a random value in ``xs``, an interval's two 1x1
+    slacks none), and its targets."""
     names = list(_PROBLEM_DIMS)
     if kind in ("equality", "interval"):
         used = rng.choice(names, size=int(rng.integers(1, len(names) + 1)), replace=False)
         coeffs = {v: _random_hermitian(rng, 1, _PROBLEM_DIMS[v])[0] for v in used}
         target = float(rng.standard_normal())
+        value = sum(np.trace(c @ xs[v]).real for v, c in coeffs.items())
         if kind == "equality":
             prob.add_equality(coeffs, target)
-        else:
-            prob.add_interval(coeffs, target, target + 1.0)
-        return [sum(np.trace(c @ xs[v]).real for v, c in coeffs.items())], [target]
+            return [value], [target]
+        prob.add_interval(coeffs, target, target + 1.0)
+        return [value, 0.0], [target, 1.0]  # f - s_lo == lo, s_lo + s_hi == hi - lo
     if kind == "entries":
         used = rng.choice(names, size=int(rng.integers(1, len(names) + 1)), replace=False)
         room = min(_PROBLEM_DIMS[v] for v in used)
@@ -240,7 +271,8 @@ class TestConstraintRows:
     def test_canonical_rows_evaluate_each_functional(self, kinds, seed):
         """A applied to hvec(X_v) gives every row's functional of the dense
         X_v, in the order the rows were added, with b holding their targets;
-        an interval row's extra row touches the two orthant slacks only."""
+        an interval adds two 1x1 slack blocks s_lo and s_hi, with -1 from s_lo
+        on its row and +1 from each on the next row, whose target is hi - lo."""
         rng = np.random.default_rng(seed)
         prob = SDPProblem()
         for name, d in _PROBLEM_DIMS.items():
@@ -255,17 +287,21 @@ class TestConstraintRows:
             targets.extend(row_targets)
         canon = prob.canonicalize()
         n = len(values)
-        assert canon.b.size == n + len(intervals)
-        got = sum(a @ hvec(xs[name]) for name, a in zip(canon.block_names, canon.a_blocks))
-        assert np.max(np.abs(got[:n] - values)) <= 1e-12 * (1.0 + np.max(np.abs(values)))
-        assert np.all(got[n:] == 0.0)
-        assert np.max(np.abs(canon.b[:n] - targets)) <= 1e-15 * (1.0 + np.max(np.abs(targets)))
-        orthant = np.zeros((n + len(intervals), 2 * len(intervals)))
+        assert canon.b.size == n
+        blocks = dict(zip(canon.block_names, canon.a_blocks))
+        got = sum(blocks[name] @ hvec(x) for name, x in xs.items())
+        assert np.max(np.abs(got - values)) <= 1e-12 * (1.0 + np.max(np.abs(values)))
+        assert np.max(np.abs(canon.b - targets)) <= 1e-15 * (1.0 + np.max(np.abs(targets)))
+        slacks = [(name, d) for name, d in zip(canon.block_names, canon.block_dims)
+                  if name not in xs]
+        assert len(slacks) == 2 * len(intervals)
         for k, row in enumerate(intervals):
-            orthant[row, 2 * k] = -1.0
-            orthant[n + k, 2 * k:2 * k + 2] = 1.0
-        assert np.array_equal(canon.a_orthant.toarray(), orthant)
-        assert np.all(np.abs(canon.b[n:] - 1.0) <= 1e-14)  # hi - lo
+            (s_lo, d_lo), (s_hi, d_hi) = slacks[2 * k:2 * k + 2]
+            assert d_lo == d_hi == 1
+            want_lo, want_hi = np.zeros((n, 1)), np.zeros((n, 1))
+            want_lo[row], want_lo[row + 1], want_hi[row + 1] = -1.0, 1.0, 1.0
+            assert np.array_equal(blocks[s_lo].toarray(), want_lo)
+            assert np.array_equal(blocks[s_hi].toarray(), want_hi)
 
     def test_entry_pin_running_past_its_variable_is_rejected(self):
         p = SDPProblem()
@@ -451,7 +487,8 @@ class TestCongruenceMatrix:
     def test_solve_is_bit_identical_with_k_for_every_block(self, monkeypatch):
         """Every block is assembled through rows of K: the blocks of a
         benchmark_general problem, which carry the d^2 rows of the
-        partial-transpose constraint, and one extra block with a single row."""
+        partial-transpose constraint, its 1x1 interval slacks, and one extra
+        block with a single row."""
         m, cutoff = 2, 3
         d = cutoff + 1
         gram, outs = _small_benchmark_inputs(m, cutoff)
@@ -468,7 +505,7 @@ class TestCongruenceMatrix:
         first = solve(prob)
         second = solve(prob)
         assert first.status is SDPStatus.OPTIMAL
-        assert set(k_dims) == {m * d, 3}
+        assert set(k_dims) == {m * d, 3, 1}
         assert np.array_equal(first.y, second.y)
         assert first.variables.keys() == second.variables.keys()
         for name, x in first.variables.items():
@@ -504,8 +541,38 @@ def _shuffled(canon, perm):
     return CanonicalSDP(
         block_names=canon.block_names, block_dims=canon.block_dims,
         a_blocks=[a.tocsr()[perm] for a in canon.a_blocks], c_blocks=canon.c_blocks,
-        a_orthant=canon.a_orthant.tocsr()[perm], c_orthant=canon.c_orthant,
         b=canon.b[perm], maximize=canon.maximize)
+
+
+def _in_solver_order(canon, y):
+    """y in the row order the solver works in (the rows on real parts of a
+    conjugation-invariant problem, grouped by ``_row_order``), padded with
+    zeros to the caller's row count: a y that was never mapped back."""
+    kept = _real_rows(canon)
+    rows = np.arange(canon.b.size) if kept is None else kept
+    order = _row_order([a.tocsr()[rows] for a in canon.a_blocks], canon.block_dims, rows.size)
+    assert not np.array_equal(order, np.arange(rows.size))
+    return np.concatenate([y[rows[order]], np.zeros(canon.b.size - rows.size)])
+
+
+def _gives_the_dual_objective(canon, sol, y):
+    """b . y equals the solve's objective within its duality gap, plus the
+    tolerance for the residual terms of objective - b . y."""
+    return abs(canon.b @ y - sol.objective) <= sol.duality_gap + SDPConfig().tol
+
+
+def _check_y_order(canon, perm):
+    """Solve the problem and a row-shuffled copy: each y, in its caller's row
+    order, gives that problem's dual objective, and the shuffled solve's y
+    left in the solver's row order does not."""
+    shuffled = _shuffled(canon, perm)
+    first, second = solve(canon), solve(shuffled)
+    assert first.status is second.status is SDPStatus.OPTIMAL
+    assert _gives_the_dual_objective(canon, first, first.y)
+    assert _gives_the_dual_objective(shuffled, second, second.y)
+    assert not _gives_the_dual_objective(shuffled, second, _in_solver_order(shuffled, second.y))
+    assert first.objective == pytest.approx(second.objective, abs=1e-8)
+    return first, second
 
 
 class TestRowGrouping:
@@ -516,9 +583,9 @@ class TestRowGrouping:
         """part[a, b] is S[rows_i[a], rows_j[b]] of a symmetric S, added to the
         lower triangle from the side the packed views hold it: columns from
         the row on in rows before k = ceil(m/2), from k up to the row after
-        it.  By slice adds or at flat indices, for odd and even m from 1 up,
-        runs on both sides of row k and across the diagonal, and diagonal
-        strips of 1, 3 or the default number of rows."""
+        it.  By slice adds, for odd and even m from 1 up, runs on both sides
+        of row k and across the diagonal, and diagonal strips of 1, 3 or the
+        default number of rows."""
         rows, rows_j = _run_rows(pieces), _run_rows(pieces_j) + shift
         rng = np.random.default_rng(seed)
         m = max(int(rows[-1]), int(rows_j[-1])) + 1 + int(rng.integers(0, 2))
@@ -530,39 +597,52 @@ class TestRowGrouping:
         ii, jj = np.nonzero(np.where(r < k, c >= r, (c >= k) & (c <= r)))
         low, high = np.minimum(rows[ii], rows_j[jj]), np.maximum(rows[ii], rows_j[jj])
         ref[high, low] += part[ii, jj]
-        defaults = sdp.MIN_MEAN_RUN, sdp.DIAG_STRIP
-        sdp.MIN_MEAN_RUN, sdp.DIAG_STRIP = 0, strip   # runs on both sides
+        default = sdp.DIAG_STRIP
+        sdp.DIAG_STRIP = strip
         try:
-            index = _index(rows)
-            plan = _scatter_plan(index, _index(rows_j), k)
+            runs = _index(rows)
+            plan = _scatter_plan(runs, _index(rows_j), k)
         finally:
-            sdp.MIN_MEAN_RUN, sdp.DIAG_STRIP = defaults
-        assert len(index[1]) == 1 + np.count_nonzero(np.diff(rows) != 1)
-        for how in (plan, (rows, rows_j, None)):
-            packed = _packed(base)
-            _scatter_add(packed, how, part)
-            assert np.array_equal(_unpacked(packed), ref)
+            sdp.DIAG_STRIP = default
+        assert len(runs) == 1 + np.count_nonzero(np.diff(rows) != 1)
+        packed = _packed(base)
+        _scatter_add(packed, plan, part)
+        assert np.array_equal(_unpacked(packed), ref)
 
     @pytest.mark.parametrize("scenario_kind", ["tomography", "quadratures_errors"])
     def test_blocks_of_symmetric_problem_have_few_runs(self, monkeypatch, scenario_kind):
+        """At most M + 1 runs for an E_k block, one for an F_k or PSD slack
+        block, and at most two for a 1x1 interval slack: its interval row
+        among the rows on the E blocks, and its row s_lo + s_hi == hi - lo."""
         m = 3
         canon = _symmetric_problem(monkeypatch, scenario_kind, m=m).canonicalize()
-        order = _row_order(canon.a_blocks, canon.b.size)
+        order = _row_order(canon.a_blocks, canon.block_dims, canon.b.size)
         assert not np.array_equal(order, np.arange(canon.b.size))
         assert np.array_equal(np.sort(order), np.arange(canon.b.size))
-        for name, a in zip(canon.block_names, canon.a_blocks):
+        n_slack = 0
+        for name, d, a in zip(canon.block_names, canon.block_dims, canon.a_blocks):
             rows = np.flatnonzero(np.diff(a.tocsr()[order].indptr))
             runs = 1 + np.count_nonzero(np.diff(rows) != 1)
-            assert 1 <= runs <= (m + 1 if name.startswith("E") else 1), name
+            n_slack += d == 1
+            assert 1 <= runs <= (m + 1 if name.startswith("E") else 2 if d == 1 else 1), name
+        assert n_slack == (0 if scenario_kind == "tomography" else 8)
 
     def test_general_problem_keeps_its_row_order(self, monkeypatch):
+        """The rows of benchmark_general are grouped as added, so the solver
+        keeps their order, except that each interval's row on its two 1x1
+        slacks alone moves to the end, in order."""
         gram, outs = _small_benchmark_inputs(3, 3)
-        prob = _benchmark_problem(monkeypatch, benchmark_general, gram,
-                                  [Tomography(outs[0])] + [_errors_scenario(o) for o in outs[1:]],
-                                  cutoff=3)
-        canon = prob.canonicalize()
-        assert np.array_equal(_row_order(canon.a_blocks, canon.b.size),
-                              np.arange(canon.b.size))
+        for scenarios, n_moved in (([Tomography(o) for o in outs], 0),
+                                   ([Tomography(outs[0])] + [_errors_scenario(o) for o in outs[1:]],
+                                    8)):
+            prob = _benchmark_problem(monkeypatch, benchmark_general, gram, scenarios, cutoff=3)
+            canon = prob.canonicalize()
+            on_slacks_only = np.all([np.diff(a.tocsr().indptr) == 0 for a, d in
+                                     zip(canon.a_blocks, canon.block_dims) if d > 1], axis=0)
+            assert np.count_nonzero(on_slacks_only) == n_moved
+            assert np.array_equal(_row_order(canon.a_blocks, canon.block_dims, canon.b.size),
+                                  np.concatenate([np.flatnonzero(~on_slacks_only),
+                                                  np.flatnonzero(on_slacks_only)]))
 
     def test_canonical_blocks_store_no_zeros(self, monkeypatch):
         gram, outs = _small_benchmark_inputs(2, 3)
@@ -571,18 +651,16 @@ class TestRowGrouping:
         problems.append(_benchmark_problem(monkeypatch, benchmark_general, gram,
                                            [Tomography(outs[0]), _errors_scenario(outs[1])],
                                            cutoff=3))
-        for prob in problems:
+        for prob, n_slack in zip(problems, (0, 8, 8)):
             canon = prob.canonicalize()
-            for a in canon.a_blocks + [canon.a_orthant]:
+            for a in canon.a_blocks:
                 assert a.nnz == np.count_nonzero(a.data)
+            assert sum(a.nnz for a, d in zip(canon.a_blocks, canon.block_dims)
+                       if d == 1) == 3 * n_slack // 2
 
     def test_solution_is_in_the_callers_row_order(self, monkeypatch, rng):
         canon = _symmetric_problem(monkeypatch, "quadratures_errors", m=2, cutoff=3).canonicalize()
-        perm = rng.permutation(canon.b.size)
-        first, second = solve(canon), solve(_shuffled(canon, perm))
-        assert first.status is second.status is SDPStatus.OPTIMAL
-        assert np.max(np.abs(first.y[perm] - second.y)) <= 1e-8
-        assert first.objective == pytest.approx(second.objective, abs=1e-8)
+        _check_y_order(canon, rng.permutation(canon.b.size))
 
 
 def _schur_sizes(monkeypatch):
@@ -696,13 +774,10 @@ class TestRealReduction:
         dropped = np.setdiff1d(np.arange(n), kept)
         assert kept is not None and dropped.size == n - kept.size > 0
         perm = rng.permutation(n)
-        first, second = solve(canon), solve(_shuffled(canon, perm))
-        assert first.status is second.status is SDPStatus.OPTIMAL
+        first, second = _check_y_order(canon, perm)
         assert first.y.size == second.y.size == n
         assert np.all(first.y[dropped] == 0.0)
         assert np.all(second.y[np.argsort(perm)[dropped]] == 0.0)
-        assert np.max(np.abs(first.y[perm] - second.y)) <= 1e-8
-        assert first.objective == pytest.approx(second.objective, abs=1e-8)
         assert all(x.dtype == complex for x in first.variables.values())
 
     @pytest.mark.parametrize("add, invariant", [
@@ -717,7 +792,8 @@ class TestRealReduction:
     def test_invariance_check(self, add, invariant):
         """Rows on imaginary parts must be equalities to 0.0, no row may mix
         real and imaginary parts, and the objective must be real; an interval
-        on an imaginary part fails through its orthant slack."""
+        on an imaginary part fails through its row, which also holds its
+        1x1 slack's real coordinate."""
         p = SDPProblem()
         p.add_variable("X", 2)
         p.set_objective({"X": np.diag([1.0, 2.0])})
@@ -852,9 +928,10 @@ class TestBatchedLayer:
 
     @pytest.mark.parametrize("groups", [1, 2])
     def test_eigen_solves_per_size_group_per_iteration(self, monkeypatch, groups):
-        """Nine 5x5 blocks (plus a 3x3 one for two size groups): at most three
-        eigh calls (the scaling) and four eigvalsh calls (the step lengths) per
-        size group per iteration, however many blocks a group holds."""
+        """Nine 5x5 blocks (plus a 3x3 one for two groups of larger blocks)
+        and a size group of eight 1x1 interval slacks: at most three eigh calls
+        (the scaling) and four eigvalsh calls (the step lengths) per size group
+        per iteration, however many blocks a group holds."""
         prob = _symmetric_problem(monkeypatch, "quadratures_errors", m=3)
         if groups == 2:
             prob.add_variable("aux", 3)
@@ -867,21 +944,16 @@ class TestBatchedLayer:
             monkeypatch.setattr(np.linalg, name, counting)
         sol = solve(prob)
         assert sol.status is SDPStatus.OPTIMAL
-        assert 0 < calls["eigh"] <= 3 * groups * sol.iterations
-        assert 0 < calls["eigvalsh"] <= 4 * groups * sol.iterations
+        assert 0 < calls["eigh"] <= 3 * (groups + 1) * sol.iterations
+        assert 0 < calls["eigvalsh"] <= 4 * (groups + 1) * sol.iterations
 
 
-def _assemble(terms, stacks, m, orthant=None):
+def _assemble(terms, stacks, m):
     """The lower triangle of the Schur matrix that a plan from ``_schur_terms``
-    adds up, with the part of an (m, n) orthant block at weights 1 if given."""
+    adds up."""
     packed = _Packed(m)
     for g, js, term in terms:
         term.add(packed, stacks[g][js])
-    if orthant is not None:
-        rows = np.flatnonzero(np.diff(orthant.indptr))
-        sub = orthant[rows]
-        _scatter_add(packed, _scatter_plan(_index(rows), _index(rows), (m + 1) // 2),
-                     (sub @ sub.T).toarray())
     return _unpacked(packed)
 
 
@@ -912,14 +984,14 @@ class TestKPathAssembly:
            st.sampled_from([1, 3, sdp.DIAG_STRIP]), st.integers(0, 2**32 - 1))
     def test_assembly_matches_dense_products(self, d_kinds, extra, shared, real, subset, chunk,
                                              strip, seed):
-        """The packed triangle is the lower triangle of sum_b A_b K_b A_b^T plus
-        the orthant part, for m from 1 up, odd and even, over complex or real
-        stacks.  Block 0 mixes rows of one coefficient with dense rows, touches
+        """The packed triangle is the lower triangle of sum_b A_b K_b A_b^T,
+        for m from 1 up, odd and even, over complex or real stacks.  Block 0 mixes rows of one coefficient with dense rows, touches
         all of its coordinates or a random subset, and has one coordinate hit
         by two single-entry rows (a partial-transpose row and a pin).  Blocks
         1 and 2 are equal up to one sign and share one term: identity rows,
-        +-1 rows at other columns, or rows of other single coefficients.  Rows
-        sit at random positions, so runs straddle row k and the diagonal; K is
+        +-1 rows at other columns, or rows of other single coefficients.
+        Blocks 3 to 5 are 1x1, like interval slacks, each with a few rows of
+        arbitrary coefficients, at W = 1.  Rows sit at random positions, so runs straddle row k and the diagonal; K is
         formed for chunks of one row, a few rows or all of them.  Entries in
         the rows that nothing touches stay exactly zero, so no write reached
         the other half's aliased positions."""
@@ -952,24 +1024,25 @@ class TestKPathAssembly:
             a[positions(rows.shape[0])] = rows
             blocks.append(a)
         blocks.append(rng.choice([-1.0, 1.0]) * blocks[1])
-        orthant = np.zeros((m, 3))
-        orthant[positions(min(m, 3))] = rng.uniform(-2.0, 2.0, (min(m, 3), 3))
+        scalars = np.zeros((m, 3))
+        scalars[positions(min(m, 3))] = rng.uniform(-2.0, 2.0, (min(m, 3), 3))
         ws = _random_pd(rng, 3, d)
         if real:
             ws = ws.real
         ref = sum(a @ _basis_k(w[None]) @ a.T for a, w in zip(blocks, ws))
-        ref = ref + orthant @ orthant.T
+        ref = ref + scalars @ scalars.T
         defaults = sdp.K_CHUNK, sdp.DIAG_STRIP
         sdp.K_CHUNK, sdp.DIAG_STRIP = chunk, strip
         try:
-            terms = _schur_terms([sp.csr_matrix(a) for a in blocks], [d] * 3,
-                                 {bi: (0, bi) for bi in range(3)}, real)
+            terms = _schur_terms([sp.csr_matrix(a) for a in blocks + list(scalars.T[:, :, None])],
+                                 [d] * 3 + [1] * 3,
+                                 {bi: (bi // 3, bi % 3) for bi in range(6)}, real)
         finally:
             sdp.K_CHUNK, sdp.DIAG_STRIP = defaults
         assert any({1, 2} <= set(js) for _, js, _ in terms)
-        got = _assemble(terms, [ws], m, sp.csr_matrix(orthant))
+        got = _assemble(terms, [ws, np.ones((3, 1, 1), dtype=ws.dtype)], m)
         assert np.max(np.abs(got - np.tril(ref))) <= 1e-13 * np.max(np.abs(ref))
-        untouched = ~np.any([np.any(a != 0.0, axis=1) for a in blocks + [orthant]], axis=0)
+        untouched = ~np.any([np.any(a != 0.0, axis=1) for a in blocks + [scalars]], axis=0)
         assert not np.any(got[untouched]) and not np.any(got[:, untouched])
 
     def test_peak_memory_is_the_schur_matrix_plus_chunks(self, monkeypatch):

@@ -7,6 +7,9 @@ trace-deficient near the top Fock levels; ``ensure_trace_preserving`` patches
 this by routing the lost weight into the vacuum (a measure-and-prepare
 operation, so it never creates entanglement and keeps the classical fixtures
 honestly classical).
+
+Composed channels multiply superoperators and factor the product's Choi
+matrix (``compose_kraus``), so every channel is a minimal Kraus set.
 """
 
 from __future__ import annotations
@@ -100,6 +103,45 @@ def ensure_trace_preserving(kraus, dim: int, tol: float = 1e-12):
     return list(kraus) + extra
 
 
+def _reshuffle(mat: np.ndarray, dim: int) -> np.ndarray:
+    """Swap between a map's superoperator and its Choi matrix (an involution):
+    both hold sum_k K_k[i, k] conj(K_k[j, l]), the superoperator (row-major
+    vec) at row (i, j), column (k, l), the Choi matrix at (i, k), (j, l)."""
+    return mat.reshape(dim, dim, dim, dim).transpose(0, 2, 1, 3).reshape(dim * dim, dim * dim)
+
+
+def _superoperator(kraus) -> np.ndarray:
+    """The (d^2, d^2) superoperator sum_k K_k (x) conj(K_k) of a Kraus set."""
+    dim = kraus[0].shape[0]
+    vecs = np.stack(kraus).reshape(len(kraus), dim * dim)
+    return _reshuffle(vecs.T @ vecs.conj(), dim)
+
+
+def compose_kraus(first, then) -> list:
+    """Minimal Kraus set of the map ``then`` after ``first``: at most d^2
+    operators sqrt(lambda) vec^-1(v), one per eigenvalue lambda > 0 of the
+    product superoperator's Choi matrix (the others are roundoff), plus the
+    refills of ``ensure_trace_preserving``.  A phase-covariant map's Choi
+    matrix couples row (i, k) only to rows of the same photon-number shift
+    i - k, so it is decomposed one shift at a time; any other map whole.
+    """
+    dim = first[0].shape[0]
+    choi = _reshuffle(_superoperator(then) @ _superoperator(first), dim)
+    choi = (choi + choi.conj().T) / 2.0
+    shift = np.subtract.outer(np.arange(dim), np.arange(dim)).ravel()
+    if np.any(choi[shift[:, None] != shift[None, :]]):
+        shift = np.zeros_like(shift)
+    kraus = []
+    for s in np.unique(shift):
+        idx = np.flatnonzero(shift == s)
+        w, v = np.linalg.eigh(choi[np.ix_(idx, idx)])
+        keep = w > 0
+        vecs = np.zeros((int(keep.sum()), dim * dim), dtype=complex)
+        vecs[:, idx] = (v[:, keep] * np.sqrt(w[keep])).T
+        kraus.extend(vecs.reshape(-1, dim, dim))
+    return ensure_trace_preserving(kraus, dim)
+
+
 def identity_channel(dim: int) -> KrausChannel:
     return KrausChannel([np.eye(dim, dtype=complex)], name="identity")
 
@@ -125,8 +167,8 @@ def loss_channel(transmissivity: float, dim: int) -> KrausChannel:
 def amplifier_channel(gain: float, dim: int) -> KrausChannel:
     """Phase-insensitive amplifier with the given gain G >= 1."""
     g = float(gain)
-    if g < 1.0:
-        raise ValueError("gain must be >= 1")
+    if not 1.0 <= g < math.inf:
+        raise ValueError(f"gain must be a finite number >= 1, got {g}")
     if g == 1.0:
         return identity_channel(dim)
     t = math.sqrt(1.0 - 1.0 / g)  # tanh r with cosh^2 r = G
@@ -144,18 +186,14 @@ def additive_noise_channel(excess: float, dim: int) -> KrausChannel:
     """Classical Gaussian noise: quadrature variances grow by ``excess`` each,
     first moments unchanged.  Realized as amplification followed by loss."""
     eps = float(excess)
-    if eps < 0:
-        raise ValueError("excess noise must be nonnegative")
+    if not 0.0 <= eps < 1.0:
+        raise ValueError(f"excess must lie in [0, 1) (the amplifier-loss composition's "
+                         f"range), got {eps}")
     if eps == 0:
         return identity_channel(dim)
-    if eps >= 1:
-        raise ValueError("excess >= 1 is outside the amplifier-loss composition's range")
     g = 1.0 / (1.0 - eps)
-    amp = amplifier_channel(g, dim)
-    att = loss_channel(1.0 / g, dim)
-    kraus = [a @ b for a in att.kraus for b in amp.kraus]
-    kraus = [k for k in kraus if float(np.max(np.abs(k))) > 1e-14]
-    return KrausChannel(ensure_trace_preserving(kraus, dim), name=f"additive_noise({eps:.3g})")
+    kraus = compose_kraus(amplifier_channel(g, dim).kraus, loss_channel(1.0 / g, dim).kraus)
+    return KrausChannel(kraus, name=f"additive_noise({eps:.3g})")
 
 
 def _heterodyne_matrix_map(dim: int):
@@ -242,20 +280,23 @@ def build_channel(spec: dict, dim: int) -> KrausChannel:
     kind = spec.get("kind", "identity")
     if kind == "identity":
         return identity_channel(dim)
-    if kind == "loss":
-        return loss_channel(1.0 - float(spec.get("loss", 0.0)), dim)
-    if kind == "loss_excess":
-        att = loss_channel(1.0 - float(spec.get("loss", 0.0)), dim)
+    if kind in ("loss", "loss_excess"):
+        loss = float(spec.get("loss", 0.0))
+        if not 0.0 <= loss <= 1.0:
+            raise ValueError(f"loss must lie in [0, 1], got {loss}")
+        att = loss_channel(1.0 - loss, dim)
+        if kind == "loss":
+            return att
         noise = additive_noise_channel(float(spec.get("excess", 0.0)), dim)
-        kraus = [a @ b for a in noise.kraus for b in att.kraus]
-        kraus = [k for k in kraus if float(np.max(np.abs(k))) > 1e-14]
-        return KrausChannel(ensure_trace_preserving(kraus, dim), name="loss_excess")
+        return KrausChannel(compose_kraus(att.kraus, noise.kraus), name="loss_excess")
     if kind == "heterodyne_mp":
         return heterodyne_mp_channel(dim)
     if kind == "dephasing":
         return dephasing_channel(dim)
     if kind == "replace":
         n_mean = float(spec.get("thermal_mean", 0.0))
+        if not 0.0 <= n_mean < math.inf:
+            raise ValueError(f"thermal_mean must be a finite number >= 0, got {n_mean}")
         diag = np.exp(np.arange(dim) * math.log(n_mean / (1 + n_mean))) / (1 + n_mean) \
             if n_mean > 0 else np.concatenate(([1.0], np.zeros(dim - 1)))
         diag = diag / diag.sum()

@@ -488,10 +488,13 @@ class SDPProblem:
             raise SDPError("problem has no variables")
         m = self._n_rows
         sign = -1.0 if self._maximize else 1.0
+        parts_of = {name: [] for name in self._var_dims}
+        for first, block, _ in self._blocks:
+            for name, mat in block.items():
+                parts_of[name].append((first, mat.tocoo()))
         a_blocks, c_blocks = [], []
         for name, d in self._var_dims.items():
-            parts = [(first, block[name].tocoo()) for first, block, _ in self._blocks
-                     if name in block]
+            parts = parts_of[name]
             none = np.zeros(0, dtype=int)
             rows = np.concatenate([none] + [first + c.row for first, c in parts])
             cols = np.concatenate([none] + [c.col for _, c in parts])

@@ -244,6 +244,19 @@ class TestCLI:
         assert f"'{section}.{key}' must be an integer" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("channel", [
+        {"kind": "replace", "thermal_mean": -0.5},
+        {"kind": "loss_excess", "loss": 0.15, "excess": 1.5},
+        {"kind": "loss", "loss": 1.2}])
+    def test_bad_channel_parameter_exits_1_naming_it(self, tmp_path, capsys, channel):
+        path = tmp_path / "bad_channel.json"
+        path.write_text(json.dumps({"channel_sim": channel}), encoding="utf-8")
+        code = cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        name = {"replace": "thermal_mean", "loss_excess": "excess", "loss": "loss"}
+        assert f"{name[channel['kind']]} must" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_integral_numbers_in_integer_fields_are_accepted(self):
         cfg = load_config({"bench": {"cutoff": 9.0}, "ensemble": {"m_values": [2.0, 3]}})
         assert cfg["bench"]["cutoff"] == 9 and cfg["ensemble"]["m_values"] == [2, 3]

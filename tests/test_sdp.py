@@ -303,6 +303,32 @@ class TestConstraintRows:
             assert np.array_equal(blocks[s_lo].toarray(), want_lo)
             assert np.array_equal(blocks[s_hi].toarray(), want_hi)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_canonical_blocks_match_a_per_variable_scan(self, seed):
+        """The one-pass gather gives every variable the CSR matrix, to the bit,
+        that scanning all row blocks for that variable gives."""
+        rng = np.random.default_rng(seed)
+        prob = SDPProblem()
+        for name, d in _PROBLEM_DIMS.items():
+            prob.add_variable(name, d)
+        xs = {name: _random_hermitian(rng, 1, d)[0] for name, d in _PROBLEM_DIMS.items()}
+        for kind in rng.permutation(_CONSTRAINT_KINDS * 3):
+            _add_random_constraint(prob, str(kind), xs, rng)
+        canon = prob.canonicalize()
+        m = canon.b.size
+        for name, d, got in zip(canon.block_names, canon.block_dims, canon.a_blocks):
+            parts = [(first, block[name].tocoo()) for first, block, _ in prob._blocks
+                     if name in block]
+            rows = np.concatenate([np.zeros(0, dtype=int)] + [f + c.row for f, c in parts])
+            cols = np.concatenate([np.zeros(0, dtype=int)] + [c.col for _, c in parts])
+            vals = np.concatenate([np.zeros(0)] + [c.data for _, c in parts])
+            want = sp.csr_matrix((vals, (rows, cols)), shape=(m, d * d))
+            for field in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, field), getattr(want, field)), (name, field)
+                assert getattr(got, field).dtype == getattr(want, field).dtype
+        assert np.array_equal(canon.b, np.concatenate([t for _, _, t in prob._blocks]))
+        assert len(canon.block_names) == len(_PROBLEM_DIMS) + 2 * 3 + 3  # interval, PSD slacks
+
     def test_entry_pin_running_past_its_variable_is_rejected(self):
         p = SDPProblem()
         p.add_variable("X", 4)

@@ -16,11 +16,12 @@ form (M blocks of size (N+1) instead of an M(N+1)-dimensional matrix), valid
 for rotation-generated ensembles with circulant Gram matrices;
 ``benchmark_general`` keeps the full bipartite variable and accepts one
 measurement scenario per test state.  Each keeps its own variables,
-partial-transpose constraint and Gram rows.  Both encode the measurement data
-with one scenario encoder, ``_add_scenario_rows``, driven by two closures (the
-coefficients of <op, block> and an entrywise pin of the block; exact moments
-are intervals of zero width), and build their verdict with one constructor,
-``_result``.
+partial-transpose constraint and Gram rows; the standard form's index maps
+(the partial-transpose rearrangement and the circulant trace weights) come
+from ``blocksym``.  Both encode the measurement data with one scenario
+encoder, ``_add_scenario_rows``, driven by two closures (the coefficients of
+<op, block> and an entrywise pin of the block; exact moments are intervals of
+zero width), and build their verdict with one constructor, ``_result``.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .blocksym import (BipartiteBlockMatrix, StandardForm, negativity,
-                       negativity_stform, symmetry_check, to_standard_form)
+from .blocksym import (BipartiteBlockMatrix, StandardForm, negativity, negativity_stform,
+                       pt_sources, symmetry_check, to_standard_form, trace_weights)
 from .fock import DensityMatrix, fit_dim, quadratures, real_frame
 from .gramopt import GramMatrix
 from .sdp import (SDPConfig, SDPProblem, SDPStatus, block_swap_matrix, mask_matrix)
@@ -233,29 +234,22 @@ def _result(sol, cfg: SDPConfig, verdict_margin, m: int, cutoff: int, tag: str,
     )
 
 
-def _gram_rows_symmetric(prob: SDPProblem, e_names, zeta, d: int,
+def _gram_rows_symmetric(prob: SDPProblem, e_names, gram: GramMatrix, d: int,
                          skip_trace_row: bool) -> None:
-    """Block-trace consistency in the standard form.
-
-    With g(dist) = sum_{m,j} omega^{dist (m - j)} [E_m]_{jj}, the block traces
-    equal the Gram entries exactly when g(dist) = conj(zeta_dist) for every
-    circulant distance; distances dist and M-dist are conjugate duplicates.
-    """
+    """Block-trace consistency in the standard form: sum_{k,j} W[t, k, j]
+    [E_k]_{jj} = Z_{0,t} at every circulant distance t, with W the
+    :func:`blocksym.trace_weights`.  Distances t and M - t are conjugate
+    duplicates, and the row is real by construction where 2t = 0 mod M."""
     m = len(e_names)
-    omega = np.exp(2j * np.pi / m)
-    j_idx = np.arange(d)
-    for dist in range(0, m // 2 + 1):
-        target = np.conj(zeta[dist])
-        if dist == 0 and skip_trace_row:
+    weights = trace_weights(m, d)
+    for t in range(0, m // 2 + 1):
+        if t == 0 and skip_trace_row:
             continue
-        coeff = {e_names[mm]: np.diag(np.real(omega ** (dist * (mm - j_idx)))).astype(complex)
-                 for mm in range(m)}
-        prob.add_equality(coeff, float(target.real))
-        if dist == 0 or (m % 2 == 0 and dist == m // 2):
-            continue  # g(dist) is real by construction there
-        coeff_im = {e_names[mm]: np.diag(np.imag(omega ** (dist * (mm - j_idx)))).astype(complex)
-                    for mm in range(m)}
-        prob.add_equality(coeff_im, float(target.imag))
+        for part in (np.real, np.imag):
+            if part is np.imag and 2 * t % m == 0:
+                break
+            prob.add_equality({e_names[k]: np.diag(part(weights[t, k])).astype(complex)
+                               for k in range(m)}, float(part(gram.z[0, t])))
 
 
 def benchmark_symmetric(gram: GramMatrix, seed_scenario, m: int, cutoff: int = 15,
@@ -299,15 +293,13 @@ def benchmark_symmetric(gram: GramMatrix, seed_scenario, m: int, cutoff: int = 1
         prob.add_variable(name, d)
     prob.set_objective({name: np.eye(d) for name in f_names})
 
-    j_idx = np.arange(d)[:, None]
-    l_idx = np.arange(d)[None, :]
+    sources = pt_sources(m, d)
     for k in range(m):
         terms = []
-        src = np.mod(j_idx + l_idx - k, m)
-        for mm in range(m):
-            mask = (src == mm).astype(float)
+        for src in range(m):
+            mask = (sources[k] == src).astype(float)
             if mask.any():
-                terms.append((e_names[mm], mask_matrix(mask)))
+                terms.append((e_names[src], mask_matrix(mask)))
         terms.append((f_names[k], sp.identity(d * d, format="csr")))
         prob.add_psd_constraint(terms, label=f"pt-sector-{k}")
 
@@ -321,7 +313,7 @@ def benchmark_symmetric(gram: GramMatrix, seed_scenario, m: int, cutoff: int = 1
     else:
         _add_scenario_rows(prob, seed_scenario, d,
                            lambda op: {name: op for name in e_names}, pin)
-    _gram_rows_symmetric(prob, e_names, gram.circulant_profile(), d,
+    _gram_rows_symmetric(prob, e_names, gram, d,
                          skip_trace_row=isinstance(seed_scenario, Tomography))
 
     sol = prob.solve(cfg)

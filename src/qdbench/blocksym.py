@@ -32,7 +32,9 @@ __all__ = [
     "symmetry_check",
     "to_standard_form",
     "from_standard_form",
+    "pt_sources",
     "pt_rearrange",
+    "trace_weights",
     "negativity_stform",
     "gram_of",
 ]
@@ -264,6 +266,14 @@ def from_standard_form(sf: StandardForm) -> BipartiteBlockMatrix:
     return BipartiteBlockMatrix(blocks, check=False)
 
 
+def pt_sources(m: int, d: int) -> np.ndarray:
+    """(M, D, D) integer array src[k, j, l] = j + l - k mod M: entry (j, l) of
+    the k-th standard-form block of the partial transpose is entry (j, l) of
+    E_src."""
+    k, j, l = np.ogrid[:m, :d, :d]
+    return np.mod(j + l - k, m)
+
+
 def pt_rearrange(sf: StandardForm) -> StandardForm:
     """Entry rearrangement [Etilde_k]_{jl} = [E_{j+l-k mod M}]_{jl}.
 
@@ -271,14 +281,18 @@ def pt_rearrange(sf: StandardForm) -> StandardForm:
     unchecked as a :class:`StandardForm`.  The map is an involution: applying
     it twice returns the input bit-exactly.
     """
-    m, d = sf.m, sf.dim
-    j_idx = np.arange(d)[:, None]
-    l_idx = np.arange(d)[None, :]
-    out = np.empty_like(sf.e)
-    for k in range(m):
-        src = np.mod(j_idx + l_idx - k, m)
-        out[k] = sf.e[src, j_idx, l_idx]
-    return StandardForm(out, check=False)
+    j, l = np.ogrid[:sf.dim, :sf.dim]
+    return StandardForm(sf.e[pt_sources(sf.m, sf.dim), j, l], check=False)
+
+
+def trace_weights(m: int, d: int) -> np.ndarray:
+    """(M, M, D) array W[t, k, j] = omega^{t (k - j)}, omega = exp(2 pi i / M).
+
+    sum_{k,j} W[t, k, j] [E_k]_{jj} is the block trace Z_{0,t}, the Gram
+    entry at circulant distance t, of the matrix with standard form {E_k}.
+    """
+    t, k, j = np.ogrid[:m, :m, :d]
+    return np.exp(2j * np.pi / m) ** (t * (k - j))
 
 
 def negativity_stform(sf: StandardForm, psd_tol: float = 1e-9) -> float:

@@ -8,8 +8,9 @@ this by routing the lost weight into the vacuum (a measure-and-prepare
 operation, so it never creates entanglement and keeps the classical fixtures
 honestly classical).
 
-Composed channels multiply superoperators and factor the product's Choi
-matrix (``compose_kraus``), so every channel is a minimal Kraus set.
+Composed channels multiply superoperators (``compose_kraus``), and the
+heterodyne map writes its Choi matrix in closed form; both factor it through
+``_kraus_from_choi``, so every such channel is a minimal Kraus set.
 """
 
 from __future__ import annotations
@@ -117,16 +118,15 @@ def _superoperator(kraus) -> np.ndarray:
     return _reshuffle(vecs.T @ vecs.conj(), dim)
 
 
-def compose_kraus(first, then) -> list:
-    """Minimal Kraus set of the map ``then`` after ``first``: at most d^2
-    operators sqrt(lambda) vec^-1(v), one per eigenvalue lambda > 0 of the
-    product superoperator's Choi matrix (the others are roundoff), plus the
-    refills of ``ensure_trace_preserving``.  A phase-covariant map's Choi
-    matrix couples row (i, k) only to rows of the same photon-number shift
-    i - k, so it is decomposed one shift at a time; any other map whole.
+def _kraus_from_choi(choi: np.ndarray, dim: int) -> list:
+    """Minimal Kraus set of the map with the given Choi matrix (row (i, k),
+    column (j, l) holding sum_K K[i, k] conj(K[j, l])): at most d^2 operators
+    sqrt(lambda) vec^-1(v), one per eigenvalue lambda > 0 (the others are
+    roundoff), plus the refills of ``ensure_trace_preserving``.  A
+    phase-covariant map's Choi matrix couples row (i, k) only to rows of the
+    same photon-number shift i - k, so it is decomposed one shift at a time;
+    any other map whole.
     """
-    dim = first[0].shape[0]
-    choi = _reshuffle(_superoperator(then) @ _superoperator(first), dim)
     choi = (choi + choi.conj().T) / 2.0
     shift = np.subtract.outer(np.arange(dim), np.arange(dim)).ravel()
     if np.any(choi[shift[:, None] != shift[None, :]]):
@@ -140,6 +140,13 @@ def compose_kraus(first, then) -> list:
         vecs[:, idx] = (v[:, keep] * np.sqrt(w[keep])).T
         kraus.extend(vecs.reshape(-1, dim, dim))
     return ensure_trace_preserving(kraus, dim)
+
+
+def compose_kraus(first, then) -> list:
+    """Minimal Kraus set of the map ``then`` after ``first``, factored from the
+    Choi matrix of the product superoperator."""
+    dim = first[0].shape[0]
+    return _kraus_from_choi(_reshuffle(_superoperator(then) @ _superoperator(first), dim), dim)
 
 
 def identity_channel(dim: int) -> KrausChannel:
@@ -196,61 +203,28 @@ def additive_noise_channel(excess: float, dim: int) -> KrausChannel:
     return KrausChannel(kraus, name=f"additive_noise({eps:.3g})")
 
 
-def _heterodyne_matrix_map(dim: int):
-    """Closed-form Fock matrix elements of the heterodyne measure-and-prepare map
-
-        rho -> (1/pi) integral <beta|rho|beta> |beta><beta| d^2 beta :
-
-        [out]_{mn} = sum_{j-k = m-n} rho_{jk} (m+k)! / (2^{m+k+1} sqrt(j! k! m! n!)) .
-
-    Exactly phase covariant (only index differences couple).
-    """
-    logfact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, 2 * dim, dtype=float)))))
-
-    def coef(mm, nn, kk):
-        jj = kk + mm - nn
-        s = mm + kk
-        return math.exp(logfact[s] - (s + 1) * math.log(2.0)
-                        - 0.5 * (logfact[jj] + logfact[kk] + logfact[mm] + logfact[nn]))
-
-    tensors = {}
-    for s in range(-(dim - 1), dim):
-        rows = []
-        for mm in range(dim):
-            nn = mm - s
-            if not 0 <= nn < dim:
-                continue
-            for kk in range(dim):
-                jj = kk + s
-                if not 0 <= jj < dim:
-                    continue
-                rows.append((mm, nn, jj, kk, coef(mm, nn, kk)))
-        tensors[s] = rows
-    return tensors
-
-
 def heterodyne_mp_channel(dim: int) -> KrausChannel:
-    """Heterodyne measurement followed by coherent-state re-preparation.
+    """Heterodyne measurement followed by coherent-state re-preparation,
+
+        rho -> (1/pi) integral <beta|rho|beta> |beta><beta| d^2 beta .
 
     Entanglement breaking; on a coherent state it returns a displaced thermal
     state with one added thermal photon.  Built from the exact Fock-basis
-    integral (no phase-space grid), then factored into Kraus operators through
-    the Choi matrix; truncation loss is refilled into the vacuum.
+    matrix elements (no phase-space grid)
+
+        [out]_{mn} = sum_{j-k = m-n} rho_{jk} (m+k)! / (2^{m+k+1} sqrt(j! k! m! n!)) ,
+
+    which couple only equal index differences (exactly phase covariant), as
+    the Choi matrix at row (m, j), column (n, k); truncation loss is refilled
+    into the vacuum.
     """
-    tensors = _heterodyne_matrix_map(dim)
-    choi = np.zeros((dim * dim, dim * dim), dtype=complex)
-    # Choi = sum_{jk} |j><k| (x) Lambda(|j><k|)
-    for s, rows in tensors.items():
-        for mm, nn, jj, kk, c in rows:
-            choi[jj * dim + mm, kk * dim + nn] += c
-    choi = (choi + choi.conj().T) / 2.0
-    w, v = np.linalg.eigh(choi)
-    kraus = []
-    for lam, vec in zip(w, v.T):
-        if lam > 1e-13:
-            kraus.append(math.sqrt(lam) * vec.reshape(dim, dim).T)
-    kraus = ensure_trace_preserving(kraus, dim)
-    return KrausChannel(kraus, name="heterodyne_mp", entanglement_breaking=True)
+    logfact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, 2 * dim)))))
+    m, j, n, k = np.ogrid[:dim, :dim, :dim, :dim]
+    log_coef = (logfact[m + k] - (m + k + 1) * math.log(2.0)
+                - 0.5 * (logfact[j] + logfact[k] + logfact[m] + logfact[n]))
+    choi = np.where(j - k == m - n, np.exp(log_coef), 0.0).reshape(dim * dim, dim * dim)
+    return KrausChannel(_kraus_from_choi(choi.astype(complex), dim), name="heterodyne_mp",
+                        entanglement_breaking=True)
 
 
 def dephasing_channel(dim: int) -> KrausChannel:

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocksym import BipartiteBlockMatrix, StandardForm, from_standard_form
+from .blocksym import (BipartiteBlockMatrix, StandardForm, from_standard_form,
+                       trace_weights)
 from .fock import DensityMatrix, fidelity, real_frame, rotation
 from .sdp import SDPConfig, SDPProblem, SDPStatus
 
@@ -173,30 +174,6 @@ class GramOptResult:
                 f"{self.purity_upper_bound:.8f}")
 
 
-def _alignment_phases(states) -> np.ndarray:
-    """Per-state phases making nearest-neighbour overlap proxies real positive.
-
-    Proxy overlap: principal eigenvectors with a deterministic gauge.  Any
-    choice of phases yields a valid Gram (purification vectors are only
-    defined up to phase); this one just centres the optimizer's search where
-    the overlaps' imaginary parts are small.
-    """
-    m = len(states)
-    vecs = []
-    for st in states:
-        w, v = np.linalg.eigh(st.matrix)
-        vec = v[:, -1]
-        pivot = int(np.argmax(np.abs(vec)))
-        gauge = vec[pivot] / abs(vec[pivot])
-        vecs.append(vec / gauge)
-    phases = np.zeros(m)
-    for k in range(1, m):
-        ov = complex(np.vdot(vecs[k - 1], vecs[k]))
-        step = np.angle(ov) if abs(ov) > 1e-12 else 0.0
-        phases[k] = phases[k - 1] - step
-    return phases
-
-
 def _check_gram_solution(sol) -> None:
     """The block-diagonal input is always feasible, so anything short of an
     accurate iterate is a solver failure.  Degenerate instances (orthogonal
@@ -212,15 +189,13 @@ def _check_gram_solution(sol) -> None:
         f"the block-diagonal input is always feasible)")
 
 
-def _solve_general(states, weights, phases, config) -> tuple:
-    """Maximize sum_{k>l} Re(weights[k,l] * Z'_kl) over compatible rho_in.
+def _solve_general(states, weights, config) -> tuple:
+    """Maximize sum_{k>l} Re(weights[k,l] * Z_kl) over compatible rho_in.
 
-    Z' is the Gram in the frame rotated by the given per-state phases.
-    Returns (z_rotated, rho_in_blocks, objective_value, solution).
+    Returns (z, rho_in_blocks, objective_value, solution).
     """
     m = len(states)
     d = states[0].dim
-    u_phase = np.exp(1j * phases)
 
     prob = SDPProblem()
     prob.add_variable("rho_in", m * d)
@@ -229,8 +204,7 @@ def _solve_general(states, weights, phases, config) -> tuple:
     idx = np.arange(d)
     for k in range(m):
         for l in range(k):
-            u_kl = u_phase[l] / u_phase[k]
-            c = 0.5 * m * weights[k, l] * u_kl
+            c = 0.5 * m * weights[k, l]
             c_obj[k * d + idx, l * d + idx] = c
             c_obj[l * d + idx, k * d + idx] = np.conj(c)
     prob.set_objective({"rho_in": c_obj}, maximize=True)
@@ -241,70 +215,50 @@ def _solve_general(states, weights, phases, config) -> tuple:
 
     sol = prob.solve(config)
     _check_gram_solution(sol)
-    t_mat = sol.variables["rho_in"]
-    blocks = m * np.transpose(t_mat.reshape(m, d, m, d), (0, 2, 1, 3))
-    # rotate into the chosen frame: block'_kl = e^{i(phi_k - phi_l)} block_kl
-    frame = np.outer(u_phase, u_phase.conj())
-    blocks = blocks * frame[:, :, None, None]
-    z_rot = np.einsum("lkii->kl", blocks)  # Z'_kl = Tr block'_lk
-    return z_rot, blocks, sol.objective, sol
+    blocks = BipartiteBlockMatrix.from_full(sol.variables["rho_in"], m, check=False).blocks
+    z = np.einsum("lkii->kl", blocks)  # Z_kl = Tr block_lk
+    return z, blocks, sol.objective, sol
 
 
-def _symmetric_objective(m, d, weights_d) -> np.ndarray:
-    """Diagonal objective coefficients for the standard-form variables.
+def _solve_symmetric(states, weights, config) -> tuple:
+    """Symmetric-sector version: variables are the standard-form blocks E_k,
+    and a circulant weight matrix is read from its column 0.
 
-    Objective sum_{d*} (M-d*) Re(w_{d*} zeta'_{d*}) expressed on the diagonals
-    of the E_k: coeff[k, j] multiplying [E_k]_{jj}.
-    """
-    coeff = np.zeros((m, d))
-    omega = np.exp(2j * np.pi / m)
-    for k in range(m):
-        for j in range(d):
-            val = 0.0
-            for dist in range(1, m):
-                val += (m - dist) * np.real(np.conj(weights_d[dist]) * omega ** (dist * (k - j)))
-            coeff[k, j] = val
-    return coeff
-
-
-def _solve_symmetric(states, weights_d, config) -> tuple:
-    """Symmetric-sector version: variables are the standard-form blocks E_k.
-
-    The seed is pinned in the frame of :func:`fock.real_frame`: the objective
-    reads only diagonals, so conjugating every E_k by its diagonal phase U
-    maps the feasible set onto itself, and a phase-covariant seed lets
+    With W the :func:`blocksym.trace_weights`, Z_{t,0} = conj(sum_{k,j}
+    W[t, k, j] [E_k]_{jj}), so the objective sum_{t>0} (M - t) Re(weights[t, 0]
+    Z_{t,0}) reads only the diagonals of the E_k.  The seed is pinned in the
+    frame of :func:`fock.real_frame`: conjugating every E_k by its diagonal
+    phase U maps the feasible set onto itself, and a phase-covariant seed lets
     ``sdp.solve`` work over real symmetric blocks.  The E_k are returned in
     the caller's frame.
     """
     m = len(states)
     d = states[0].dim
     seed, phase = real_frame(states[0].matrix)
+    trace_w = trace_weights(m, d)
 
+    coeff = np.zeros((m, d))
+    for t in range(1, m):
+        coeff += (m - t) * np.real(np.conj(weights[t, 0]) * trace_w[t])
     prob = SDPProblem()
     for k in range(m):
         prob.add_variable(f"E{k}", d)
-    coeff = _symmetric_objective(m, d, weights_d)
     prob.set_objective({f"E{k}": np.diag(coeff[k]).astype(complex) for k in range(m)},
                        maximize=True)
     prob.add_entry_equalities({f"E{k}": 1.0 for k in range(m)}, seed, label="seed-state")
     sol = prob.solve(config)
     _check_gram_solution(sol)
     e = np.stack([sol.variables[f"E{k}"] for k in range(m)])
-    omega = np.exp(2j * np.pi / m)
     diags = np.real(np.einsum("kjj->kj", e))
-    g = np.array([np.sum(diags * omega ** (dist * (np.arange(m)[:, None] - np.arange(d)[None, :])))
-                  for dist in range(m)])
-    zeta = np.conj(g)
-    idx = np.mod(np.subtract.outer(np.arange(m), np.arange(m)), m)
-    z = zeta[idx]
+    zeta = np.conj(np.sum(trace_w * diags, axis=(1, 2)))
+    z = zeta[np.mod(np.subtract.outer(np.arange(m), np.arange(m)), m)]
     if phase is not None:
         e = phase.conj()[:, None] * e * phase
     blocks = from_standard_form(StandardForm(e, check=False)).blocks
     return z, blocks, sol.objective, sol
 
 
-def optimize_gram(test_states, symmetric: bool = False, *, pre_rotate: bool = True,
-                  refine_purity: bool = False,
+def optimize_gram(test_states, symmetric: bool = False, *, refine_purity: bool = False,
                   solver_config: SDPConfig | None = None) -> GramOptResult:
     """Choose purification overlaps for the given test states.
 
@@ -314,12 +268,10 @@ def optimize_gram(test_states, symmetric: bool = False, *, pre_rotate: bool = Tr
     variable is parameterized in the standard form, cutting the free
     parameters from O(M^2) blocks to M blocks.
 
-    ``pre_rotate`` applies the diagonal phase freedom of the purifications to
-    put the achievable overlap phases near zero before optimizing (general
-    path only: the symmetric sector admits only the M discrete phase shifts,
-    of which the identity is used).  ``refine_purity`` runs up to
-    ``MAX_REFINE_ITERS`` rounds of iterated linearization of the Gram purity
-    on top of the h optimum; each round cannot decrease the purity.
+    ``refine_purity`` runs up to ``MAX_REFINE_ITERS`` rounds of iterated
+    linearization of the Gram purity on top of the h optimum: each round
+    maximizes sum_{k>l} Re(conj(Z_kl) Z'_kl) at the current Z and cannot
+    decrease the purity.
     """
     m = len(test_states)
     if m < 2:
@@ -329,31 +281,12 @@ def optimize_gram(test_states, symmetric: bool = False, *, pre_rotate: bool = Tr
         raise ValueError(f"test states have mixed dimensions {dims}")
     config = solver_config or SDPConfig()
 
-    if symmetric:
-        if not is_rotation_generated(test_states):
-            raise ValueError("symmetric optimization requires a rotation-generated ensemble "
-                             "(rho_k = U^k rho_0 U^-k within 1e-8)")
-        weights = np.full(m, 1.0 - 1.0j)  # h objective, per circulant distance
-
-        def solve_again(w):
-            return _solve_symmetric(test_states, w, config)
-
-        def weights_from_z(zz):
-            return np.conj(zz[:, 0])
-
-        z, blocks, h_value, sol = _solve_symmetric(test_states, weights, config)
-    else:
-        phases = _alignment_phases(test_states) if pre_rotate else np.zeros(m)
-        weights = np.full((m, m), 1.0 - 1.0j)
-
-        def solve_again(w):
-            return _solve_general(test_states, w, phases, config)
-
-        def weights_from_z(zz):
-            return np.conj(zz)
-
-        z, blocks, h_value, sol = _solve_general(test_states, weights, phases, config)
-
+    if symmetric and not is_rotation_generated(test_states):
+        raise ValueError("symmetric optimization requires a rotation-generated ensemble "
+                         "(rho_k = U^k rho_0 U^-k within 1e-8)")
+    solve = _solve_symmetric if symmetric else _solve_general
+    # weights 1 - i: Re((1 - i) Z_kl) = Re Z_kl + Im Z_kl, the h objective
+    z, blocks, h_value, sol = solve(test_states, np.full((m, m), 1.0 - 1.0j), config)
     diagnostics = {
         "solver_status": sol.status.value,
         "solver_iterations": sol.iterations,
@@ -365,7 +298,7 @@ def optimize_gram(test_states, symmetric: bool = False, *, pre_rotate: bool = Tr
     if refine_purity:
         best_purity = float(np.sum(np.abs(z) ** 2)) / m**2
         for round_idx in range(MAX_REFINE_ITERS):
-            z_new, blocks_new, _, sol_new = solve_again(weights_from_z(z))
+            z_new, blocks_new, _, _ = solve(test_states, np.conj(z), config)
             new_purity = float(np.sum(np.abs(z_new) ** 2)) / m**2
             diagnostics["refine_rounds"] = round_idx + 1
             if new_purity <= best_purity + 1e-10:

@@ -117,16 +117,35 @@ def _merge_config(base: dict, override: dict, path: str = "") -> dict:
     return out
 
 
+def _check_sweep(cfg: dict) -> None:
+    """Reject a sweep without points, or with too small a cutoff or ensemble,
+    naming the field."""
+    if cfg["bench"]["cutoff"] < 1:
+        raise ValueError(f"configuration field 'bench.cutoff' must be >= 1, "
+                         f"got {cfg['bench']['cutoff']}")
+    if any(m < 2 for m in cfg["ensemble"]["m_values"]):
+        raise ValueError("configuration field 'ensemble.m_values' must all be >= 2")
+    lists = ["ensemble.m_values", "scenario.kinds"]
+    if "quadratures_errors" in cfg["scenario"]["kinds"]:
+        lists.append("scenario.sigma_levels")
+    for field in lists:
+        section, key = field.split(".")
+        if not cfg[section][key]:
+            raise ValueError(f"configuration field '{field}' is empty: the sweep has no points")
+
+
 def load_config(path_or_dict) -> dict:
     """Merge a user config (path or dict) over the defaults, rejecting unknown
-    keys, and strings, booleans, non-finite numbers and fractions where a
-    number or an integer is due."""
+    keys, strings, booleans, non-finite numbers and fractions where a number
+    or an integer is due, and sweeps without points."""
     if isinstance(path_or_dict, dict):
         user = path_or_dict
     else:
         with open(path_or_dict, "r", encoding="utf-8") as fh:
             user = json.load(fh)
-    return _merge_config(DEFAULT_CONFIG, user)
+    cfg = _merge_config(DEFAULT_CONFIG, user)
+    _check_sweep(cfg)
+    return cfg
 
 
 def bundled_config_path(name: str) -> str:
@@ -272,8 +291,6 @@ def run_pipeline(config, out_dir: str | None = None) -> dict:
     scenarios = _build_scenarios(rho_out, cfg["scenario"])
 
     m_values = [int(m) for m in cfg["ensemble"]["m_values"]]
-    if any(m < 2 for m in m_values):
-        raise ValueError("ensemble.m_values must all be >= 2")
 
     purity_rows = []
     input_neg_rows = []

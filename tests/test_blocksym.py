@@ -6,7 +6,7 @@ import pytest
 from qdbench.blocksym import (BipartiteBlockMatrix, StandardForm, from_standard_form,
                               gram_of, negativity, negativity_stform, partial_transpose,
                               pt_rearrange, symmetry_check,
-                              to_standard_form, twirl)
+                              to_standard_form, trace_weights, twirl)
 from qdbench.fock import _coherent_amplitudes, trace_norm
 
 from conftest import (brute_negativity, brute_trace_norm_pt, coherent_overlap,
@@ -211,6 +211,19 @@ class TestPTRearrange:
         lhs = sum(trace_norm(pt.e[k]) for k in range(3))
         rhs = brute_trace_norm_pt(tau.full_matrix(), 3, 4)
         assert abs(lhs - rhs) <= 1e-9
+
+
+class TestTraceWeights:
+    def test_weights_give_the_block_traces(self, rng):
+        """sum_{k,j} W[t, k, j] [E_k]_jj is Tr(block_{t,0}) = Z_{0,t} of the
+        matrix with standard form {E_k}."""
+        d = 5
+        for m in range(1, 7):
+            e = np.stack([random_density(rng, d) for _ in range(m)]) / m
+            blocks = from_standard_form(StandardForm(e)).blocks
+            got = np.einsum("tkj,kjj->t", trace_weights(m, d), e)
+            want = np.trace(blocks[:, 0], axis1=1, axis2=2)
+            assert np.max(np.abs(got - want)) <= 1e-13
 
 
 class TestNegativityStandardForm:

@@ -175,12 +175,14 @@ class TestMinimalKrausSets:
             assert np.max(np.abs(chan.apply_matrix(rho) - want)) <= 1e-13
 
     def test_each_operator_shifts_the_photon_number_by_one_amount(self):
-        """The Choi matrix of a phase-covariant composition splits into
+        """The Choi matrix of a phase-covariant map splits into
         photon-number-difference sectors, so every operator lies on one
-        diagonal of the Fock matrix."""
-        for k in build_channel(NOMINAL, DIM).kraus:
-            rows, cols = np.nonzero(k)
-            assert rows.size and np.unique(rows - cols).size == 1
+        diagonal of the Fock matrix: for a composition and for the heterodyne
+        measure-and-prepare map alike."""
+        for spec in (NOMINAL, {"kind": "heterodyne_mp"}):
+            for k in build_channel(spec, DIM).kraus:
+                rows, cols = np.nonzero(k)
+                assert rows.size and np.unique(rows - cols).size == 1
 
     def test_composition_without_phase_covariance(self, rng):
         """A map whose Choi matrix mixes photon-number shifts is decomposed

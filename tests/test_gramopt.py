@@ -187,7 +187,7 @@ class TestOptimizeGram:
         for m in (2, 3, 4):
             states = noisy_ring(m, dim=10)
             res_sym = optimize_gram(states, symmetric=True)
-            res_gen = optimize_gram(states, pre_rotate=False)
+            res_gen = optimize_gram(states)
             assert res_sym.h_value <= res_gen.h_value + 1e-5
             tw = twirl(res_gen.rho_in)
             z_tw = gram_of(tw).z
@@ -195,7 +195,7 @@ class TestOptimizeGram:
                              for k in range(m) for l in range(k)))
             assert h_tw <= res_sym.h_value + 1e-5
             ref_sym = optimize_gram(states, symmetric=True, refine_purity=True)
-            ref_gen = optimize_gram(states, pre_rotate=False, refine_purity=True)
+            ref_gen = optimize_gram(states, refine_purity=True)
             assert ref_sym.purity == pytest.approx(ref_gen.purity, abs=1e-5)
 
     def test_purity_never_exceeds_upper_bound(self):

@@ -291,6 +291,32 @@ class TestCLI:
         with pytest.raises(ValueError, match="'seed_state.dim' must be an integer"):
             load_config({"seed_state": {"dim": 20.5}})
 
+    @pytest.mark.parametrize("config, field", [
+        ({"ensemble": {"m_values": []}}, "ensemble.m_values"),
+        ({"scenario": {"kinds": []}}, "scenario.kinds"),
+        ({"scenario": {"sigma_levels": []}}, "scenario.sigma_levels"),
+        ({"bench": {"cutoff": -3}}, "bench.cutoff"),
+        ({"bench": {"cutoff": 0}}, "bench.cutoff")])
+    def test_empty_sweep_or_nonpositive_cutoff_exits_1_naming_the_field(
+            self, tmp_path, capsys, config, field):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        code = cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert f"'{field}'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_nonpositive_cutoff_override_exits_1(self, tmp_path, capsys):
+        code = cli.main(["sweep", "--config", "bundled:demo_pure_ring", "--cutoff", "-3",
+                         "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "'bench.cutoff' must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_sigma_levels_may_be_empty_without_interval_scenarios(self):
+        cfg = load_config({"scenario": {"kinds": ["tomography"], "sigma_levels": []}})
+        assert cfg["scenario"]["sigma_levels"] == []
+
     def test_results_json_says_why_each_solve_stopped(self, tmp_path):
         out = tmp_path / "sweep"
         assert cli.main(["sweep", "--config", "bundled:demo_pure_ring", "--out", str(out),

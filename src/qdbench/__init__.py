@@ -17,7 +17,7 @@ from .blocksym import (BipartiteBlockMatrix, StandardForm,  # noqa: E402
                        from_standard_form, gram_of, negativity, negativity_stform,
                        partial_transpose, pt_rearrange, symmetry_check,
                        to_standard_form, twirl)
-from .fock import (DensityMatrix, FockOperator, TruncationError,  # noqa: E402
+from .fock import (DensityMatrix, TruncationError,  # noqa: E402
                    coherent_state, fidelity, noisy_coherent, number_operator,
                    quadratures, rotation, trace_norm)
 from .gramopt import (GramMatrix, GramOptResult, cptp_reachable, gram_purity,  # noqa: E402
@@ -32,7 +32,7 @@ __all__ = [
     "BipartiteBlockMatrix", "StandardForm", "from_standard_form",
     "gram_of", "negativity", "negativity_stform", "partial_transpose", "pt_rearrange",
     "symmetry_check", "to_standard_form", "twirl",
-    "DensityMatrix", "FockOperator", "TruncationError", "coherent_state", "fidelity",
+    "DensityMatrix", "TruncationError", "coherent_state", "fidelity",
     "noisy_coherent", "number_operator", "quadratures", "rotation", "trace_norm",
     "GramMatrix", "GramOptResult", "cptp_reachable", "gram_purity", "optimize_gram",
     "purity_upper_bound", "rotation_ensemble",

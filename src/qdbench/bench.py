@@ -34,7 +34,7 @@ import scipy.sparse as sp
 
 from .blocksym import (BipartiteBlockMatrix, StandardForm, negativity, negativity_stform,
                        pt_sources, symmetry_check, to_standard_form, trace_weights)
-from .fock import DensityMatrix, fit_dim, quadratures, real_frame
+from .fock import DensityMatrix, fit_dim, moment_operators, real_frame
 from .gramopt import GramMatrix
 from .sdp import (SDPConfig, SDPProblem, SDPStatus, block_swap_matrix, mask_matrix)
 
@@ -52,10 +52,13 @@ MOMENT_KEYS = ("x", "p", "xx", "pp")
 
 
 def _finite_moments(values, what: str) -> dict:
-    out = {k: float(values[k]) for k in MOMENT_KEYS}
-    for k, v in out.items():
-        if not math.isfinite(v):
-            raise ValueError(f"{what} '{k}' is not finite ({v})")
+    out = {}
+    for k in MOMENT_KEYS:
+        if k not in values:
+            raise ValueError(f"{what} '{k}' is missing")
+        out[k] = float(values[k])
+        if not math.isfinite(out[k]):
+            raise ValueError(f"{what} '{k}' is not finite ({out[k]})")
     return out
 
 
@@ -194,9 +197,7 @@ def _add_scenario_rows(prob: SDPProblem, scenario, d: int, on_block, pin,
         width = {key: scenario.sigma_level * scenario.std_errors[key] for key in MOMENT_KEYS}
     else:
         raise TypeError(f"unknown measurement scenario {scenario!r}")
-    x, p = quadratures(d)
-    ops = {"x": x.matrix, "p": p.matrix,
-           "xx": x.matrix @ x.matrix, "pp": p.matrix @ p.matrix}
+    ops = moment_operators(d)
     for key in MOMENT_KEYS:
         mid = scenario.moments[key]
         prob.add_interval(on_block(ops[key]), mid - width[key], mid + width[key],

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fock import rotation, trace_norm
+from .fock import matrix_from_json, matrix_to_json, rotation, trace_norm
 
 __all__ = [
     "BipartiteBlockMatrix",
@@ -99,19 +99,12 @@ class BipartiteBlockMatrix:
         return np.einsum("klii->kl", self.blocks)
 
     def to_json_dict(self) -> dict:
-        full = self.full_matrix()
-        return {"m": self.m, "dim": self.dim,
-                "re": full.real.tolist(), "im": full.imag.tolist()}
+        return matrix_to_json(self.full_matrix(), m=self.m, dim=self.dim)
 
     @classmethod
     def from_json_dict(cls, payload: dict, check: bool = True) -> "BipartiteBlockMatrix":
-        m = int(payload["m"])
-        d = int(payload["dim"])
-        re = np.asarray(payload["re"], dtype=float)
-        im = np.asarray(payload["im"], dtype=float)
-        if re.shape != (m * d, m * d) or im.shape != (m * d, m * d):
-            raise ValueError(f"bipartite JSON arrays must be {m * d}x{m * d}")
-        return cls.from_full(re + 1j * im, m, check=check)
+        full = matrix_from_json(payload, "bipartite", "m", "dim")
+        return cls.from_full(full, int(payload["m"]), check=check)
 
     def __repr__(self):
         return f"BipartiteBlockMatrix(m={self.m}, dim={self.dim})"
@@ -138,29 +131,6 @@ class StandardForm:
     def block_sum(self) -> np.ndarray:
         """sum_k E_k; equals the (0,0) block of the encoded matrix."""
         return self.e.sum(axis=0)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "dim": self.dim,
-            "blocks": [{"re": b.real.tolist(), "im": b.imag.tolist()} for b in self.e],
-        }
-
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "StandardForm":
-        m = int(payload["m"])
-        d = int(payload["dim"])
-        blocks = payload["blocks"]
-        if len(blocks) != m:
-            raise ValueError(f"expected {m} blocks, got {len(blocks)}")
-        e = np.empty((m, d, d), dtype=complex)
-        for k, blk in enumerate(blocks):
-            re = np.asarray(blk["re"], dtype=float)
-            im = np.asarray(blk["im"], dtype=float)
-            if re.shape != (d, d) or im.shape != (d, d):
-                raise ValueError(f"block {k} is not {d}x{d}")
-            e[k] = re + 1j * im
-        return cls(e)
 
     def __repr__(self):
         return f"StandardForm(m={self.m}, dim={self.dim})"
@@ -189,22 +159,12 @@ def negativity(tau: BipartiteBlockMatrix, psd_tol: float = 1e-9) -> float:
 def twirl(tau: BipartiteBlockMatrix) -> BipartiteBlockMatrix:
     """Project onto the M-fold phase-symmetric sector.
 
-    Averages the M transforms (shift both block labels by t, conjugate the
-    blocks by U^t); linear, trace preserving, idempotent, and the identity on
+    The average of the M transforms (shift both block labels by t, conjugate
+    the blocks by U^t), computed as the round trip through the standard form;
+    linear, trace preserving, idempotent, and the identity on
     already-symmetric input.
     """
-    m, d = tau.m, tau.dim
-    u = rotation(2.0 * np.pi / m, d).matrix
-    phases = np.diag(u)
-    out = np.zeros_like(tau.blocks)
-    idx = np.arange(m)
-    ut_diag = np.ones(d, dtype=complex)
-    for t in range(m):
-        # U^t tau_{k-t, l-t} U^{-t}, computed with diagonal phases.
-        shifted = tau.blocks[np.ix_(np.mod(idx - t, m), np.mod(idx - t, m))]
-        out += shifted * np.outer(ut_diag, ut_diag.conj())[None, None, :, :]
-        ut_diag = ut_diag * phases
-    return BipartiteBlockMatrix(out / m, check=False)
+    return from_standard_form(StandardForm(_standard_blocks(tau.blocks), check=False))
 
 
 def symmetry_check(tau: BipartiteBlockMatrix) -> float:
@@ -212,11 +172,20 @@ def symmetry_check(tau: BipartiteBlockMatrix) -> float:
     m, d = tau.m, tau.dim
     if m == 1:
         return 0.0
-    u_diag = np.diag(rotation(2.0 * np.pi / m, d).matrix)
+    u_diag = np.diag(rotation(2.0 * np.pi / m, d))
     rotated = tau.blocks * np.outer(u_diag, u_diag.conj())[None, None, :, :]
     idx = np.mod(np.arange(m) + 1, m)
     shifted = tau.blocks[np.ix_(idx, idx)]
     return float(np.max(np.abs(rotated - shifted)))
+
+
+def _standard_blocks(blocks: np.ndarray) -> np.ndarray:
+    """The element-wise sum of :func:`to_standard_form` for any (M, M, D, D)
+    grid: a 2-D inverse FFT over the register indices, read at
+    ((j - k) mod M, (k - l) mod M, j, l)."""
+    m, d = blocks.shape[0], blocks.shape[2]
+    k, j, l = np.ogrid[:m, :d, :d]
+    return np.fft.ifft2(blocks, axes=(0, 1))[np.mod(j - k, m), np.mod(k - l, m), j, l]
 
 
 def to_standard_form(tau: BipartiteBlockMatrix, tol: float = SYMMETRY_TOL) -> StandardForm:
@@ -232,38 +201,21 @@ def to_standard_form(tau: BipartiteBlockMatrix, tol: float = SYMMETRY_TOL) -> St
     dev = symmetry_check(tau)
     if dev > tol:
         raise ValueError(f"matrix violates the phase symmetry (deviation {dev:.3e} > {tol:.1e})")
-    m, d = tau.m, tau.dim
-    # exponents m(j-k) and n(k-l); [tau]_{mj,nl} = blocks[m,n,j,l] / M
-    mg = np.arange(m)
-    k_idx = np.arange(m)
-    j_idx = np.arange(d)
-    jk = np.subtract.outer(j_idx, k_idx)                                # (j, k) -> j - k
-    kl = np.subtract.outer(k_idx, j_idx)                                # (k, l) -> k - l
-    ph_m = np.exp(2j * np.pi / m * np.einsum("a,jk->ajk", mg, jk))      # (m_idx, j, k)
-    ph_n = np.exp(2j * np.pi / m * np.einsum("a,kl->akl", mg, kl))      # (n_idx, k, l)
-    e = np.einsum("ajk,bkl,abjl->kjl", ph_m, ph_n, tau.blocks) / (m * m)
-    return StandardForm(e)
+    return StandardForm(_standard_blocks(tau.blocks))
 
 
 def from_standard_form(sf: StandardForm) -> BipartiteBlockMatrix:
     """Inverse of :func:`to_standard_form`:
 
-        [tau]_{ij,kl} = (1/M) sum_m omega^{m(i-k) + k*l - i*j} [E_m]_{jl} .
+        [tau]_{ij,kl} = (1/M) sum_m omega^{m(i-k) + k*l - i*j} [E_m]_{jl} ,
 
-    The output always satisfies the phase symmetry.
+    a 1-D FFT over the block label read at (i - k) mod M.  The output always
+    satisfies the phase symmetry.
     """
-    m, d = sf.m, sf.dim
-    mg = np.arange(m)
-    i_idx = np.arange(m)
-    j_idx = np.arange(d)
-    ik = np.subtract.outer(i_idx, i_idx)                                # (i, k) -> i - k
-    ph_m = np.exp(2j * np.pi / m * np.einsum("a,ik->aik", mg, ik))      # (m_idx, i, k)
-    cross = np.exp(2j * np.pi / m * (
-        np.einsum("k,l->kl", i_idx, j_idx)[None, :, None, :]            # k*l term -> (1, k, 1, l)
-        - np.einsum("i,j->ij", i_idx, j_idx)[:, None, :, None]          # -i*j term -> (i, 1, j, 1)
-    ))                                                                  # (i, k, j, l)
-    blocks = np.einsum("aik,ikjl,ajl->ikjl", ph_m, cross, sf.e)
-    return BipartiteBlockMatrix(blocks, check=False)
+    m = sf.m
+    i, k, j, l = np.ogrid[:m, :m, :sf.dim, :sf.dim]
+    blocks = m * np.fft.ifft(sf.e, axis=0)[np.mod(i - k, m), j, l]
+    return BipartiteBlockMatrix(np.exp(2j * np.pi / m * (k * l - i * j)) * blocks, check=False)
 
 
 def pt_sources(m: int, d: int) -> np.ndarray:

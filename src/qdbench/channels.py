@@ -74,7 +74,7 @@ class KrausChannel:
         """Max deviation of Lambda(U rho U^dag) from U Lambda(rho) U^dag on a basis."""
         from .fock import rotation
 
-        u = rotation(2.0 * np.pi / 8, self.dim).matrix
+        u = rotation(2.0 * np.pi / 8, self.dim)
         rng = np.random.default_rng(1234)
         worst = 0.0
         for _ in range(3):

@@ -157,7 +157,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed-file", required=True, help="density-matrix JSON of the seed state")
     p.add_argument("--m-values", default="2,3,4", help="comma-separated ensemble sizes")
     p.add_argument("--general", action="store_true",
-                   help="use the unsymmetrized optimizer")
+                   help="use the unsymmetrized optimizer; its Gram is not circulant, so "
+                        "'qdbench bench' rejects it (it is meant for benchmark_general "
+                        "in the library)")
     p.add_argument("--refine", action="store_true",
                    help="enable the quadratic purity refinement")
     p.add_argument("--out", default=None, help="output directory for gram/purity files")

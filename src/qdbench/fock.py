@@ -1,6 +1,7 @@
 """Truncated Fock-space linear algebra: operators, canonical states, fidelity.
 
-Conventions used throughout the package:
+Operators are plain (D, D) numpy arrays; ``DensityMatrix`` is the one
+validated type.  Conventions used throughout the package:
 
 * Quadratures are scaled so the vacuum has Var(x) = Var(p) = 1/2, i.e.
   x = (a + a^dag)/sqrt(2) and p = (a - a^dag)/(i sqrt(2)).
@@ -26,7 +27,6 @@ PSD_TOL = 1e-9
 TRACE_TOL = 1e-9
 
 __all__ = [
-    "FockOperator",
     "DensityMatrix",
     "TruncationError",
     "fit_dim",
@@ -36,13 +36,14 @@ __all__ = [
     "destroy",
     "quadratures",
     "displacement",
+    "moment_operators",
     "coherent_state",
     "noisy_coherent",
     "fidelity",
     "trace_norm",
-    "purity",
     "hermitian_part_error",
-    "eigh_hermitian",
+    "matrix_to_json",
+    "matrix_from_json",
 ]
 
 
@@ -102,43 +103,27 @@ def hermitian_part_error(a: np.ndarray) -> float:
     return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
 
 
-def eigh_hermitian(a: np.ndarray, check: bool = True, tol: float = HERMITICITY_TOL):
-    """Eigendecomposition of a Hermitian matrix, ascending eigenvalues.
-
-    Thin deterministic wrapper around LAPACK; raises if ``a`` is not
-    Hermitian within ``tol`` (skipped when ``check`` is False).
-    """
-    if check:
-        err = hermitian_part_error(a)
-        if err > tol:
-            raise ValueError(f"matrix is not Hermitian (deviation {err:.3e} > {tol:.1e})")
-    w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
-    return w, v
+def matrix_to_json(mat: np.ndarray, **sizes) -> dict:
+    """JSON form of a complex matrix: the ``sizes`` fields, then its real and
+    imaginary parts as nested lists."""
+    return {**sizes, "re": mat.real.tolist(), "im": mat.imag.tolist()}
 
 
-class FockOperator:
-    """A dense operator on the truncated Fock space |0>, ..., |D-1>."""
-
-    __slots__ = ("dim", "matrix")
-
-    def __init__(self, matrix: np.ndarray):
-        matrix = np.asarray(matrix, dtype=complex)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise ValueError(f"operator must be a square matrix, got shape {matrix.shape}")
-        if matrix.shape[0] < 1:
-            raise ValueError("operator dimension must be at least 1")
-        self.dim = matrix.shape[0]
-        self.matrix = matrix
-
-    def is_hermitian(self, tol: float = HERMITICITY_TOL) -> bool:
-        return hermitian_part_error(self.matrix) <= tol
-
-    def __matmul__(self, other):
-        other_mat = other.matrix if isinstance(other, FockOperator) else other
-        return FockOperator(self.matrix @ other_mat)
-
-    def __repr__(self):
-        return f"FockOperator(dim={self.dim})"
+def matrix_from_json(payload, what: str, *size_keys) -> np.ndarray:
+    """Complex matrix of :func:`matrix_to_json`, whose side is the product of
+    the ``size_keys`` fields; a missing or malformed field raises a
+    ValueError naming ``what``."""
+    try:
+        n = math.prod(int(payload[key]) for key in size_keys)
+        re = np.asarray(payload["re"], dtype=float)
+        im = np.asarray(payload["im"], dtype=float)
+    except KeyError as exc:
+        raise ValueError(f"{what} JSON has no field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"malformed {what} JSON: {exc}") from None
+    if re.shape != (n, n) or im.shape != (n, n):
+        raise ValueError(f"{what} JSON arrays must be {n}x{n}, got {re.shape} and {im.shape}")
+    return re + 1j * im
 
 
 class DensityMatrix:
@@ -194,35 +179,19 @@ class DensityMatrix:
         self.matrix = matrix
         self.trace_deficit = deficit
 
-    @property
-    def op(self) -> FockOperator:
-        return FockOperator(self.matrix)
-
-    def expectation(self, operator) -> float:
+    def expectation(self, operator: np.ndarray) -> float:
         """Real expectation value Tr(rho O) of a Hermitian operator."""
-        mat = operator.matrix if isinstance(operator, FockOperator) else np.asarray(operator)
-        return float(np.real(np.trace(self.matrix @ mat)))
+        return float(np.real(np.trace(self.matrix @ operator)))
 
     def mean_photon(self) -> float:
         return self.expectation(number_operator(self.dim))
 
     def quadrature_moments(self) -> dict:
         """First and raw second moments of x and p (vacuum variance 1/2 units)."""
-        x, p = quadratures(self.dim)
-        xm, pm = x.matrix, p.matrix
-        return {
-            "x": self.expectation(xm),
-            "p": self.expectation(pm),
-            "xx": self.expectation(xm @ xm),
-            "pp": self.expectation(pm @ pm),
-        }
+        return {key: self.expectation(op) for key, op in moment_operators(self.dim).items()}
 
     def to_json_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "re": self.matrix.real.tolist(),
-            "im": self.matrix.imag.tolist(),
-        }
+        return matrix_to_json(self.matrix, dim=self.dim)
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -230,16 +199,8 @@ class DensityMatrix:
 
     @classmethod
     def from_json_dict(cls, payload: dict, allow_sub_normalized: bool = False) -> "DensityMatrix":
-        try:
-            dim = int(payload["dim"])
-            re = np.asarray(payload["re"], dtype=float)
-            im = np.asarray(payload["im"], dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed density-matrix JSON: {exc}") from exc
-        if re.shape != (dim, dim) or im.shape != (dim, dim):
-            raise ValueError(
-                f"density-matrix JSON arrays must be {dim}x{dim}, got {re.shape} and {im.shape}")
-        return cls(re + 1j * im, allow_sub_normalized=allow_sub_normalized)
+        return cls(matrix_from_json(payload, "density-matrix", "dim"),
+                   allow_sub_normalized=allow_sub_normalized)
 
     @classmethod
     def load(cls, path, allow_sub_normalized: bool = False) -> "DensityMatrix":
@@ -251,26 +212,25 @@ class DensityMatrix:
         return f"DensityMatrix(dim={self.dim}, trace_deficit={self.trace_deficit:.2e})"
 
 
-def number_operator(dim: int) -> FockOperator:
+def number_operator(dim: int) -> np.ndarray:
     """diag(0, 1, ..., D-1)."""
     if dim < 1:
         raise ValueError("dimension must be at least 1")
-    return FockOperator(np.diag(np.arange(dim, dtype=float)).astype(complex))
+    return np.diag(np.arange(dim, dtype=float)).astype(complex)
 
 
-def rotation(theta: float, dim: int) -> FockOperator:
+def rotation(theta: float, dim: int) -> np.ndarray:
     """Phase-space rotation U(theta) = exp(-i theta n), diagonal in Fock basis."""
     if dim < 1:
         raise ValueError("dimension must be at least 1")
-    phases = np.exp(-1j * theta * np.arange(dim))
-    return FockOperator(np.diag(phases))
+    return np.diag(np.exp(-1j * theta * np.arange(dim)))
 
 
-def destroy(dim: int) -> FockOperator:
+def destroy(dim: int) -> np.ndarray:
     """Annihilation operator a with a|n> = sqrt(n)|n-1>."""
     if dim < 1:
         raise ValueError("dimension must be at least 1")
-    return FockOperator(np.diag(np.sqrt(np.arange(1, dim)), k=1).astype(complex))
+    return np.diag(np.sqrt(np.arange(1, dim)), k=1).astype(complex)
 
 
 def quadratures(dim: int):
@@ -282,24 +242,30 @@ def quadratures(dim: int):
     """
     if dim < 2:
         raise ValueError("quadratures need at least 2 Fock levels")
-    a = destroy(dim).matrix
+    a = destroy(dim)
     x = (a + a.conj().T) / math.sqrt(2.0)
     p = (a - a.conj().T) / (1j * math.sqrt(2.0))
-    return FockOperator(x), FockOperator(p)
+    return x, p
 
 
-def displacement(alpha: complex, dim: int) -> FockOperator:
+def moment_operators(dim: int) -> dict:
+    """The operators of the moments "x", "p", "xx" = x^2 and "pp" = p^2."""
+    x, p = quadratures(dim)
+    return {"x": x, "p": p, "xx": x @ x, "pp": p @ p}
+
+
+def displacement(alpha: complex, dim: int) -> np.ndarray:
     """Displacement D(alpha) = exp(alpha a^dag - conj(alpha) a), exactly unitary.
 
     Built by exponentiating the truncated generator through a Hermitian
     eigendecomposition, so the result is unitary at any cutoff even though it
     only approximates the infinite-dimensional displacement.
     """
-    a = destroy(dim).matrix
+    a = destroy(dim)
     k = alpha * a.conj().T - np.conj(alpha) * a
     h = -1j * k  # Hermitian
-    w, v = eigh_hermitian(h, check=False)
-    return FockOperator((v * np.exp(1j * w)) @ v.conj().T)
+    w, v = np.linalg.eigh((h + h.conj().T) / 2.0)
+    return (v * np.exp(1j * w)) @ v.conj().T
 
 
 def _coherent_amplitudes(alpha: complex, dim: int) -> np.ndarray:
@@ -355,7 +321,7 @@ def noisy_coherent(alpha: complex, excess: float, dim: int,
     therm = np.exp(n * math.log(nu / (1.0 + nu)) - math.log(1.0 + nu))
     deficit_th = 1.0 - float(np.sum(therm))
     _check_truncation(alpha, dim, deficit_th, deficit_tol)
-    d = displacement(alpha, dim).matrix
+    d = displacement(alpha, dim)
     rho = (d * therm) @ d.conj().T
     return DensityMatrix(rho, allow_sub_normalized=True)
 
@@ -384,14 +350,10 @@ def fidelity(rho0: DensityMatrix, rho1: DensityMatrix) -> float:
 
 def trace_norm(a) -> float:
     """Sum of singular values; for Hermitian input, the sum of |eigenvalues|."""
-    mat = a.matrix if isinstance(a, FockOperator) else np.asarray(a, dtype=complex)
+    mat = np.asarray(a, dtype=complex)
     if mat.size == 0:
         return 0.0
     if hermitian_part_error(mat) <= 1e-12 * max(1.0, float(np.max(np.abs(mat)))):
         return float(np.sum(np.abs(np.linalg.eigvalsh(mat))))
     return float(np.sum(np.linalg.svd(mat, compute_uv=False)))
 
-
-def purity(rho: DensityMatrix) -> float:
-    """Tr(rho^2)."""
-    return float(np.real(np.trace(rho.matrix @ rho.matrix)))

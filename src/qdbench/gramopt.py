@@ -29,7 +29,8 @@ import numpy as np
 
 from .blocksym import (BipartiteBlockMatrix, StandardForm, from_standard_form,
                        trace_weights)
-from .fock import DensityMatrix, fidelity, real_frame, rotation
+from .fock import (DensityMatrix, fidelity, matrix_from_json, matrix_to_json, real_frame,
+                   rotation)
 from .sdp import SDPConfig, SDPProblem, SDPStatus
 
 __all__ = [
@@ -103,16 +104,12 @@ class GramMatrix:
         return gram_purity(self)
 
     def to_json_dict(self) -> dict:
-        return {"m": self.m, "re": self.z.real.tolist(), "im": self.z.imag.tolist()}
+        return matrix_to_json(self.z, m=self.m)
 
     @classmethod
     def from_json_dict(cls, payload: dict, require_unit_diagonal: bool = True) -> "GramMatrix":
-        m = int(payload["m"])
-        re = np.asarray(payload["re"], dtype=float)
-        im = np.asarray(payload["im"], dtype=float)
-        if re.shape != (m, m) or im.shape != (m, m):
-            raise ValueError(f"Gram JSON arrays must be {m}x{m}")
-        return cls(re + 1j * im, require_unit_diagonal=require_unit_diagonal)
+        return cls(matrix_from_json(payload, "Gram", "m"),
+                   require_unit_diagonal=require_unit_diagonal)
 
     def __repr__(self):
         return f"GramMatrix(m={self.m})"
@@ -137,7 +134,7 @@ def rotation_ensemble(seed: DensityMatrix, m: int) -> list:
     """Test states rho_k = U^k rho_0 U^{-k}, U = rotation(2 pi / M)."""
     if m < 1:
         raise ValueError("ensemble size must be >= 1")
-    u = rotation(2.0 * np.pi / m, seed.dim).matrix
+    u = rotation(2.0 * np.pi / m, seed.dim)
     states = [seed]
     current = seed.matrix
     for _ in range(m - 1):
@@ -149,7 +146,7 @@ def rotation_ensemble(seed: DensityMatrix, m: int) -> list:
 def is_rotation_generated(states, tol: float = 1e-8) -> bool:
     """True when rho_k = U^k rho_0 U^{-k} within tol for all k."""
     m = len(states)
-    u = rotation(2.0 * np.pi / m, states[0].dim).matrix
+    u = rotation(2.0 * np.pi / m, states[0].dim)
     current = states[0].matrix
     for k in range(1, m):
         current = u @ current @ u.conj().T

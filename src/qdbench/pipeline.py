@@ -112,14 +112,21 @@ def _merge_config(base: dict, override: dict, path: str = "") -> dict:
         if isinstance(base[key], dict) and isinstance(value, dict):
             out[key] = _merge_config(base[key], value, here)
         else:
+            if isinstance(base[key], list) != isinstance(value, list):
+                want = "a list" if isinstance(base[key], list) else "a single value"
+                raise ValueError(f"configuration field '{here}' must be {want}, got {value!r}")
             _check_number(value, base[key], here)
             out[key] = value
     return out
 
 
 def _check_sweep(cfg: dict) -> None:
-    """Reject a sweep without points, or with too small a cutoff or ensemble,
-    naming the field."""
+    """Reject a sweep without points, with too small a cutoff or ensemble, or
+    with an unknown moment source, naming the field."""
+    source = cfg["scenario"]["moment_source"]
+    if source not in ("state", "sampled"):
+        raise ValueError(f"configuration field 'scenario.moment_source' must be 'state' or "
+                         f"'sampled', got {source!r}")
     if cfg["bench"]["cutoff"] < 1:
         raise ValueError(f"configuration field 'bench.cutoff' must be >= 1, "
                          f"got {cfg['bench']['cutoff']}")
@@ -235,14 +242,17 @@ def _build_scenarios(rho_out: DensityMatrix, scen_cfg: dict):
 def scenario_from_json_dict(payload: dict):
     """Scenario files: {"kind": ..., ...} as accepted by the bench CLI."""
     kind = payload.get("kind")
-    if kind == "tomography":
-        return Tomography(DensityMatrix.from_json_dict(payload["rho_out"],
-                                                       allow_sub_normalized=True))
-    if kind == "quadratures":
-        return Quadratures(payload["moments"])
-    if kind == "quadratures_errors":
-        return QuadraturesWithErrors(payload["moments"], payload["std_errors"],
-                                     payload.get("sigma_level", 1))
+    try:
+        if kind == "tomography":
+            return Tomography(DensityMatrix.from_json_dict(payload["rho_out"],
+                                                           allow_sub_normalized=True))
+        if kind == "quadratures":
+            return Quadratures(payload["moments"])
+        if kind == "quadratures_errors":
+            return QuadraturesWithErrors(payload["moments"], payload["std_errors"],
+                                         payload.get("sigma_level", 1))
+    except KeyError as exc:
+        raise ValueError(f"{kind} scenario file has no field {exc}") from None
     raise ValueError(f"unknown scenario kind {kind!r}")
 
 

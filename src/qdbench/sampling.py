@@ -60,8 +60,8 @@ class BinnedMoments:
 def rotated_quadrature(dim: int, phase_deg: float) -> np.ndarray:
     """x_phi = U_phi^dag x U_phi in the Fock basis."""
     x, _ = quadratures(dim)
-    u = rotation(math.radians(phase_deg), dim).matrix
-    return u.conj().T @ x.matrix @ u
+    u = rotation(math.radians(phase_deg), dim)
+    return u.conj().T @ x @ u
 
 
 def sample_homodyne(rho: DensityMatrix, phase_deg: float, n: int, seed: int):

@@ -39,7 +39,7 @@ def real_solves(monkeypatch):
 
 
 def rotated_outputs(rho_out, m):
-    u = rotation(2 * np.pi / m, rho_out.dim).matrix
+    u = rotation(2 * np.pi / m, rho_out.dim)
     outs = [rho_out.matrix]
     for _ in range(m - 1):
         outs.append(u @ outs[-1] @ u.conj().T)

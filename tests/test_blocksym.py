@@ -95,6 +95,77 @@ class TestTwirl:
         assert np.max(np.abs(tw.blocks - tau.blocks)) <= 1e-10
 
 
+def loop_standard_form(blocks):
+    """[E_k]_{jl} = (1/M) sum_{m,n} omega^{m(j-k) + n(k-l)} [tau]_{mj,nl}, with
+    [tau]_{mj,nl} = blocks[m, n, j, l] / M, summed term by term."""
+    m, d = blocks.shape[0], blocks.shape[2]
+    e = np.zeros((m, d, d), dtype=complex)
+    for k in range(m):
+        for j in range(d):
+            for l in range(d):
+                for a in range(m):
+                    for b in range(m):
+                        phase = np.exp(2j * np.pi * (a * (j - k) + b * (k - l)) / m)
+                        e[k, j, l] += phase * blocks[a, b, j, l] / m**2
+    return e
+
+
+def loop_from_standard_form(e):
+    """[tau]_{ij,kl} = (1/M) sum_m omega^{m(i-k) + k*l - i*j} [E_m]_{jl}, as
+    blocks[i, k, j, l] = M [tau]_{ij,kl}, summed term by term."""
+    m, d = e.shape[0], e.shape[1]
+    blocks = np.zeros((m, m, d, d), dtype=complex)
+    for i in range(m):
+        for k in range(m):
+            for j in range(d):
+                for l in range(d):
+                    for a in range(m):
+                        phase = np.exp(2j * np.pi * (a * (i - k) + k * l - i * j) / m)
+                        blocks[i, k, j, l] += phase * e[a, j, l]
+    return blocks
+
+
+def loop_twirl(blocks):
+    """(1/M) sum_t U^t tau_{k-t, l-t} U^{-t}, U = diag(omega^{-n}), one
+    transform at a time."""
+    m, d = blocks.shape[0], blocks.shape[2]
+    u = np.exp(-2j * np.pi * np.arange(d) / m)
+    out = np.zeros_like(blocks)
+    for t in range(m):
+        ut = u**t
+        for k in range(m):
+            for l in range(m):
+                out[k, l] += ut[:, None] * blocks[(k - t) % m, (l - t) % m] * ut.conj() / m
+    return out
+
+
+class TestAgainstLoops:
+    """The transforms against their element-wise definitions, written as
+    plain loops: the round-trip tests alone cannot see an error that the
+    forward map, its inverse and the twirl share."""
+
+    def test_to_standard_form(self, rng):
+        for m in range(1, 7):
+            for d in range(1, 6):
+                tau = BipartiteBlockMatrix(loop_twirl(random_block_matrix(rng, m, d).blocks))
+                want = loop_standard_form(tau.blocks)
+                assert np.max(np.abs(to_standard_form(tau).e - want)) <= 1e-14
+
+    def test_from_standard_form(self, rng):
+        for m in range(1, 7):
+            for d in range(1, 6):
+                e = rng.standard_normal((m, d, d)) + 1j * rng.standard_normal((m, d, d))
+                got = from_standard_form(StandardForm(e, check=False)).blocks
+                assert np.max(np.abs(got - loop_from_standard_form(e))) <= 1e-13
+
+    def test_twirl_on_asymmetric_grids(self, rng):
+        for m in range(1, 7):
+            for d in (1, 3, 4):
+                tau = random_block_matrix(rng, m, d)
+                assert symmetry_check(tau) > 1e-3 or m == 1
+                assert np.max(np.abs(twirl(tau).blocks - loop_twirl(tau.blocks))) <= 1e-14
+
+
 class TestSymmetryCheck:
     def test_single_block_trivial(self, rng):
         tau = random_block_matrix(rng, 1, 5)
@@ -170,11 +241,6 @@ class TestStandardForm:
         tau = from_standard_form(StandardForm(e))
         assert symmetry_check(tau) <= 1e-12
         assert np.linalg.eigvalsh(tau.full_matrix())[0] >= -1e-12
-
-    def test_json_round_trip(self, rng):
-        sf = to_standard_form(random_symmetric_fixture(rng, 3, 4))
-        again = StandardForm.from_json_dict(sf.to_json_dict())
-        np.testing.assert_allclose(again.e, sf.e, atol=1e-15)
 
 
 class TestPTRearrange:
@@ -301,3 +367,10 @@ class TestBipartiteJson:
         with pytest.raises(ValueError):
             BipartiteBlockMatrix.from_json_dict(
                 {"m": 2, "dim": 2, "re": [[0.0] * 3] * 3, "im": [[0.0] * 3] * 3})
+
+    @pytest.mark.parametrize("field", ["m", "dim", "re", "im"])
+    def test_rejects_missing_field(self, rng, field):
+        payload = random_symmetric_fixture(rng, 2, 3).to_json_dict()
+        del payload[field]
+        with pytest.raises(ValueError, match=f"bipartite JSON has no field '{field}'"):
+            BipartiteBlockMatrix.from_json_dict(payload)

@@ -62,6 +62,13 @@ class TestGramMatrix:
         again = GramMatrix.from_json_dict(g.to_json_dict())
         np.testing.assert_allclose(again.z, z, atol=1e-15)
 
+    @pytest.mark.parametrize("field", ["m", "re", "im"])
+    def test_json_rejects_missing_field(self, field):
+        payload = GramMatrix(np.eye(2)).to_json_dict()
+        del payload[field]
+        with pytest.raises(ValueError, match=f"Gram JSON has no field '{field}'"):
+            GramMatrix.from_json_dict(payload)
+
 
 class TestGramPurity:
     def test_orthogonal(self):

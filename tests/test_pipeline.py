@@ -296,7 +296,12 @@ class TestCLI:
         ({"scenario": {"kinds": []}}, "scenario.kinds"),
         ({"scenario": {"sigma_levels": []}}, "scenario.sigma_levels"),
         ({"bench": {"cutoff": -3}}, "bench.cutoff"),
-        ({"bench": {"cutoff": 0}}, "bench.cutoff")])
+        ({"bench": {"cutoff": 0}}, "bench.cutoff"),
+        ({"ensemble": {"m_values": 5}}, "ensemble.m_values"),
+        ({"scenario": {"kinds": "tomography"}}, "scenario.kinds"),
+        ({"scenario": {"kinds": ["quadratures_errors"], "sigma_levels": 2}},
+         "scenario.sigma_levels"),
+        ({"scenario": {"moment_source": "sampeld"}}, "scenario.moment_source")])
     def test_empty_sweep_or_nonpositive_cutoff_exits_1_naming_the_field(
             self, tmp_path, capsys, config, field):
         path = tmp_path / "bad.json"
@@ -337,6 +342,22 @@ class TestCLI:
         code = cli.main(["bench", "--gram", str(gram_path), "--scenario", str(path)])
         assert code == 1
         assert "sigma_level" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("gram_drop, scenario, named", [
+        ("re", LAB_SCENARIO, "'re'"),
+        (None, dict(LAB_SCENARIO, moments={"x": 0.01, "p": -0.95, "xx": 0.57}), "'pp'"),
+        (None, dict(LAB_SCENARIO, kind="tomography"), "'rho_out'")])
+    def test_bench_names_a_missing_field(self, tmp_path, capsys, gram_drop, scenario, named):
+        gram = GramMatrix(np.eye(2)).to_json_dict()
+        gram.pop(gram_drop, None)
+        gram_path = tmp_path / "gram.json"
+        gram_path.write_text(json.dumps(gram), encoding="utf-8")
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario), encoding="utf-8")
+        code = cli.main(["bench", "--gram", str(gram_path), "--scenario", str(path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and named in err and "Traceback" not in err
 
     def test_help_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -448,7 +448,7 @@ def _small_benchmark_inputs(m, cutoff):
     d = cutoff + 1
     seed = noisy_coherent(0.5, 0.08, d, deficit_tol=1e-2)
     gram = optimize_gram(rotation_ensemble(seed, m), symmetric=True).gram
-    u = rotation(2 * np.pi / m, d).matrix
+    u = rotation(2 * np.pi / m, d)
     out = loss_channel(0.92, d)(seed).matrix
     outs = [DensityMatrix(np.linalg.matrix_power(u, k) @ out
                           @ np.linalg.matrix_power(u, k).conj().T, allow_sub_normalized=True)

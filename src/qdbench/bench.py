@@ -21,12 +21,16 @@ partial-transpose constraint and Gram rows; the standard form's index maps
 from ``blocksym``.  Both encode the measurement data with one scenario
 encoder, ``_add_scenario_rows``, driven by two closures (the coefficients of
 <op, block> and an entrywise pin of the block; exact moments are intervals of
-zero width), and build their verdict with one constructor, ``_result``.
+zero width), and build their verdict with one constructor, ``_result``.  Only
+the standard form asks the encoder for conjugation-invariant rows: the
+general form's Gram rows have imaginary parts, so dropping its <p> row would
+relax the problem.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,6 +53,7 @@ __all__ = [
 ]
 
 MOMENT_KEYS = ("x", "p", "xx", "pp")
+QUARTER_TURN = np.array([1, 1j, -1, -1j])  # i^n for n mod 4, exact
 
 
 def _finite_moments(values, what: str) -> dict:
@@ -56,6 +61,8 @@ def _finite_moments(values, what: str) -> dict:
     for k in MOMENT_KEYS:
         if k not in values:
             raise ValueError(f"{what} '{k}' is missing")
+        if isinstance(values[k], bool) or not isinstance(values[k], numbers.Real):
+            raise ValueError(f"{what} '{k}' must be a number, got {values[k]!r}")
         out[k] = float(values[k])
         if not math.isfinite(out[k]):
             raise ValueError(f"{what} '{k}' is not finite ({out[k]})")
@@ -180,28 +187,58 @@ def _cutoff_guard(cutoff: int, scenario) -> None:
 
 
 def _add_scenario_rows(prob: SDPProblem, scenario, d: int, on_block, pin,
-                       suffix: str = "") -> None:
+                       suffix: str = "", real: bool = False):
     """Constrain one seed-output block according to its measurement scenario.
 
     ``on_block(op)`` returns the coefficient dict of the functional
     <op, block>, and ``pin(target, label)`` fixes the block entrywise, so the
     same rows serve every formulation.  Exact moments are the zero-width case
     of the interval rows, which ``add_interval`` turns into equalities.
+
+    With ``real``, every row is made invariant under complex conjugation
+    where that is exact.  The caller's other rows, cones and objective must
+    have real symmetric coefficients, and every diagonal phase
+    U = diag(e^{i n theta}) must map its feasible set onto itself.  Then for
+    a feasible X the conjugate X-bar is feasible with <p> negated (p is the
+    one imaginary antisymmetric operator), so Re X is feasible with <p> = 0
+    and the same objective: when the <p> interval admits 0, its row is
+    dropped without moving the optimum.  When only the <x> interval admits 0,
+    the rows are written in the frame of the quarter turn U = diag(i^n), in
+    which a block's <x>, <p>, <xx>, <pp> are the caller's -<p>, <x>, <pp>,
+    <xx>, and the <p> row of that frame is dropped.  Tomography is pinned in
+    the frame of :func:`fock.real_frame`.  Returns the phases of U (a solved
+    block is U E U^dagger), or None for the caller's frame.
     """
     if isinstance(scenario, Tomography):
-        pin(_prepare_tomography_state(scenario.rho_out, d), f"tomography{suffix}")
-        return
+        target, phase = _prepare_tomography_state(scenario.rho_out, d), None
+        if real:
+            target, phase = real_frame(target)
+        pin(target, f"tomography{suffix}")
+        return phase
     if isinstance(scenario, Quadratures):
         width = dict.fromkeys(MOMENT_KEYS, 0.0)
     elif isinstance(scenario, QuadraturesWithErrors):
         width = {key: scenario.sigma_level * scenario.std_errors[key] for key in MOMENT_KEYS}
     else:
         raise TypeError(f"unknown measurement scenario {scenario!r}")
+    interval = {key: (scenario.moments[key] - width[key], scenario.moments[key] + width[key])
+                for key in MOMENT_KEYS}
+    phase = None
+    if real and not _admits_zero(interval["p"]) and _admits_zero(interval["x"]):
+        phase = QUARTER_TURN[np.arange(d) % 4]
+        p_lo, p_hi = interval["p"]
+        interval = {"x": (-p_hi, -p_lo), "p": interval["x"],
+                    "xx": interval["pp"], "pp": interval["xx"]}
     ops = moment_operators(d)
     for key in MOMENT_KEYS:
-        mid = scenario.moments[key]
-        prob.add_interval(on_block(ops[key]), mid - width[key], mid + width[key],
-                          label=f"moment-{key}{suffix}")
+        if real and key == "p" and _admits_zero(interval["p"]):
+            continue
+        prob.add_interval(on_block(ops[key]), *interval[key], label=f"moment-{key}{suffix}")
+    return phase
+
+
+def _admits_zero(interval) -> bool:
+    return interval[0] <= 0.0 <= interval[1]
 
 
 def _result(sol, cfg: SDPConfig, verdict_margin, m: int, cutoff: int, tag: str,
@@ -267,12 +304,12 @@ def benchmark_symmetric(gram: GramMatrix, seed_scenario, m: int, cutoff: int = 1
     Returns a certified lower bound on the negativity of the true joint
     output state, and the verdict derived from it.
 
-    Tomography data are pinned in the frame of :func:`fock.real_frame`: its
-    diagonal phase U commutes with the partial-transpose masks, and the Gram
-    rows and the objective read only diagonals and traces, so conjugating
-    every block by U maps the feasible set onto itself.  Real pinned data
-    let ``sdp.solve`` work over real symmetric blocks.  The E_k are returned
-    in the caller's frame.
+    The scenario is encoded with ``real`` (see :func:`_add_scenario_rows`),
+    whose conditions hold here: the partial-transpose masks, the Gram rows
+    (real diagonal coefficients) and the objective are real symmetric, and a
+    diagonal phase commutes with the masks while the Gram rows and the
+    objective read only diagonals and traces.  The E_k are returned in the
+    caller's frame.
     """
     if m != gram.m:
         raise ValueError(f"gram has M = {gram.m}, requested M = {m}")
@@ -307,13 +344,8 @@ def benchmark_symmetric(gram: GramMatrix, seed_scenario, m: int, cutoff: int = 1
     def pin(target, label):
         prob.add_entry_equalities({name: 1.0 for name in e_names}, target, label=label)
 
-    phase = None
-    if isinstance(seed_scenario, Tomography):
-        target, phase = real_frame(_prepare_tomography_state(seed_scenario.rho_out, d))
-        pin(target, "tomography")
-    else:
-        _add_scenario_rows(prob, seed_scenario, d,
-                           lambda op: {name: op for name in e_names}, pin)
+    phase = _add_scenario_rows(prob, seed_scenario, d,
+                               lambda op: {name: op for name in e_names}, pin, real=True)
     _gram_rows_symmetric(prob, e_names, gram, d,
                          skip_trace_row=isinstance(seed_scenario, Tomography))
 

@@ -109,7 +109,9 @@ def _merge_config(base: dict, override: dict, path: str = "") -> dict:
         here = f"{path}.{key}" if path else key
         if key not in base:
             raise ValueError(f"unknown configuration field '{here}'")
-        if isinstance(base[key], dict) and isinstance(value, dict):
+        if isinstance(base[key], dict):
+            if not isinstance(value, dict):
+                raise ValueError(f"configuration field '{here}' must be an object, got {value!r}")
             out[key] = _merge_config(base[key], value, here)
         else:
             if isinstance(base[key], list) != isinstance(value, list):

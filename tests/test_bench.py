@@ -7,9 +7,10 @@ from qdbench.bench import (Quadratures, QuadraturesWithErrors, Tomography,
                            benchmark_general, benchmark_symmetric, input_negativity)
 from qdbench.blocksym import BipartiteBlockMatrix, gram_of
 from qdbench.channels import heterodyne_mp_channel, loss_channel
-from qdbench.fock import DensityMatrix, _coherent_amplitudes, coherent_state, noisy_coherent, rotation
+from qdbench.fock import (DensityMatrix, _coherent_amplitudes, coherent_state, moment_operators,
+                          noisy_coherent, rotation)
 from qdbench.gramopt import GramMatrix, optimize_gram, rotation_ensemble
-from qdbench import sdp
+from qdbench import bench, sdp
 from qdbench.sdp import SDPConfig
 
 from conftest import brute_negativity
@@ -75,6 +76,14 @@ class TestScenarios:
     def test_non_finite_data_rejected(self, make, field):
         with pytest.raises(ValueError, match=f"{field} is not finite"):
             make()
+
+    @pytest.mark.parametrize("value", [None, "0.1", True], ids=["null", "string", "bool"])
+    def test_non_number_data_rejected_by_key(self, value):
+        with pytest.raises(ValueError, match="moment 'p' must be a number"):
+            Quadratures({"x": 0, "p": value, "xx": 0.5, "pp": 0.5})
+        with pytest.raises(ValueError, match="standard error 'xx' must be a number"):
+            QuadraturesWithErrors({"x": 0, "p": 0, "xx": 0.5, "pp": 0.5},
+                                  {"x": 0, "p": 0, "xx": value, "pp": 0}, 1)
 
     def test_negative_errors_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -354,6 +363,86 @@ class TestBenchmarkGeneral:
         gram = GramMatrix(np.eye(3, dtype=complex))
         with pytest.raises(ValueError, match="one scenario per test state"):
             benchmark_general(gram, [Tomography(coherent_state(0.2, 8))], cutoff=7)
+
+
+class TestIntervalsOverRealBlocks:
+    """Interval scenarios whose <p> interval admits 0, directly or after the
+    quarter turn, are solved over real symmetric blocks without moving the
+    bound."""
+
+    ON_P_AXIS = -0.5j                  # <x> ~ 0: the quarter turn applies
+    P_NEAR_ZERO = 0.5 + 0.0147j        # <p> ~ 0.02 +- 0.03: its row is dropped
+    DIAGONAL = 0.5 * np.exp(0.25j * np.pi)  # neither interval admits 0
+    # Equal widths on x, p and on xx, pp: the lab-frame boxes of the M = 4
+    # rotated outputs are quarter turns of each other, so the general problem
+    # keeps the twirl symmetry and the symmetric optimum.  At M = 2 the half
+    # turn maps any box onto the next one.
+    SQUARE_ERRORS = {"x": 0.03, "p": 0.03, "xx": 0.06, "pp": 0.06}
+
+    @staticmethod
+    def case(alpha, m, errors, cutoff=7):
+        d = cutoff + 1
+        seed = noisy_coherent(alpha, 0.08, d, deficit_tol=1e-6)
+        gram = optimize_gram(rotation_ensemble(seed, m), symmetric=True).gram
+        outs = rotated_outputs(loss_channel(0.92, d)(seed), m)
+        return gram, [QuadraturesWithErrors(o.quadrature_moments(), errors, 1) for o in outs]
+
+    @pytest.mark.parametrize("alpha", [ON_P_AXIS, P_NEAR_ZERO], ids=["p-axis", "p-near-zero"])
+    @pytest.mark.parametrize("m, errors", [(2, TABLE_ERRORS), (4, SQUARE_ERRORS)],
+                             ids=["M2", "M4"])
+    def test_matches_general_with_the_p_row(self, monkeypatch, alpha, m, errors):
+        gram, scens = self.case(alpha, m, errors)
+        real = real_solves(monkeypatch)
+        r_sym = benchmark_symmetric(gram, scens[0], m, cutoff=7)
+        r_gen = benchmark_general(gram, scens, cutoff=7)
+        assert real == [True, False]
+        assert r_sym.diagnostics["solver_status"] == r_gen.diagnostics["solver_status"] == "Optimal"
+        assert abs(r_sym.negativity_lower_bound - r_gen.negativity_lower_bound) <= 1e-6
+
+    @pytest.mark.parametrize("alpha", [ON_P_AXIS, P_NEAR_ZERO], ids=["p-axis", "p-near-zero"])
+    def test_matches_the_complex_solve_at_m3(self, monkeypatch, alpha):
+        # A 2 pi / 3 turn maps no box onto a box, so the general problem is a
+        # different one here; the reference is the same formulation with the
+        # <p> row kept, solved over complex blocks.
+        m = 3
+        gram, scens = self.case(alpha, m, TABLE_ERRORS)
+        real = real_solves(monkeypatch)
+        r_real = benchmark_symmetric(gram, scens[0], m, cutoff=7)
+        encode = bench._add_scenario_rows
+        monkeypatch.setattr(bench, "_add_scenario_rows",
+                            lambda *args, **kw: encode(*args, **dict(kw, real=False)))
+        r_complex = benchmark_symmetric(gram, scens[0], m, cutoff=7)
+        assert real == [True, False]
+        assert r_real.certified and r_complex.certified
+        assert abs(r_real.negativity_lower_bound - r_complex.negativity_lower_bound) <= 1e-6
+
+    @pytest.mark.parametrize("alpha, on_real_blocks", [
+        (ON_P_AXIS, True), (P_NEAR_ZERO, True), (DIAGONAL, False)],
+        ids=["p-axis", "p-near-zero", "diagonal"])
+    def test_optimized_state_meets_every_interval(self, monkeypatch, alpha, on_real_blocks):
+        m, cutoff = 3, 7
+        gram, scens = self.case(alpha, m, TABLE_ERRORS, cutoff)
+        real = real_solves(monkeypatch)
+        res = benchmark_symmetric(gram, scens[0], m, cutoff=cutoff)
+        assert real == [on_real_blocks]
+        assert res.diagnostics["solver_status"] == "Optimal"
+        seed_out = res.optimized_state.block_sum()
+        for key, op in moment_operators(cutoff + 1).items():
+            value = float(np.real(np.trace(op @ seed_out)))
+            mid, width = scens[0].moments[key], scens[0].std_errors[key]
+            assert mid - width - 1e-7 <= value <= mid + width + 1e-7, key
+
+    def test_exact_moments_on_the_p_axis_take_the_quarter_turn(self, monkeypatch):
+        m, cutoff = 2, 7
+        gram, scens = self.case(self.ON_P_AXIS, m, TABLE_ERRORS, cutoff)
+        moments = dict(scens[0].moments, x=0.0)
+        real = real_solves(monkeypatch)
+        res = benchmark_symmetric(gram, Quadratures(moments), m, cutoff=cutoff)
+        assert real == [True]
+        seed_out = res.optimized_state.block_sum()
+        for key, op in moment_operators(cutoff + 1).items():
+            assert float(np.real(np.trace(op @ seed_out))) == pytest.approx(
+                moments[key], abs=1e-7), key
 
 
 class TestInputNegativity:

@@ -38,6 +38,14 @@ class TestConfig:
         with pytest.raises(ValueError, match="bench.cutof"):
             load_config({"bench": {"cutof": 12}})
 
+    @pytest.mark.parametrize("config, field", [
+        ({"scenario": 5}, "scenario"),
+        ({"scenario": {"std_errors": 5}}, "scenario.std_errors"),
+        ({"solver": [1e-8, 200]}, "solver")])
+    def test_non_object_section_rejected_by_name(self, config, field):
+        with pytest.raises(ValueError, match=f"'{field}' must be an object"):
+            load_config(config)
+
     def test_bundled_configs_parse(self):
         for name in ("demo_pure_ring", "mp_channel", "noisy_memory"):
             cfg = load_config(bundled_config_path(name))
@@ -358,6 +366,19 @@ class TestCLI:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error:") and named in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("value", [None, "0.01", True])
+    def test_bench_rejects_a_non_number_moment_by_key(self, tmp_path, capsys, value):
+        gram_path = tmp_path / "gram.json"
+        gram_path.write_text(json.dumps(GramMatrix(np.eye(2)).to_json_dict()), encoding="utf-8")
+        path = tmp_path / "scenario.json"
+        moments = dict(LAB_SCENARIO["moments"], x=value)
+        path.write_text(json.dumps(dict(LAB_SCENARIO, moments=moments)), encoding="utf-8")
+        code = cli.main(["bench", "--gram", str(gram_path), "--scenario", str(path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "'x' must be a number" in err
+        assert "Traceback" not in err
 
     def test_help_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:

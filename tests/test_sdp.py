@@ -540,8 +540,17 @@ class TestCongruenceMatrix:
 
 
 def _symmetric_problem(monkeypatch, scenario_kind, m=3, cutoff=4):
+    """The interval scenario reads the seed output turned by pi/4, so that
+    neither its <x> nor its <p> interval admits 0 and the problem keeps its
+    <p> row and the complex path.  An output-side phase keeps the joint state
+    covariant with the same Gram matrix, so the problem stays feasible."""
     gram, outs = _small_benchmark_inputs(m, cutoff)
-    scenario = Tomography(outs[0]) if scenario_kind == "tomography" else _errors_scenario(outs[0])
+    if scenario_kind == "tomography":
+        scenario = Tomography(outs[0])
+    else:
+        u = rotation(np.pi / 4, cutoff + 1)
+        scenario = _errors_scenario(DensityMatrix(u @ outs[0].matrix @ u.conj().T,
+                                                  allow_sub_normalized=True))
     return _benchmark_problem(monkeypatch, benchmark_symmetric, gram, scenario, m,
                               cutoff=cutoff)
 

@@ -13,10 +13,9 @@ __version__ = "0.1.0"
 from .bench import (BenchmarkResult, Quadratures, QuadraturesWithErrors,  # noqa: E402
                     Tomography, benchmark_general, benchmark_symmetric,
                     input_negativity)
-from .blocksym import (BipartiteBlockMatrix, StandardForm,  # noqa: E402
-                       from_standard_form, gram_of, negativity, negativity_stform,
-                       partial_transpose, pt_rearrange, symmetry_check,
-                       to_standard_form, twirl)
+from .blocksym import (BipartiteBlockMatrix, from_standard_form, gram_of,  # noqa: E402
+                       negativity, negativity_stform, partial_transpose, pt_rearrange,
+                       symmetry_check, to_standard_form, twirl)
 from .fock import (DensityMatrix, TruncationError,  # noqa: E402
                    coherent_state, fidelity, noisy_coherent, number_operator,
                    quadratures, rotation, trace_norm)
@@ -29,7 +28,7 @@ __all__ = [
     "__version__",
     "BenchmarkResult", "Quadratures", "QuadraturesWithErrors", "Tomography",
     "benchmark_general", "benchmark_symmetric", "input_negativity",
-    "BipartiteBlockMatrix", "StandardForm", "from_standard_form",
+    "BipartiteBlockMatrix", "from_standard_form",
     "gram_of", "negativity", "negativity_stform", "partial_transpose", "pt_rearrange",
     "symmetry_check", "to_standard_form", "twirl",
     "DensityMatrix", "TruncationError", "coherent_state", "fidelity",

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .blocksym import (BipartiteBlockMatrix, StandardForm, negativity, negativity_stform,
+from .blocksym import (BipartiteBlockMatrix, negativity, negativity_stform,
                        pt_sources, symmetry_check, to_standard_form, trace_weights)
 from .fock import DensityMatrix, fit_dim, moment_operators, real_frame
 from .gramopt import GramMatrix
@@ -128,7 +128,7 @@ class QuadraturesWithErrors:
     tag: str = "quadratures_errors"
 
     def __post_init__(self):
-        if self.sigma_level not in (1, 2, 3):
+        if isinstance(self.sigma_level, bool) or self.sigma_level not in (1, 2, 3):
             raise ValueError("sigma_level must be 1, 2 or 3")
         cleaned, errs = _validate_moments(self.moments, self.std_errors, self.sigma_level)
         object.__setattr__(self, "moments", cleaned)
@@ -342,7 +342,7 @@ def benchmark_symmetric(gram: GramMatrix, seed_scenario, m: int, cutoff: int = 1
         prob.add_psd_constraint(terms, label=f"pt-sector-{k}")
 
     def pin(target, label):
-        prob.add_entry_equalities({name: 1.0 for name in e_names}, target, label=label)
+        prob.add_entry_equalities(e_names, target, label=label)
 
     phase = _add_scenario_rows(prob, seed_scenario, d,
                                lambda op: {name: op for name in e_names}, pin, real=True)
@@ -353,8 +353,7 @@ def benchmark_symmetric(gram: GramMatrix, seed_scenario, m: int, cutoff: int = 1
     e_stack = np.stack([sol.variables[name] for name in e_names])
     if phase is not None:
         e_stack = phase.conj()[:, None] * e_stack * phase
-    return _result(sol, cfg, verdict_margin, m, cutoff, seed_scenario.tag,
-                   StandardForm(e_stack, check=False))
+    return _result(sol, cfg, verdict_margin, m, cutoff, seed_scenario.tag, e_stack)
 
 
 def benchmark_general(gram: GramMatrix, scenarios, cutoff: int = 15,
@@ -363,8 +362,11 @@ def benchmark_general(gram: GramMatrix, scenarios, cutoff: int = 15,
     """Minimum compatible negativity without the symmetry reduction.
 
     ``scenarios`` holds one measurement scenario per test state, constraining
-    the corresponding diagonal block of the output matrix.  Agrees with
-    :func:`benchmark_symmetric` when both apply.
+    the corresponding diagonal block of the output matrix.  On a rotation
+    ensemble it agrees with :func:`benchmark_symmetric` where the 2 pi / M
+    rotation maps the scenarios onto each other: tomography at any M, moment
+    boxes at M = 2, or at M = 4 with equal x/p and xx/pp widths.  At M = 3 the
+    rotated outputs' <xx>, <pp> read the seed's free <xp + px>, so they differ.
     """
     m = gram.m
     if len(scenarios) != m:
@@ -395,7 +397,7 @@ def benchmark_general(gram: GramMatrix, scenarios, cutoff: int = 15,
 
     for k, sc in enumerate(scenarios):
         def pin(target, label):
-            prob.add_entry_equalities({"tau": 1.0}, target / m, offset=k * d, label=label)
+            prob.add_entry_equalities(["tau"], target / m, offset=k * d, label=label)
 
         _add_scenario_rows(prob, sc, d, lambda op: {"tau": embed(m * op, k, k)}, pin,
                            suffix=f"-{k}")

@@ -25,7 +25,6 @@ from .fock import matrix_from_json, matrix_to_json, rotation, trace_norm
 
 __all__ = [
     "BipartiteBlockMatrix",
-    "StandardForm",
     "partial_transpose",
     "negativity",
     "twirl",
@@ -110,32 +109,6 @@ class BipartiteBlockMatrix:
         return f"BipartiteBlockMatrix(m={self.m}, dim={self.dim})"
 
 
-class StandardForm:
-    """Block-diagonal encoding {E_k} of a phase-symmetric bipartite matrix."""
-
-    __slots__ = ("m", "dim", "e")
-
-    def __init__(self, e: np.ndarray, check: bool = True):
-        e = np.asarray(e, dtype=complex)
-        if e.ndim != 3 or e.shape[1] != e.shape[2]:
-            raise ValueError(f"standard form must have shape (M, D, D), got {e.shape}")
-        self.m = e.shape[0]
-        self.dim = e.shape[1]
-        self.e = e
-        if check:
-            total = e.sum(axis=0)
-            err = float(np.max(np.abs(total - total.conj().T)))
-            if err > BLOCK_HERMITICITY_TOL:
-                raise ValueError(f"sum of standard-form blocks is not Hermitian (deviation {err:.3e})")
-
-    def block_sum(self) -> np.ndarray:
-        """sum_k E_k; equals the (0,0) block of the encoded matrix."""
-        return self.e.sum(axis=0)
-
-    def __repr__(self):
-        return f"StandardForm(m={self.m}, dim={self.dim})"
-
-
 def partial_transpose(tau: BipartiteBlockMatrix) -> BipartiteBlockMatrix:
     """Transpose on subsystem A: block (k,l) of the output is block (l,k) of the input."""
     return BipartiteBlockMatrix(np.transpose(tau.blocks, (1, 0, 2, 3)).copy(), check=False)
@@ -164,7 +137,7 @@ def twirl(tau: BipartiteBlockMatrix) -> BipartiteBlockMatrix:
     linear, trace preserving, idempotent, and the identity on
     already-symmetric input.
     """
-    return from_standard_form(StandardForm(_standard_blocks(tau.blocks), check=False))
+    return from_standard_form(_standard_blocks(tau.blocks))
 
 
 def symmetry_check(tau: BipartiteBlockMatrix) -> float:
@@ -188,8 +161,9 @@ def _standard_blocks(blocks: np.ndarray) -> np.ndarray:
     return np.fft.ifft2(blocks, axes=(0, 1))[np.mod(j - k, m), np.mod(k - l, m), j, l]
 
 
-def to_standard_form(tau: BipartiteBlockMatrix, tol: float = SYMMETRY_TOL) -> StandardForm:
-    """Standard form of a phase-symmetric matrix.
+def to_standard_form(tau: BipartiteBlockMatrix, tol: float = SYMMETRY_TOL) -> np.ndarray:
+    """Standard form of a phase-symmetric matrix: the (M, D, D) complex stack
+    of the blocks E_k.
 
     Element-wise, with omega = exp(2 pi i / M) and [tau]_{mj,nl} the full
     matrix elements (A index first):
@@ -201,20 +175,23 @@ def to_standard_form(tau: BipartiteBlockMatrix, tol: float = SYMMETRY_TOL) -> St
     dev = symmetry_check(tau)
     if dev > tol:
         raise ValueError(f"matrix violates the phase symmetry (deviation {dev:.3e} > {tol:.1e})")
-    return StandardForm(_standard_blocks(tau.blocks))
+    return _standard_blocks(tau.blocks)
 
 
-def from_standard_form(sf: StandardForm) -> BipartiteBlockMatrix:
-    """Inverse of :func:`to_standard_form`:
+def from_standard_form(e: np.ndarray) -> BipartiteBlockMatrix:
+    """Inverse of :func:`to_standard_form` on an (M, D, D) stack:
 
         [tau]_{ij,kl} = (1/M) sum_m omega^{m(i-k) + k*l - i*j} [E_m]_{jl} ,
 
     a 1-D FFT over the block label read at (i - k) mod M.  The output always
     satisfies the phase symmetry.
     """
-    m = sf.m
-    i, k, j, l = np.ogrid[:m, :m, :sf.dim, :sf.dim]
-    blocks = m * np.fft.ifft(sf.e, axis=0)[np.mod(i - k, m), j, l]
+    e = np.asarray(e, dtype=complex)
+    if e.ndim != 3 or e.shape[1] != e.shape[2]:
+        raise ValueError(f"standard form must have shape (M, D, D), got {e.shape}")
+    m, d = e.shape[0], e.shape[1]
+    i, k, j, l = np.ogrid[:m, :m, :d, :d]
+    blocks = m * np.fft.ifft(e, axis=0)[np.mod(i - k, m), j, l]
     return BipartiteBlockMatrix(np.exp(2j * np.pi / m * (k * l - i * j)) * blocks, check=False)
 
 
@@ -226,15 +203,15 @@ def pt_sources(m: int, d: int) -> np.ndarray:
     return np.mod(j + l - k, m)
 
 
-def pt_rearrange(sf: StandardForm) -> StandardForm:
+def pt_rearrange(e: np.ndarray) -> np.ndarray:
     """Entry rearrangement [Etilde_k]_{jl} = [E_{j+l-k mod M}]_{jl}.
 
-    These are the standard-form blocks of the partial transpose, returned
-    unchecked as a :class:`StandardForm`.  The map is an involution: applying
-    it twice returns the input bit-exactly.
+    These are the standard-form blocks of the partial transpose.  The map is
+    an involution: applying it twice returns the input bit-exactly.
     """
-    j, l = np.ogrid[:sf.dim, :sf.dim]
-    return StandardForm(sf.e[pt_sources(sf.m, sf.dim), j, l], check=False)
+    m, d = e.shape[0], e.shape[1]
+    j, l = np.ogrid[:d, :d]
+    return e[pt_sources(m, d), j, l]
 
 
 def trace_weights(m: int, d: int) -> np.ndarray:
@@ -247,18 +224,17 @@ def trace_weights(m: int, d: int) -> np.ndarray:
     return np.exp(2j * np.pi / m) ** (t * (k - j))
 
 
-def negativity_stform(sf: StandardForm, psd_tol: float = 1e-9) -> float:
-    """Negativity computed entirely in the standard form:
+def negativity_stform(e: np.ndarray, psd_tol: float = 1e-9) -> float:
+    """Negativity computed entirely in the standard form {E_k}:
 
         N = ( sum_k ||Etilde_k||_1 - sum_k Tr(E_k) ) / 2 .
     """
-    for k in range(sf.m):
-        min_eig = float(np.linalg.eigvalsh((sf.e[k] + sf.e[k].conj().T) / 2.0)[0])
+    for k, block in enumerate(e):
+        min_eig = float(np.linalg.eigvalsh((block + block.conj().T) / 2.0)[0])
         if min_eig < -psd_tol:
             raise ValueError(f"standard-form block {k} is not PSD (min eigenvalue {min_eig:.3e})")
-    pt = pt_rearrange(sf)
-    tnorm = sum(trace_norm(pt.e[k]) for k in range(sf.m))
-    total_trace = float(np.real(np.einsum("kii->", sf.e)))
+    tnorm = sum(trace_norm(block) for block in pt_rearrange(e))
+    total_trace = float(np.real(np.einsum("kii->", e)))
     return float((tnorm - total_trace) / 2.0)
 
 

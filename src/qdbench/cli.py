@@ -88,9 +88,9 @@ def _cmd_sample(args) -> int:
     from .sampling import sample_homodyne, write_records_csv
 
     rho = DensityMatrix.load(args.state, allow_sub_normalized=True)
-    records = sample_homodyne(rho, args.phase, args.n, args.seed)
-    write_records_csv(records, args.out)
-    print(f"wrote {len(records)} records to {args.out}")
+    values = sample_homodyne(rho, args.phase, args.n, args.seed)
+    write_records_csv(np.full(values.size, args.phase), values, args.out)
+    print(f"wrote {values.size} records to {args.out}")
     return 0
 
 
@@ -106,14 +106,13 @@ def _cmd_stdform_check(args) -> int:
     if dev > args.tol:
         print("FAIL: matrix is not phase symmetric at the requested tolerance")
         return 1
-    sf = to_standard_form(tau, tol=args.tol)
-    back = from_standard_form(sf)
+    e = to_standard_form(tau, tol=args.tol)
+    back = from_standard_form(e)
     rt = float(np.max(np.abs(back.blocks - tau.blocks)))
-    sum_err = float(np.max(np.abs(sf.block_sum() - tau.blocks[0, 0])))
+    sum_err = float(np.max(np.abs(e.sum(axis=0) - tau.blocks[0, 0])))
     pt_full = partial_transpose(tau).full_matrix()
     tn_direct = float(np.sum(np.abs(np.linalg.eigvalsh(pt_full))))
-    pt = pt_rearrange(sf)
-    tn_st = float(sum(trace_norm(pt.e[k]) for k in range(sf.m)))
+    tn_st = float(sum(trace_norm(block) for block in pt_rearrange(e)))
     print(f"round-trip error:        {rt:.3e}")
     print(f"block-sum identity:      {sum_err:.3e}")
     print(f"trace-norm identity:     {abs(tn_st - tn_direct):.3e}")

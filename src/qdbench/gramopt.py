@@ -27,8 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocksym import (BipartiteBlockMatrix, StandardForm, from_standard_form,
-                       trace_weights)
+from .blocksym import BipartiteBlockMatrix, from_standard_form, trace_weights
 from .fock import (DensityMatrix, fidelity, matrix_from_json, matrix_to_json, real_frame,
                    rotation)
 from .sdp import SDPConfig, SDPProblem, SDPStatus
@@ -99,9 +98,6 @@ class GramMatrix:
         zeta = self.circulant_profile()
         idx = np.mod(np.subtract.outer(np.arange(self.m), np.arange(self.m)), self.m)
         return float(np.max(np.abs(self.z - zeta[idx])))
-
-    def purity(self) -> float:
-        return gram_purity(self)
 
     def to_json_dict(self) -> dict:
         return matrix_to_json(self.z, m=self.m)
@@ -207,7 +203,7 @@ def _solve_general(states, weights, config) -> tuple:
     prob.set_objective({"rho_in": c_obj}, maximize=True)
 
     for k, st in enumerate(states):
-        prob.add_entry_equalities({"rho_in": 1.0}, st.matrix / m, offset=k * d,
+        prob.add_entry_equalities(["rho_in"], st.matrix / m, offset=k * d,
                                   label=f"test-state-{k}")
 
     sol = prob.solve(config)
@@ -242,7 +238,7 @@ def _solve_symmetric(states, weights, config) -> tuple:
         prob.add_variable(f"E{k}", d)
     prob.set_objective({f"E{k}": np.diag(coeff[k]).astype(complex) for k in range(m)},
                        maximize=True)
-    prob.add_entry_equalities({f"E{k}": 1.0 for k in range(m)}, seed, label="seed-state")
+    prob.add_entry_equalities([f"E{k}" for k in range(m)], seed, label="seed-state")
     sol = prob.solve(config)
     _check_gram_solution(sol)
     e = np.stack([sol.variables[f"E{k}"] for k in range(m)])
@@ -251,7 +247,7 @@ def _solve_symmetric(states, weights, config) -> tuple:
     z = zeta[np.mod(np.subtract.outer(np.arange(m), np.arange(m)), m)]
     if phase is not None:
         e = phase.conj()[:, None] * e * phase
-    blocks = from_standard_form(StandardForm(e, check=False)).blocks
+    blocks = from_standard_form(e).blocks
     return z, blocks, sol.objective, sol
 
 

@@ -134,6 +134,8 @@ def _check_sweep(cfg: dict) -> None:
                          f"got {cfg['bench']['cutoff']}")
     if any(m < 2 for m in cfg["ensemble"]["m_values"]):
         raise ValueError("configuration field 'ensemble.m_values' must all be >= 2")
+    if any(s not in (1, 2, 3) for s in cfg["scenario"]["sigma_levels"]):
+        raise ValueError("configuration field 'scenario.sigma_levels' must all be 1, 2 or 3")
     lists = ["ensemble.m_values", "scenario.kinds"]
     if "quadratures_errors" in cfg["scenario"]["kinds"]:
         lists.append("scenario.sigma_levels")
@@ -196,14 +198,14 @@ def _sampled_moments(rho_out: DensityMatrix, scen_cfg: dict):
     base_seed = int(scen_cfg["base_seed"])
     offsets = np.linspace(-0.5 * tol, 0.5 * tol, 5)
     per_offset = int(math.ceil(1.2 * bin_size / offsets.size))
-    records = []
+    phases, values = [], []
     for a_idx, angle in enumerate((0.0, 90.0)):
         for o_idx, off in enumerate(offsets):
-            records.extend(sample_homodyne(
-                rho_out, angle + float(off), per_offset,
-                seed=base_seed + 1000 * a_idx + o_idx))
-    bins = bin_and_estimate(records, [0.0, 90.0], bin_size=bin_size, angle_tolerance=tol)
-    bx, bp = bins
+            phases.append(np.full(per_offset, angle + float(off)))
+            values.append(sample_homodyne(rho_out, angle + float(off), per_offset,
+                                          seed=base_seed + 1000 * a_idx + o_idx))
+    bx, bp = bin_and_estimate(np.concatenate(phases), np.concatenate(values), [0.0, 90.0],
+                              bin_size=bin_size, angle_tolerance=tol)
     moments = {"x": bx.mean, "p": bp.mean, "xx": bx.raw_second_moment,
                "pp": bp.raw_second_moment}
     errors = {"x": bx.se_mean, "p": bp.se_mean, "xx": bx.se_second, "pp": bp.se_second}

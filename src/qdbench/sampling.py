@@ -19,23 +19,12 @@ import numpy as np
 from .fock import DensityMatrix, quadratures, rotation
 
 __all__ = [
-    "QuadratureRecord",
     "BinnedMoments",
     "sample_homodyne",
     "bin_and_estimate",
     "write_records_csv",
     "read_records_csv",
 ]
-
-
-@dataclass(frozen=True)
-class QuadratureRecord:
-    phase_deg: float
-    value: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.phase_deg) and math.isfinite(self.value)):
-            raise ValueError("quadrature records must be finite")
 
 
 @dataclass(frozen=True)
@@ -64,8 +53,9 @@ def rotated_quadrature(dim: int, phase_deg: float) -> np.ndarray:
     return u.conj().T @ x @ u
 
 
-def sample_homodyne(rho: DensityMatrix, phase_deg: float, n: int, seed: int):
-    """n i.i.d. samples of the rotated quadrature of ``rho``; reproducible per seed.
+def sample_homodyne(rho: DensityMatrix, phase_deg: float, n: int, seed: int) -> np.ndarray:
+    """n i.i.d. samples of the rotated quadrature of ``rho`` as a float64
+    array; reproducible per seed.
 
     The discrete spectrum of the truncated quadrature is sampled with weights
     <v|rho|v>, then smoothed with a uniform kernel of width equal to the local
@@ -98,42 +88,39 @@ def sample_homodyne(rho: DensityMatrix, phase_deg: float, n: int, seed: int):
     rng = np.random.default_rng(seed)
     idx = rng.choice(vals.size, size=n, p=probs)
     jitter = rng.uniform(-0.5, 0.5, size=n) * spacing[idx]
-    samples = mu + shrink * (vals[idx] - mu + jitter)
-    return [QuadratureRecord(phase_deg=float(phase_deg), value=float(v)) for v in samples]
+    return mu + shrink * (vals[idx] - mu + jitter)
 
 
-def _circular_distance_deg(a: float, b: float) -> float:
-    d = abs(a - b) % 360.0
-    return min(d, 360.0 - d)
-
-
-def bin_and_estimate(records, angles_deg, bin_size: int = 500,
+def bin_and_estimate(phases_deg, values, angles_deg, bin_size: int = 500,
                      angle_tolerance: float = 1.8):
     """Per requested angle: mean, raw second moment, and their standard errors.
 
-    Selection is deterministic: records within the tolerance window are sorted
-    by (distance to the angle, original position) and the first ``bin_size``
-    are used.  Raises naming the angle and the shortfall when a window is too
-    thin.
+    Record i is the quadrature value ``values[i]`` measured at phase
+    ``phases_deg[i]``.  Selection is deterministic: records within the
+    tolerance window are sorted by (distance to the angle, original position)
+    and the first ``bin_size`` are used.  Raises naming the angle and the
+    shortfall when a window is too thin.
     """
     if bin_size < 2:
         raise ValueError("bin_size must be at least 2")
+    phases, values = np.asarray(phases_deg, dtype=float), np.asarray(values, dtype=float)
+    if phases.shape != values.shape or not np.isfinite([phases, values]).all():
+        raise ValueError("quadrature records need finite phases and values of one length")
     results = []
     for angle in angles_deg:
-        candidates = [(abs_d, i) for i, r in enumerate(records)
-                      if (abs_d := _circular_distance_deg(r.phase_deg, angle)) <= angle_tolerance]
-        if len(candidates) < bin_size:
+        dist = np.abs(phases - angle) % 360.0
+        dist = np.minimum(dist, 360.0 - dist)
+        window = np.flatnonzero(dist <= angle_tolerance)
+        if window.size < bin_size:
             raise ValueError(
-                f"angle {angle} deg: only {len(candidates)} records within "
-                f"{angle_tolerance} deg, need {bin_size} (short by {bin_size - len(candidates)})")
-        candidates.sort()
-        chosen = np.array([records[i].value for _, i in candidates[:bin_size]])
+                f"angle {angle} deg: only {window.size} records within "
+                f"{angle_tolerance} deg, need {bin_size} (short by {bin_size - window.size})")
+        chosen = values[window[np.argsort(dist[window], kind="stable")[:bin_size]]]
         n = bin_size
         mean = float(np.mean(chosen))
         m2 = float(np.mean(chosen**2))
         m4 = float(np.mean(chosen**4))
-        s = float(np.std(chosen, ddof=1))
-        se_mean = s / math.sqrt(n)
+        se_mean = float(np.std(chosen, ddof=1)) / math.sqrt(n)
         se_second = math.sqrt(max(m4 - m2**2, 0.0) / n)
         results.append(BinnedMoments(angle_deg=float(angle), n=n, mean=mean,
                                      raw_second_moment=m2, se_mean=se_mean,
@@ -141,16 +128,19 @@ def bin_and_estimate(records, angles_deg, bin_size: int = 500,
     return results
 
 
-def write_records_csv(records, path) -> None:
-    """CSV wire format: header ``phase_deg,value``, UTF-8, LF line endings."""
+def write_records_csv(phases_deg, values, path) -> None:
+    """CSV wire format: header ``phase_deg,value``, UTF-8, LF line endings,
+    one record per line with each float written as its shortest repr."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("phase_deg,value\n")
-        for r in records:
-            fh.write(f"{r.phase_deg!r},{r.value!r}\n")
+        for phase, value in np.array([phases_deg, values], dtype=float).T.tolist():
+            fh.write(f"{phase!r},{value!r}\n")
 
 
 def read_records_csv(path):
-    records = []
+    """Records of a CSV written by :func:`write_records_csv`, as the float64
+    arrays (phases_deg, values)."""
+    rows = []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != "phase_deg,value":
@@ -162,8 +152,11 @@ def read_records_csv(path):
             parts = line.split(",")
             if len(parts) != 2:
                 raise ValueError(f"line {lineno}: expected 2 fields, got {len(parts)}")
-            phase, value = float(parts[0]), float(parts[1])
+            try:
+                phase, value = float(parts[0]), float(parts[1])
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
             if not (math.isfinite(phase) and math.isfinite(value)):
                 raise ValueError(f"line {lineno}: non-finite value rejected")
-            records.append(QuadratureRecord(phase_deg=phase, value=value))
-    return records
+            rows.append((phase, value))
+    return tuple(np.array(rows, dtype=float).reshape(-1, 2).T.copy())

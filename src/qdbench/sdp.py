@@ -402,10 +402,10 @@ class SDPProblem:
         self._add_rows({**row, s_lo: -one}, [lower], label)
         self._add_rows({s_lo: one, s_hi: one}, [float(upper) - float(lower)], label)
 
-    def add_entry_equalities(self, weights: dict, target: np.ndarray, offset: int = 0,
+    def add_entry_equalities(self, names, target: np.ndarray, offset: int = 0,
                              label=None) -> None:
-        """Entrywise: sum_v w_v * X_v[offset:offset+t, offset:offset+t] == target
-        for a Hermitian t x t target and real scalars w_v.
+        """Entrywise: sum_v X_v[offset:offset+t, offset:offset+t] == target over
+        the variables ``names``, for a Hermitian t x t target.
 
         Adds t^2 rows: the t diagonal entries, then the real and imaginary
         parts of each entry of the target's strict upper triangle.
@@ -422,20 +422,16 @@ class SDPProblem:
         npair = iu.size
         pair_rows = t + 2 * np.arange(npair)
         rows = np.concatenate([np.arange(t), pair_rows, pair_rows + 1])
-        inv_sqrt2 = 1.0 / math.sqrt(2.0)
+        vals = np.concatenate([np.ones(t), np.full(2 * npair, 1.0 / math.sqrt(2.0))])
         coeffs = {}
-        for var, w in weights.items():
+        for var in names:
             d = self.variable_dim(var)
             if offset < 0 or offset + t > d:
                 raise SDPError(f"entrywise pin {label or ''} of size {t} at offset {offset} "
                                f"runs past variable '{var}' of dimension {d}")
-            w = complex(w)
-            if w.imag != 0.0:
-                raise SDPError(f"entrywise pin {label or ''} needs real weights")
             _, _, pair_index = _hvec_meta(d)
             p = pair_index[offset + iu, offset + ju]
             cols = np.concatenate([offset + np.arange(t), d + p, d + d * (d - 1) // 2 + p])
-            vals = np.concatenate([np.full(t, w.real), np.full(2 * npair, w.real * inv_sqrt2)])
             coeffs[var] = sp.csr_matrix((vals, (rows, cols)), shape=(t * t, d * d))
         targets = np.empty(t * t)
         targets[:t] = target.diagonal().real

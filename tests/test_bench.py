@@ -62,9 +62,13 @@ class TestScenarios:
                               {"x": 0.0, "p": 0.0, "xx": 0.08, "pp": 0.01}, 1)
 
     def test_sigma_level_restricted(self):
-        with pytest.raises(ValueError, match="sigma_level"):
-            QuadraturesWithErrors({"x": 0, "p": 0, "xx": 0.5, "pp": 0.5},
-                                  {"x": 0, "p": 0, "xx": 0, "pp": 0}, 5)
+        moments = {"x": 0, "p": 0, "xx": 0.5, "pp": 0.5}
+        for bad in (5, True):
+            with pytest.raises(ValueError, match="sigma_level"):
+                QuadraturesWithErrors(moments, {"x": 0, "p": 0, "xx": 0, "pp": 0}, bad)
+        for level in (1, 2, 3):
+            assert QuadraturesWithErrors(moments, dict.fromkeys(moments, 0.01),
+                                         level).sigma_level == level
 
     @pytest.mark.parametrize("make, field", [
         (lambda: Quadratures({"x": float("nan"), "p": 0, "xx": 0.5, "pp": 0.5}),
@@ -138,7 +142,7 @@ class TestBenchmarkSymmetric:
         assert res.diagnostics["solver_status"] == "Optimal"
         assert res.negativity_lower_bound <= 1e-6
         assert not res.certified
-        np.testing.assert_allclose(res.optimized_state.block_sum(),
+        np.testing.assert_allclose(res.optimized_state.sum(axis=0),
                                    rho_out.matrix / (1.0 - rho_out.trace_deficit), atol=1e-7)
 
     def test_tomography_without_a_real_frame_is_pinned_as_given(self, monkeypatch):
@@ -152,7 +156,7 @@ class TestBenchmarkSymmetric:
                                   cutoff=cutoff)
         assert real == [False]
         assert res.diagnostics["solver_status"] == "Optimal"
-        np.testing.assert_allclose(res.optimized_state.block_sum(), rho.matrix, atol=1e-7)
+        np.testing.assert_allclose(res.optimized_state.sum(axis=0), rho.matrix, atol=1e-7)
 
     @pytest.mark.parametrize("m", [2, 4])
     def test_unconverged_solve_is_inconclusive(self, m):
@@ -291,14 +295,16 @@ class TestBenchmarkGeneral:
         assert real == [True, False]
         assert r_sym.certified and r_gen.certified
         assert abs(r_sym.negativity_lower_bound - r_gen.negativity_lower_bound) <= 1e-6
-        e = r_sym.optimized_state.e
+        e = r_sym.optimized_state
         np.testing.assert_allclose(e.sum(axis=0), rho_out.matrix / (1.0 - rho_out.trace_deficit),
                                    atol=1e-7)
         assert np.max(np.abs(e.imag)) > 1e-3  # the blocks are back in the caller's frame
 
     def test_quadrature_bound_is_weaker_without_symmetry(self):
-        # without the symmetry restriction the feasible set is larger, so the
-        # general quadrature bound sits at or below the symmetric one
+        # at M = 3 the lab-frame second moments of the rotated outputs read the
+        # seed's unconstrained <xp + px>, so neither feasible set contains the
+        # other; on this fixture the general bound sits at or below the
+        # symmetric one
         m, cutoff = 3, 7
         d = cutoff + 1
         seed = noisy_coherent(0.45, 0.1, d, deficit_tol=1e-6)
@@ -310,6 +316,24 @@ class TestBenchmarkGeneral:
         r_gen = benchmark_general(gram, [Quadratures(o.quadrature_moments()) for o in outs],
                                   cutoff=cutoff)
         assert r_gen.negativity_lower_bound <= r_sym.negativity_lower_bound + 1e-6
+
+    def test_matches_symmetric_under_error_bars_at_m2(self):
+        # the half turn maps the rotated outputs' moment boxes onto each other,
+        # so the general feasible set is twirl invariant and the bounds agree
+        m, cutoff = 2, 7
+        d = cutoff + 1
+        seed = noisy_coherent(-0.5j, 0.08, d, deficit_tol=1e-6)
+        gram = optimize_gram(rotation_ensemble(seed, m), symmetric=True).gram
+        rho_out = loss_channel(0.92, d)(seed)
+        errors = {"x": 0.03, "p": 0.03, "xx": 0.04, "pp": 0.09}
+        r_sym = benchmark_symmetric(
+            gram, QuadraturesWithErrors(rho_out.quadrature_moments(), errors, 1), m,
+            cutoff=cutoff)
+        r_gen = benchmark_general(
+            gram, [QuadraturesWithErrors(o.quadrature_moments(), errors, 1)
+                   for o in rotated_outputs(rho_out, m)], cutoff=cutoff)
+        assert r_sym.diagnostics["solver_status"] == r_gen.diagnostics["solver_status"] == "Optimal"
+        assert abs(r_sym.negativity_lower_bound - r_gen.negativity_lower_bound) <= 1e-6
 
     def test_mixed_scenarios_bound_between_uniform_ones(self):
         m, cutoff = 2, 7
@@ -426,7 +450,7 @@ class TestIntervalsOverRealBlocks:
         res = benchmark_symmetric(gram, scens[0], m, cutoff=cutoff)
         assert real == [on_real_blocks]
         assert res.diagnostics["solver_status"] == "Optimal"
-        seed_out = res.optimized_state.block_sum()
+        seed_out = res.optimized_state.sum(axis=0)
         for key, op in moment_operators(cutoff + 1).items():
             value = float(np.real(np.trace(op @ seed_out)))
             mid, width = scens[0].moments[key], scens[0].std_errors[key]
@@ -439,7 +463,7 @@ class TestIntervalsOverRealBlocks:
         real = real_solves(monkeypatch)
         res = benchmark_symmetric(gram, Quadratures(moments), m, cutoff=cutoff)
         assert real == [True]
-        seed_out = res.optimized_state.block_sum()
+        seed_out = res.optimized_state.sum(axis=0)
         for key, op in moment_operators(cutoff + 1).items():
             assert float(np.real(np.trace(op @ seed_out))) == pytest.approx(
                 moments[key], abs=1e-7), key

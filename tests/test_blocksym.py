@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qdbench.blocksym import (BipartiteBlockMatrix, StandardForm, from_standard_form,
+from qdbench.blocksym import (BipartiteBlockMatrix, from_standard_form,
                               gram_of, negativity, negativity_stform, partial_transpose,
                               pt_rearrange, symmetry_check,
                               to_standard_form, trace_weights, twirl)
@@ -149,13 +149,13 @@ class TestAgainstLoops:
             for d in range(1, 6):
                 tau = BipartiteBlockMatrix(loop_twirl(random_block_matrix(rng, m, d).blocks))
                 want = loop_standard_form(tau.blocks)
-                assert np.max(np.abs(to_standard_form(tau).e - want)) <= 1e-14
+                assert np.max(np.abs(to_standard_form(tau) - want)) <= 1e-14
 
     def test_from_standard_form(self, rng):
         for m in range(1, 7):
             for d in range(1, 6):
                 e = rng.standard_normal((m, d, d)) + 1j * rng.standard_normal((m, d, d))
-                got = from_standard_form(StandardForm(e, check=False)).blocks
+                got = from_standard_form(e).blocks
                 assert np.max(np.abs(got - loop_from_standard_form(e))) <= 1e-13
 
     def test_twirl_on_asymmetric_grids(self, rng):
@@ -180,7 +180,7 @@ class TestStandardForm:
     def test_m1_is_identity_map(self, rng):
         tau = random_block_matrix(rng, 1, 4)
         sf = to_standard_form(tau)
-        np.testing.assert_allclose(sf.e[0], tau.blocks[0, 0], atol=1e-14)
+        np.testing.assert_allclose(sf[0], tau.blocks[0, 0], atol=1e-14)
         back = from_standard_form(sf)
         np.testing.assert_allclose(back.blocks, tau.blocks, atol=1e-14)
 
@@ -191,15 +191,15 @@ class TestStandardForm:
             blocks[k, k] = np.eye(d)
         sf = to_standard_form(BipartiteBlockMatrix(blocks))
         for k in range(m):
-            off = sf.e[k] - np.diag(np.diag(sf.e[k]))
+            off = sf[k] - np.diag(np.diag(sf[k]))
             assert np.max(np.abs(off)) <= 1e-14
-        np.testing.assert_allclose(sf.block_sum(), np.eye(d), atol=1e-12)
+        np.testing.assert_allclose(sf.sum(axis=0), np.eye(d), atol=1e-12)
 
     def test_round_trip_and_sum_identity(self, rng):
         for m, d in [(2, 4), (3, 7), (5, 5), (8, 16)]:
             tau = random_symmetric_fixture(rng, m, d)
             sf = to_standard_form(tau)
-            assert np.max(np.abs(sf.block_sum() - tau.blocks[0, 0])) <= 1e-10
+            assert np.max(np.abs(sf.sum(axis=0) - tau.blocks[0, 0])) <= 1e-10
             back = from_standard_form(sf)
             assert np.max(np.abs(back.blocks - tau.blocks)) <= 1e-10
             assert symmetry_check(back) <= 1e-12
@@ -209,7 +209,7 @@ class TestStandardForm:
         sf = to_standard_form(tau)
         ev_full = np.sort(np.linalg.eigvalsh(tau.full_matrix()))
         ev_blocks = np.sort(np.concatenate(
-            [np.linalg.eigvalsh((sf.e[k] + sf.e[k].conj().T) / 2) for k in range(4)]))
+            [np.linalg.eigvalsh((sf[k] + sf[k].conj().T) / 2) for k in range(4)]))
         np.testing.assert_allclose(ev_full, ev_blocks, atol=1e-9)
 
     def test_psd_equivalence_sign(self, rng):
@@ -221,7 +221,7 @@ class TestStandardForm:
             tau = random_symmetric_fixture(rng, m, d, psd=bool(rng.integers(0, 2)))
             sf = to_standard_form(tau)
             min_full = np.linalg.eigvalsh(tau.full_matrix())[0]
-            min_blocks = min(np.linalg.eigvalsh((sf.e[k] + sf.e[k].conj().T) / 2)[0]
+            min_blocks = min(np.linalg.eigvalsh((sf[k] + sf[k].conj().T) / 2)[0]
                              for k in range(m))
             if np.sign(round(min_full, 12)) == np.sign(round(min_blocks, 12)):
                 agree += 1
@@ -232,13 +232,18 @@ class TestStandardForm:
         with pytest.raises(ValueError, match="symmetry"):
             to_standard_form(tau)
 
+    @pytest.mark.parametrize("shape", [(2, 3, 4), (3, 3)])
+    def test_inverse_rejects_a_stack_of_wrong_shape(self, shape):
+        with pytest.raises(ValueError, match=r"\(M, D, D\)"):
+            from_standard_form(np.zeros(shape, dtype=complex))
+
     def test_single_pure_block_reconstruction_psd(self, rng):
         m, d = 3, 4
         vec = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         vec /= np.linalg.norm(vec)
         e = np.zeros((m, d, d), dtype=complex)
         e[0] = np.outer(vec, vec.conj())
-        tau = from_standard_form(StandardForm(e))
+        tau = from_standard_form(e)
         assert symmetry_check(tau) <= 1e-12
         assert np.linalg.eigvalsh(tau.full_matrix())[0] >= -1e-12
 
@@ -247,34 +252,34 @@ class TestPTRearrange:
     def test_m1_identity(self, rng):
         sf = to_standard_form(random_block_matrix(rng, 1, 5))
         pt = pt_rearrange(sf)
-        np.testing.assert_allclose(pt.e[0], sf.e[0], atol=1e-15)
+        np.testing.assert_allclose(pt[0], sf[0], atol=1e-15)
 
     def test_diagonal_specialization(self, rng):
         m, d = 4, 6
         e = np.zeros((m, d, d), dtype=complex)
         for k in range(m):
             e[k] = np.diag(rng.standard_normal(d))
-        pt = pt_rearrange(StandardForm(e, check=False))
+        pt = pt_rearrange(e)
         for k in range(m):
             for j in range(d):
-                assert pt.e[k][j, j] == e[(2 * j - k) % m][j, j]
+                assert pt[k][j, j] == e[(2 * j - k) % m][j, j]
 
     def test_involution_bit_exact(self, rng):
         sf = to_standard_form(random_symmetric_fixture(rng, 5, 4))
         back = pt_rearrange(pt_rearrange(sf))
-        assert np.array_equal(back.e, sf.e)
+        assert np.array_equal(back, sf)
 
     def test_entry_multiset_preserved(self, rng):
         sf = to_standard_form(random_symmetric_fixture(rng, 4, 5))
         pt = pt_rearrange(sf)
-        np.testing.assert_allclose(np.sort_complex(sf.e.ravel()),
-                                   np.sort_complex(pt.e.ravel()), atol=1e-15)
+        np.testing.assert_allclose(np.sort_complex(sf.ravel()),
+                                   np.sort_complex(pt.ravel()), atol=1e-15)
 
     def test_trace_norm_identity(self, rng):
         tau = random_symmetric_fixture(rng, 3, 4)
         sf = to_standard_form(tau)
         pt = pt_rearrange(sf)
-        lhs = sum(trace_norm(pt.e[k]) for k in range(3))
+        lhs = sum(trace_norm(pt[k]) for k in range(3))
         rhs = brute_trace_norm_pt(tau.full_matrix(), 3, 4)
         assert abs(lhs - rhs) <= 1e-9
 
@@ -286,7 +291,7 @@ class TestTraceWeights:
         d = 5
         for m in range(1, 7):
             e = np.stack([random_density(rng, d) for _ in range(m)]) / m
-            blocks = from_standard_form(StandardForm(e)).blocks
+            blocks = from_standard_form(e).blocks
             got = np.einsum("tkj,kjj->t", trace_weights(m, d), e)
             want = np.trace(blocks[:, 0], axis1=1, axis2=2)
             assert np.max(np.abs(got - want)) <= 1e-13
@@ -334,7 +339,7 @@ class TestNegativityStandardForm:
     def test_rejects_non_psd_blocks(self, rng):
         e = np.stack([np.diag([1.0, -0.5]).astype(complex), np.eye(2, dtype=complex)])
         with pytest.raises(ValueError, match="PSD"):
-            negativity_stform(StandardForm(e, check=False))
+            negativity_stform(e)
 
 
 class TestGramOf:

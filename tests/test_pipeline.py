@@ -158,7 +158,9 @@ class TestCLI:
         code = cli.main(["sample", "--state", str(state), "--phase", "0",
                          "--n", "200", "--seed", "3", "--out", str(out)])
         assert code == 0
-        assert len(read_records_csv(out)) == 200
+        phases, values = read_records_csv(out)
+        assert values.size == 200
+        assert np.array_equal(phases, np.zeros(200))
 
     def test_stdform_check_command(self, tmp_path, rng):
         tau = twirl(random_block_matrix(rng, 3, 4))
@@ -309,7 +311,9 @@ class TestCLI:
         ({"scenario": {"kinds": "tomography"}}, "scenario.kinds"),
         ({"scenario": {"kinds": ["quadratures_errors"], "sigma_levels": 2}},
          "scenario.sigma_levels"),
-        ({"scenario": {"moment_source": "sampeld"}}, "scenario.moment_source")])
+        ({"scenario": {"moment_source": "sampeld"}}, "scenario.moment_source"),
+        ({"scenario": {"sigma_levels": [4]}}, "scenario.sigma_levels"),
+        ({"scenario": {"sigma_levels": [1, 0]}}, "scenario.sigma_levels")])
     def test_empty_sweep_or_nonpositive_cutoff_exits_1_naming_the_field(
             self, tmp_path, capsys, config, field):
         path = tmp_path / "bad.json"
@@ -343,13 +347,15 @@ class TestCLI:
             assert row.split(",")[1] == point["scenario"]
 
     def test_fractional_scenario_sigma_level_is_rejected(self, tmp_path, capsys):
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(dict(LAB_SCENARIO, sigma_level=1.5)), encoding="utf-8")
+        # a boolean is no sigma level either, though True == 1
         gram_path = tmp_path / "gram.json"
         gram_path.write_text(json.dumps(GramMatrix(np.eye(2)).to_json_dict()), encoding="utf-8")
-        code = cli.main(["bench", "--gram", str(gram_path), "--scenario", str(path)])
-        assert code == 1
-        assert "sigma_level" in capsys.readouterr().err
+        for bad in (1.5, True):
+            path = tmp_path / "scenario.json"
+            path.write_text(json.dumps(dict(LAB_SCENARIO, sigma_level=bad)), encoding="utf-8")
+            code = cli.main(["bench", "--gram", str(gram_path), "--scenario", str(path)])
+            assert code == 1
+            assert "sigma_level" in capsys.readouterr().err
 
     @pytest.mark.parametrize("gram_drop, scenario, named", [
         ("re", LAB_SCENARIO, "'re'"),

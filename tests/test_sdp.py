@@ -226,10 +226,9 @@ def _add_random_constraint(prob, kind, xs, rng):
         room = min(_PROBLEM_DIMS[v] for v in used)
         t = int(rng.integers(1, room + 1))
         offset = int(rng.integers(0, room - t + 1))
-        weights = {v: float(rng.standard_normal()) for v in used}
         target = _random_hermitian(rng, 1, t)[0]
-        prob.add_entry_equalities(weights, target, offset=offset)
-        z = sum(w * xs[v][offset:offset + t, offset:offset + t] for v, w in weights.items())
+        prob.add_entry_equalities(list(used), target, offset=offset)
+        z = sum(xs[v][offset:offset + t, offset:offset + t] for v in used)
         iu, ju = np.triu_indices(t, 1)
 
         def entries(a):
@@ -332,9 +331,9 @@ class TestConstraintRows:
     def test_entry_pin_running_past_its_variable_is_rejected(self):
         p = SDPProblem()
         p.add_variable("X", 4)
-        p.add_entry_equalities({"X": 1.0}, np.eye(2), offset=2)
+        p.add_entry_equalities(["X"], np.eye(2), offset=2)
         with pytest.raises(SDPError, match="runs past variable 'X'"):
-            p.add_entry_equalities({"X": 1.0}, np.eye(2), offset=3)
+            p.add_entry_equalities(["X"], np.eye(2), offset=3)
 
     def test_unknown_variable_fails_at_add_time(self):
         p = SDPProblem()
@@ -342,7 +341,7 @@ class TestConstraintRows:
         with pytest.raises(SDPError, match="unknown variable 'Y'"):
             p.add_equality({"Y": np.eye(2)}, 1.0)
         with pytest.raises(SDPError, match="unknown variable 'Y'"):
-            p.add_entry_equalities({"Y": 1.0}, np.eye(2))
+            p.add_entry_equalities(["Y"], np.eye(2))
         with pytest.raises(SDPError, match="unknown variable 'Y'"):
             p.add_psd_constraint([("Y", sp.identity(4))])
 
@@ -1151,12 +1150,11 @@ class TestValidation:
         lambda p, v: p.add_equality({"X": np.diag([1.0, v])}, 1.0, label="row-a"),
         lambda p, v: p.add_interval({"X": np.eye(2)}, 0.0, v, label="row-a"),
         lambda p, v: p.add_interval({"X": np.eye(2)}, v, 1.0, label="row-a"),
-        lambda p, v: p.add_entry_equalities({"X": 1.0}, np.diag([v, 0.5]), label="row-a"),
-        lambda p, v: p.add_entry_equalities({"X": v}, np.eye(2), label="row-a"),
+        lambda p, v: p.add_entry_equalities(["X"], np.diag([v, 0.5]), label="row-a"),
         lambda p, v: p.add_psd_constraint([("X", sp.identity(4))], constant=np.diag([v, 0.0]),
                                           label="row-a"),
         lambda p, v: p.add_psd_constraint([("X", v * sp.identity(4))], label="row-a"),
-    ], ids=["target", "coefficient", "upper", "lower", "entry-target", "entry-weight",
+    ], ids=["target", "coefficient", "upper", "lower", "entry-target",
             "psd-constant", "psd-term"])
     def test_non_finite_data_is_rejected_by_label(self, add, bad):
         p = SDPProblem()

@@ -57,6 +57,8 @@ QUARTER_TURN = np.array([1, 1j, -1, -1j])  # i^n for n mod 4, exact
 
 
 def _finite_moments(values, what: str) -> dict:
+    if not isinstance(values, dict):
+        raise ValueError(f"{what}s must be an object with keys {MOMENT_KEYS}, got {values!r}")
     out = {}
     for k in MOMENT_KEYS:
         if k not in values:
@@ -69,7 +71,7 @@ def _finite_moments(values, what: str) -> dict:
     return out
 
 
-def _validate_moments(moments, std_errors=None, sigma_level=0):
+def _validate_moments(moments, std_errors, sigma_level):
     moments = _finite_moments(moments, "moment")
     if std_errors is None:
         errs = {k: 0.0 for k in MOMENT_KEYS}
@@ -93,52 +95,43 @@ class Tomography:
     """Fully known output state for the seed (numerically, up to the cutoff)."""
 
     rho_out: DensityMatrix
-    tag: str = "tomography"
-
-    def mean_photon_estimate(self) -> float:
-        return self.rho_out.mean_photon()
+    tag = "tomography"
 
 
 @dataclass(frozen=True)
 class Quadratures:
-    """First and raw second moments of x and p for the seed output."""
+    """First and raw second moments of x and p for the seed output.
 
-    moments: dict
-    tag: str = "quadratures"
-
-    def __post_init__(self):
-        cleaned, _ = _validate_moments(self.moments)
-        object.__setattr__(self, "moments", cleaned)
-
-    def mean_photon_estimate(self) -> float:
-        return max(0.0, (self.moments["xx"] + self.moments["pp"] - 1.0) / 2.0)
-
-
-@dataclass(frozen=True)
-class QuadraturesWithErrors:
-    """Quadrature moments with symmetric two-sided error intervals.
-
-    Each moment is constrained to [m - sigma_level * se, m + sigma_level * se];
-    no covariance between the moment estimates is modeled.
+    With ``std_errors``, each moment is constrained to
+    [m - sigma_level * se, m + sigma_level * se]; without, it is exact.  No
+    covariance between the moment estimates is modeled.
     """
 
     moments: dict
-    std_errors: dict
+    std_errors: dict | None = None
     sigma_level: int = 1
-    tag: str = "quadratures_errors"
 
     def __post_init__(self):
         if isinstance(self.sigma_level, bool) or self.sigma_level not in (1, 2, 3):
             raise ValueError("sigma_level must be 1, 2 or 3")
         cleaned, errs = _validate_moments(self.moments, self.std_errors, self.sigma_level)
         object.__setattr__(self, "moments", cleaned)
-        object.__setattr__(self, "std_errors", errs)
+        if self.std_errors is not None:
+            object.__setattr__(self, "std_errors", errs)
 
-    def mean_photon_estimate(self) -> float:
+    @property
+    def tag(self) -> str:
+        return "quadratures" if self.std_errors is None else "quadratures_errors"
+
+    def intervals(self) -> dict:
+        """(low, high) of each moment; exact moments are intervals of zero width."""
+        errs = self.std_errors or dict.fromkeys(MOMENT_KEYS, 0.0)
         s = self.sigma_level
-        hi = (self.moments["xx"] + s * self.std_errors["xx"]
-              + self.moments["pp"] + s * self.std_errors["pp"] - 1.0) / 2.0
-        return max(0.0, hi)
+        return {k: (self.moments[k] - s * errs[k], self.moments[k] + s * errs[k])
+                for k in MOMENT_KEYS}
+
+
+QuadraturesWithErrors = Quadratures
 
 
 @dataclass
@@ -179,7 +172,12 @@ def _prepare_tomography_state(rho_out: DensityMatrix, d: int) -> np.ndarray:
 
 
 def _cutoff_guard(cutoff: int, scenario) -> None:
-    n_est = scenario.mean_photon_estimate()
+    """Reject N < 4 <n>, <n> read from the tomography state or the upper moment bounds."""
+    if isinstance(scenario, Tomography):
+        n_est = scenario.rho_out.mean_photon()
+    else:
+        interval = scenario.intervals()
+        n_est = max(0.0, (interval["xx"][1] + interval["pp"][1] - 1.0) / 2.0)
     if cutoff < 4.0 * n_est:
         raise ValueError(
             f"cutoff N = {cutoff} is too small for the observed mean photon number "
@@ -215,14 +213,9 @@ def _add_scenario_rows(prob: SDPProblem, scenario, d: int, on_block, pin,
             target, phase = real_frame(target)
         pin(target, f"tomography{suffix}")
         return phase
-    if isinstance(scenario, Quadratures):
-        width = dict.fromkeys(MOMENT_KEYS, 0.0)
-    elif isinstance(scenario, QuadraturesWithErrors):
-        width = {key: scenario.sigma_level * scenario.std_errors[key] for key in MOMENT_KEYS}
-    else:
+    if not isinstance(scenario, Quadratures):
         raise TypeError(f"unknown measurement scenario {scenario!r}")
-    interval = {key: (scenario.moments[key] - width[key], scenario.moments[key] + width[key])
-                for key in MOMENT_KEYS}
+    interval = scenario.intervals()
     phase = None
     if real and not _admits_zero(interval["p"]) and _admits_zero(interval["x"]):
         phase = QUARTER_TURN[np.arange(d) % 4]
@@ -241,22 +234,21 @@ def _admits_zero(interval) -> bool:
     return interval[0] <= 0.0 <= interval[1]
 
 
-def _result(sol, cfg: SDPConfig, verdict_margin, m: int, cutoff: int, tag: str,
-            state) -> BenchmarkResult:
+def _result(sol, cfg: SDPConfig, m: int, cutoff: int, tag: str, state) -> BenchmarkResult:
     """Verdict and diagnostics of a solved benchmark; raises on infeasibility.
 
-    Only an ``Optimal`` solve can certify: any other status reports its bound
-    with the verdict ``Inconclusive``.
+    Only an ``Optimal`` solve whose bound exceeds the solver tolerance by 1e-6
+    can certify: any other outcome reports its bound with the verdict
+    ``Inconclusive``.
     """
     if sol.status in (SDPStatus.PRIMAL_INFEASIBLE, SDPStatus.DUAL_INFEASIBLE):
         raise RuntimeError(
             f"benchmark constraints are infeasible ({sol.status.value}): the scenario "
             f"'{tag}' data and Gram matrix admit no joint state at cutoff {cutoff}")
     bound = float(sol.objective)
-    margin = (cfg.tol + 1e-6) if verdict_margin is None else verdict_margin
     return BenchmarkResult(
         negativity_lower_bound=bound,
-        verdict="QuantumDomain" if sol.optimal and bound > margin else "Inconclusive",
+        verdict="QuantumDomain" if sol.optimal and bound > cfg.tol + 1e-6 else "Inconclusive",
         m=m,
         cutoff=cutoff,
         scenario_tag=tag,
@@ -291,8 +283,7 @@ def _gram_rows_symmetric(prob: SDPProblem, e_names, gram: GramMatrix, d: int,
 
 
 def benchmark_symmetric(gram: GramMatrix, seed_scenario, m: int, cutoff: int = 15,
-                        *, solver_config: SDPConfig | None = None,
-                        verdict_margin: float | None = None) -> BenchmarkResult:
+                        *, solver_config: SDPConfig | None = None) -> BenchmarkResult:
     """Minimum compatible negativity for a rotation-generated ensemble.
 
     Variables are the standard-form blocks E_k of the output state and the
@@ -353,12 +344,11 @@ def benchmark_symmetric(gram: GramMatrix, seed_scenario, m: int, cutoff: int = 1
     e_stack = np.stack([sol.variables[name] for name in e_names])
     if phase is not None:
         e_stack = phase.conj()[:, None] * e_stack * phase
-    return _result(sol, cfg, verdict_margin, m, cutoff, seed_scenario.tag, e_stack)
+    return _result(sol, cfg, m, cutoff, seed_scenario.tag, e_stack)
 
 
 def benchmark_general(gram: GramMatrix, scenarios, cutoff: int = 15,
-                      *, solver_config: SDPConfig | None = None,
-                      verdict_margin: float | None = None) -> BenchmarkResult:
+                      *, solver_config: SDPConfig | None = None) -> BenchmarkResult:
     """Minimum compatible negativity without the symmetry reduction.
 
     ``scenarios`` holds one measurement scenario per test state, constraining
@@ -416,13 +406,13 @@ def benchmark_general(gram: GramMatrix, scenarios, cutoff: int = 15,
                 prob.add_equality({"tau": 0.5j * m * (e - e.T)}, z.imag)
 
     sol = prob.solve(cfg)
-    return _result(sol, cfg, verdict_margin, m, cutoff, "+".join(sc.tag for sc in scenarios),
+    return _result(sol, cfg, m, cutoff, "+".join(sc.tag for sc in scenarios),
                    BipartiteBlockMatrix.from_full(sol.variables["tau"], m, check=False))
 
 
-def input_negativity(rho_in: BipartiteBlockMatrix, psd_tol: float = 1e-9) -> float:
+def input_negativity(rho_in: BipartiteBlockMatrix) -> float:
     """Negativity of the optimized input matrix, via the standard form when
     the phase symmetry holds and directly otherwise."""
     if symmetry_check(rho_in) <= 1e-8:
-        return negativity_stform(to_standard_form(rho_in), psd_tol=psd_tol)
-    return negativity(rho_in, psd_tol=psd_tol)
+        return negativity_stform(to_standard_form(rho_in))
+    return negativity(rho_in)

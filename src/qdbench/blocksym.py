@@ -40,6 +40,7 @@ __all__ = [
 
 SYMMETRY_TOL = 1e-8
 BLOCK_HERMITICITY_TOL = 1e-10
+PSD_TOL = 1e-9
 
 
 class BipartiteBlockMatrix:
@@ -101,9 +102,9 @@ class BipartiteBlockMatrix:
         return matrix_to_json(self.full_matrix(), m=self.m, dim=self.dim)
 
     @classmethod
-    def from_json_dict(cls, payload: dict, check: bool = True) -> "BipartiteBlockMatrix":
+    def from_json_dict(cls, payload: dict) -> "BipartiteBlockMatrix":
         full = matrix_from_json(payload, "bipartite", "m", "dim")
-        return cls.from_full(full, int(payload["m"]), check=check)
+        return cls.from_full(full, int(payload["m"]))
 
     def __repr__(self):
         return f"BipartiteBlockMatrix(m={self.m}, dim={self.dim})"
@@ -114,7 +115,7 @@ def partial_transpose(tau: BipartiteBlockMatrix) -> BipartiteBlockMatrix:
     return BipartiteBlockMatrix(np.transpose(tau.blocks, (1, 0, 2, 3)).copy(), check=False)
 
 
-def negativity(tau: BipartiteBlockMatrix, psd_tol: float = 1e-9) -> float:
+def negativity(tau: BipartiteBlockMatrix, psd_tol: float = PSD_TOL) -> float:
     """N = (||tau^{T_A}||_1 - Tr tau)/2 by direct eigendecomposition.
 
     Equals the sum of |negative eigenvalues| of the partial transpose for a
@@ -224,14 +225,14 @@ def trace_weights(m: int, d: int) -> np.ndarray:
     return np.exp(2j * np.pi / m) ** (t * (k - j))
 
 
-def negativity_stform(e: np.ndarray, psd_tol: float = 1e-9) -> float:
+def negativity_stform(e: np.ndarray) -> float:
     """Negativity computed entirely in the standard form {E_k}:
 
         N = ( sum_k ||Etilde_k||_1 - sum_k Tr(E_k) ) / 2 .
     """
     for k, block in enumerate(e):
         min_eig = float(np.linalg.eigvalsh((block + block.conj().T) / 2.0)[0])
-        if min_eig < -psd_tol:
+        if min_eig < -PSD_TOL:
             raise ValueError(f"standard-form block {k} is not PSD (min eigenvalue {min_eig:.3e})")
     tnorm = sum(trace_norm(block) for block in pt_rearrange(e))
     total_trace = float(np.real(np.einsum("kii->", e)))

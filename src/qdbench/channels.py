@@ -36,7 +36,7 @@ __all__ = [
 class KrausChannel:
     """Completely positive map rho -> sum_k K_k rho K_k^dag."""
 
-    def __init__(self, kraus, name: str = "channel", entanglement_breaking: bool = False):
+    def __init__(self, kraus, entanglement_breaking: bool = False):
         kraus = [np.asarray(k, dtype=complex) for k in kraus]
         if not kraus:
             raise ValueError("need at least one Kraus operator")
@@ -46,7 +46,6 @@ class KrausChannel:
                 raise ValueError("all Kraus operators must be square with equal dimension")
         self.kraus = kraus
         self.dim = dim
-        self.name = name
         self.entanglement_breaking = entanglement_breaking
 
     def apply_matrix(self, rho: np.ndarray) -> np.ndarray:
@@ -87,7 +86,7 @@ class KrausChannel:
         return worst
 
 
-def ensure_trace_preserving(kraus, dim: int, tol: float = 1e-12):
+def ensure_trace_preserving(kraus, dim: int):
     """Append refill operators routing any completeness defect into |0><0|."""
     acc = np.zeros((dim, dim), dtype=complex)
     for k in kraus:
@@ -97,7 +96,7 @@ def ensure_trace_preserving(kraus, dim: int, tol: float = 1e-12):
     w, v = np.linalg.eigh(defect)
     extra = []
     for lam, vec in zip(w, v.T):
-        if lam > tol:
+        if lam > 1e-12:
             op = np.zeros((dim, dim), dtype=complex)
             op[0, :] = math.sqrt(lam) * vec.conj()
             extra.append(op)
@@ -150,7 +149,7 @@ def compose_kraus(first, then) -> list:
 
 
 def identity_channel(dim: int) -> KrausChannel:
-    return KrausChannel([np.eye(dim, dtype=complex)], name="identity")
+    return KrausChannel([np.eye(dim, dtype=complex)])
 
 
 def loss_channel(transmissivity: float, dim: int) -> KrausChannel:
@@ -168,7 +167,7 @@ def loss_channel(transmissivity: float, dim: int) -> KrausChannel:
             mat[n - k, n] = math.sqrt(math.comb(n, k) * (1.0 - eta) ** k * eta ** (n - k))
         if np.any(mat):
             kraus.append(mat)
-    return KrausChannel(kraus, name=f"loss({1.0 - eta:.3g})")
+    return KrausChannel(kraus)
 
 
 def amplifier_channel(gain: float, dim: int) -> KrausChannel:
@@ -186,7 +185,7 @@ def amplifier_channel(gain: float, dim: int) -> KrausChannel:
             mat[n + k, n] = math.sqrt(math.comb(n + k, k)) * t**k * g ** (-(n + 1) / 2.0)
         if np.any(mat):
             kraus.append(mat)
-    return KrausChannel(ensure_trace_preserving(kraus, dim), name=f"amplifier({g:.3g})")
+    return KrausChannel(ensure_trace_preserving(kraus, dim))
 
 
 def additive_noise_channel(excess: float, dim: int) -> KrausChannel:
@@ -200,7 +199,7 @@ def additive_noise_channel(excess: float, dim: int) -> KrausChannel:
         return identity_channel(dim)
     g = 1.0 / (1.0 - eps)
     kraus = compose_kraus(amplifier_channel(g, dim).kraus, loss_channel(1.0 / g, dim).kraus)
-    return KrausChannel(kraus, name=f"additive_noise({eps:.3g})")
+    return KrausChannel(kraus)
 
 
 def heterodyne_mp_channel(dim: int) -> KrausChannel:
@@ -223,8 +222,7 @@ def heterodyne_mp_channel(dim: int) -> KrausChannel:
     log_coef = (logfact[m + k] - (m + k + 1) * math.log(2.0)
                 - 0.5 * (logfact[j] + logfact[k] + logfact[m] + logfact[n]))
     choi = np.where(j - k == m - n, np.exp(log_coef), 0.0).reshape(dim * dim, dim * dim)
-    return KrausChannel(_kraus_from_choi(choi.astype(complex), dim), name="heterodyne_mp",
-                        entanglement_breaking=True)
+    return KrausChannel(_kraus_from_choi(choi.astype(complex), dim), entanglement_breaking=True)
 
 
 def dephasing_channel(dim: int) -> KrausChannel:
@@ -232,7 +230,7 @@ def dephasing_channel(dim: int) -> KrausChannel:
     kraus = [np.zeros((dim, dim), dtype=complex) for _ in range(dim)]
     for n in range(dim):
         kraus[n][n, n] = 1.0
-    return KrausChannel(kraus, name="dephasing", entanglement_breaking=True)
+    return KrausChannel(kraus, entanglement_breaking=True)
 
 
 def replace_channel(sigma: DensityMatrix) -> KrausChannel:
@@ -246,7 +244,7 @@ def replace_channel(sigma: DensityMatrix) -> KrausChannel:
         for j in range(dim):
             op = math.sqrt(lam) * np.outer(vec, np.eye(dim)[j])
             kraus.append(op)
-    return KrausChannel(kraus, name="replace", entanglement_breaking=True)
+    return KrausChannel(kraus, entanglement_breaking=True)
 
 
 def build_channel(spec: dict, dim: int) -> KrausChannel:
@@ -262,7 +260,7 @@ def build_channel(spec: dict, dim: int) -> KrausChannel:
         if kind == "loss":
             return att
         noise = additive_noise_channel(float(spec.get("excess", 0.0)), dim)
-        return KrausChannel(compose_kraus(att.kraus, noise.kraus), name="loss_excess")
+        return KrausChannel(compose_kraus(att.kraus, noise.kraus))
     if kind == "heterodyne_mp":
         return heterodyne_mp_channel(dim)
     if kind == "dephasing":

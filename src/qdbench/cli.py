@@ -33,7 +33,7 @@ def _cmd_sweep(args) -> int:
     if args.cutoff is not None:
         cfg["bench"]["cutoff"] = args.cutoff
     if args.m_values:
-        cfg["ensemble"]["m_values"] = [int(v) for v in args.m_values.split(",")]
+        cfg["ensemble"]["m_values"] = args.m_values
     summary = run_pipeline(cfg, out_dir=args.out)
     for m, label, _, bound, verdict in summary["bounds"]:
         print(f"M={m:<3d} {label:<28s} bound={bound:+.6e}  {verdict}")
@@ -47,7 +47,7 @@ def _cmd_gram(args) -> int:
 
     seed = DensityMatrix.load(args.seed_file, allow_sub_normalized=True)
     rows = []
-    for m in (int(v) for v in args.m_values.split(",")):
+    for m in args.m_values:
         states = rotation_ensemble(seed, m)
         res = optimize_gram(states, symmetric=not args.general,
                             refine_purity=args.refine)
@@ -130,6 +130,14 @@ def _cmd_fidelity(args) -> int:
     return 0
 
 
+def _m_values(text: str) -> list:
+    """The comma-separated ensemble sizes of ``--m-values``."""
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be comma-separated integers: {text!r}") from None
+
+
 class _Parser(argparse.ArgumentParser):
     """Usage errors exit with 1: argparse's 2 is this CLI's "inconclusive"."""
 
@@ -149,12 +157,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSON config path, or bundled:<name> for a shipped config")
     p.add_argument("--out", default=None, help="output directory (overrides config)")
     p.add_argument("--cutoff", type=int, default=None)
-    p.add_argument("--m-values", default=None, help="comma-separated ensemble sizes")
+    p.add_argument("--m-values", type=_m_values, help="comma-separated ensemble sizes")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("gram", help="optimize the Gram matrix for a rotation ensemble")
     p.add_argument("--seed-file", required=True, help="density-matrix JSON of the seed state")
-    p.add_argument("--m-values", default="2,3,4", help="comma-separated ensemble sizes")
+    p.add_argument("--m-values", type=_m_values, default="2,3,4",
+                   help="comma-separated ensemble sizes")
     p.add_argument("--general", action="store_true",
                    help="use the unsymmetrized optimizer; its Gram is not circulant, so "
                         "'qdbench bench' rejects it (it is meant for benchmark_general "

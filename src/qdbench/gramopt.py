@@ -103,9 +103,8 @@ class GramMatrix:
         return matrix_to_json(self.z, m=self.m)
 
     @classmethod
-    def from_json_dict(cls, payload: dict, require_unit_diagonal: bool = True) -> "GramMatrix":
-        return cls(matrix_from_json(payload, "Gram", "m"),
-                   require_unit_diagonal=require_unit_diagonal)
+    def from_json_dict(cls, payload: dict) -> "GramMatrix":
+        return cls(matrix_from_json(payload, "Gram", "m"))
 
     def __repr__(self):
         return f"GramMatrix(m={self.m})"
@@ -139,14 +138,14 @@ def rotation_ensemble(seed: DensityMatrix, m: int) -> list:
     return states
 
 
-def is_rotation_generated(states, tol: float = 1e-8) -> bool:
-    """True when rho_k = U^k rho_0 U^{-k} within tol for all k."""
+def is_rotation_generated(states) -> bool:
+    """True when rho_k = U^k rho_0 U^{-k} within 1e-8 for all k."""
     m = len(states)
     u = rotation(2.0 * np.pi / m, states[0].dim)
     current = states[0].matrix
     for k in range(1, m):
         current = u @ current @ u.conj().T
-        if float(np.max(np.abs(states[k].matrix - current))) > tol:
+        if float(np.max(np.abs(states[k].matrix - current))) > 1e-8:
             return False
     return True
 
@@ -325,8 +324,7 @@ class CPTPOrderResult:
         return self.feasible
 
 
-def cptp_reachable(g: GramMatrix, d: GramMatrix, tol: float = 1e-9,
-                   solver_config: SDPConfig | None = None) -> CPTPOrderResult:
+def cptp_reachable(g: GramMatrix, d: GramMatrix) -> CPTPOrderResult:
     """Feasibility of G = P o D with P PSD and unit diagonal.
 
     Feasible exactly when a channel maps states realizing Gram G onto states
@@ -337,7 +335,7 @@ def cptp_reachable(g: GramMatrix, d: GramMatrix, tol: float = 1e-9,
     if g.m != d.m:
         raise ValueError(f"Gram size mismatch: {g.m} vs {d.m}")
     m = g.m
-    zero_tol = 1e-12
+    zero_tol, tol = 1e-12, 1e-9
 
     p_fixed = np.eye(m, dtype=complex)
     free_mask = np.zeros((m, m), dtype=bool)
@@ -380,7 +378,7 @@ def cptp_reachable(g: GramMatrix, d: GramMatrix, tol: float = 1e-9,
             e[k, l] = 1.0
             prob.add_equality({"Q": (e + e.T) / 2}, p_fixed[k, l].real)
             prob.add_equality({"Q": 0.5j * (e - e.T)}, p_fixed[k, l].imag)
-    sol = prob.solve(solver_config or SDPConfig())
+    sol = prob.solve()
     if sol.status is not SDPStatus.OPTIMAL:
         return CPTPOrderResult(False, None, -np.inf,
                                f"completion solver status {sol.status.value}")

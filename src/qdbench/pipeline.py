@@ -3,7 +3,7 @@
 A single JSON configuration document drives the pipeline; every field has a
 default (see DEFAULT_CONFIG).  Outputs are deterministic given the config and
 seeds: CSV tables for the purity bounds and negativity bounds, a JSON record
-of everything, and optionally a gnuplot script (no image rendering here).
+of everything, and a gnuplot script (no image rendering here).
 
 Exit semantics of :func:`run_pipeline`: 0 when at least one sweep point
 certifies the quantum domain, 2 when everything ran but nothing was certified.
@@ -20,8 +20,7 @@ import os
 import numpy as np
 
 from . import __version__
-from .bench import (Quadratures, QuadraturesWithErrors, Tomography,
-                    benchmark_symmetric, input_negativity)
+from .bench import Quadratures, Tomography, benchmark_symmetric, input_negativity
 from .channels import build_channel
 from .fock import DensityMatrix, coherent_state, fit_dim, noisy_coherent
 from .gramopt import GramMatrix, optimize_gram, rotation_ensemble
@@ -66,30 +65,23 @@ DEFAULT_CONFIG = {
         "base_seed": 7,
     },
     "solver": {"tol": 1e-8, "max_iter": 200},
-    "bench": {"cutoff": 15, "verdict_margin": None},
-    "outputs": {"dir": "out", "write_plot_script": True},
+    "bench": {"cutoff": 15},
+    "outputs": {"dir": "out"},
     "assume_phase_covariant": True,
 }
 
 _SCENARIO_KINDS = ("tomography", "quadratures", "quadratures_sampled", "quadratures_errors")
 
 
-# Numeric fields whose default is None, and whether they take integers.
-_OPTIONAL_NUMBERS = {"seed_state.dim": True, "bench.verdict_margin": False}
-
-
 def _check_number(value, default, field: str) -> None:
     """In a numeric field (one whose default is a number or a list of them, or
-    one of ``_OPTIONAL_NUMBERS``, where ``None`` also passes), reject
+    the integer ``seed_state.dim``, where ``None`` also passes), reject
     anything but numbers, NaN and infinities (``json.load`` accepts both), and
     fractions where an integer is due, naming the field."""
     defaults = default if isinstance(default, list) else [default]
-    optional = field in _OPTIONAL_NUMBERS
-    if optional:
-        numeric, integer = True, _OPTIONAL_NUMBERS[field]
-    else:
-        numeric = bool(defaults) and all(type(v) in (int, float) for v in defaults)
-        integer = numeric and all(type(v) is int for v in defaults)
+    optional = field == "seed_state.dim"
+    numeric = optional or (bool(defaults) and all(type(v) in (int, float) for v in defaults))
+    integer = optional or (numeric and all(type(v) is int for v in defaults))
     if not numeric:
         return
     for item in value if isinstance(value, list) else [value]:
@@ -154,6 +146,8 @@ def load_config(path_or_dict) -> dict:
     else:
         with open(path_or_dict, "r", encoding="utf-8") as fh:
             user = json.load(fh)
+    if not isinstance(user, dict):
+        raise ValueError(f"a configuration must be a JSON object, got {user!r}")
     cfg = _merge_config(DEFAULT_CONFIG, user)
     _check_sweep(cfg)
     return cfg
@@ -239,12 +233,14 @@ def _build_scenarios(rho_out: DensityMatrix, scen_cfg: dict):
                 moments, errs = exact, {k: float(v) for k, v in scen_cfg["std_errors"].items()}
             for s in scen_cfg["sigma_levels"]:
                 out.append((f"quadratures_errors_{int(s)}sigma",
-                            QuadraturesWithErrors(moments, errs, int(s))))
+                            Quadratures(moments, errs, int(s))))
     return out
 
 
 def scenario_from_json_dict(payload: dict):
     """Scenario files: {"kind": ..., ...} as accepted by the bench CLI."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"a scenario must be a JSON object, got {payload!r}")
     kind = payload.get("kind")
     try:
         if kind == "tomography":
@@ -253,8 +249,8 @@ def scenario_from_json_dict(payload: dict):
         if kind == "quadratures":
             return Quadratures(payload["moments"])
         if kind == "quadratures_errors":
-            return QuadraturesWithErrors(payload["moments"], payload["std_errors"],
-                                         payload.get("sigma_level", 1))
+            return Quadratures(payload["moments"], payload["std_errors"],
+                               payload.get("sigma_level", 1))
     except KeyError as exc:
         raise ValueError(f"{kind} scenario file has no field {exc}") from None
     raise ValueError(f"unknown scenario kind {kind!r}")
@@ -297,7 +293,6 @@ def run_pipeline(config, out_dir: str | None = None) -> dict:
     dim = cutoff + 1
     solver_cfg = SDPConfig(tol=float(cfg["solver"]["tol"]),
                            max_iter=int(cfg["solver"]["max_iter"]))
-    verdict_margin = cfg["bench"]["verdict_margin"]
 
     seed = _build_seed(cfg, dim)
     channel = build_channel(cfg["channel_sim"], dim)
@@ -317,8 +312,7 @@ def run_pipeline(config, out_dir: str | None = None) -> dict:
         input_neg_rows.append((m, input_negativity(res.rho_in)))
 
     outcomes = [(m, label, benchmark_symmetric(grams[m], scen, m, cutoff=cutoff,
-                                               solver_config=solver_cfg,
-                                               verdict_margin=verdict_margin))
+                                               solver_config=solver_cfg))
                 for m in m_values for label, scen in scenarios]
 
     bound_rows = [(m, label, cutoff, r.negativity_lower_bound, r.verdict)
@@ -348,15 +342,14 @@ def run_pipeline(config, out_dir: str | None = None) -> dict:
         with open(results_path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
+        plot_path = os.path.join(out_dir, "bounds.gp")
+        scen_list = " ".join(sorted({label for _, label, _ in outcomes}))
+        with open(plot_path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(f"scenarios = '{scen_list}'\n")
+            fh.write(_PLOT_SCRIPT)
         artifacts = {"bounds": bounds_path, "purity": purity_path,
-                     "input_negativity": ineg_path, "results": results_path}
-        if cfg["outputs"]["write_plot_script"]:
-            plot_path = os.path.join(out_dir, "bounds.gp")
-            scen_list = " ".join(sorted({label for _, label, _ in outcomes}))
-            with open(plot_path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(f"scenarios = '{scen_list}'\n")
-                fh.write(_PLOT_SCRIPT)
-            artifacts["plot_script"] = plot_path
+                     "input_negativity": ineg_path, "results": results_path,
+                     "plot_script": plot_path}
 
     return {
         "exit_code": 0 if certified else 2,

@@ -65,6 +65,8 @@ def sample_homodyne(rho: DensityMatrix, phase_deg: float, n: int, seed: int) -> 
     """
     if n < 1:
         raise ValueError("need n >= 1 samples")
+    if not math.isfinite(phase_deg):
+        raise ValueError(f"homodyne phase must be finite, got {phase_deg}")
     xq = rotated_quadrature(rho.dim, phase_deg)
     vals, vecs = np.linalg.eigh(xq)
     probs = np.real(np.einsum("ij,jk,ki->i", vecs.conj().T, rho.matrix, vecs))

@@ -49,8 +49,24 @@ def rotated_outputs(rho_out, m):
 
 class TestScenarios:
     def test_tomography_estimates_mean_photon(self):
+        # <n> = 0.25, so the guard asks for N >= 1
         scen = Tomography(coherent_state(0.5, 12))
-        assert scen.mean_photon_estimate() == pytest.approx(0.25, abs=1e-8)
+        assert scen.tag == "tomography"
+        bench._cutoff_guard(1, scen)
+        with pytest.raises(ValueError, match=r"N = 0 is too small .* ~0\.250"):
+            bench._cutoff_guard(0, scen)
+
+    def test_quadratures_tag_and_cutoff_guard_read_the_intervals(self):
+        moments = {"x": 0.0, "p": 0.0, "xx": 1.5, "pp": 1.5}
+        exact = Quadratures(moments)
+        assert exact.tag == "quadratures"
+        assert exact.intervals()["xx"] == (1.5, 1.5)
+        bench._cutoff_guard(4, exact)  # <n> = 1
+        errs = QuadraturesWithErrors(moments, {"x": 0, "p": 0, "xx": 0.25, "pp": 0.25}, 2)
+        assert errs.tag == "quadratures_errors"
+        assert errs.intervals()["pp"] == (1.0, 2.0)
+        with pytest.raises(ValueError, match=r"N = 4 is too small .* ~1\.500"):
+            bench._cutoff_guard(4, errs)  # upper ends give <n> = 1.5
 
     def test_quadratures_validates_moments(self):
         with pytest.raises(ValueError, match="unphysical"):
@@ -88,6 +104,14 @@ class TestScenarios:
         with pytest.raises(ValueError, match="standard error 'xx' must be a number"):
             QuadraturesWithErrors({"x": 0, "p": 0, "xx": 0.5, "pp": 0.5},
                                   {"x": 0, "p": 0, "xx": value, "pp": 0}, 1)
+
+    @pytest.mark.parametrize("moments, errors, what", [
+        (5, None, "moments"),
+        ({"x": 0, "p": 0, "xx": 0.5, "pp": 0.5}, 7, "standard errors")],
+        ids=["moments", "standard-errors"])
+    def test_non_object_data_rejected_by_name(self, moments, errors, what):
+        with pytest.raises(ValueError, match=f"{what} must be an object"):
+            Quadratures(moments, errors)
 
     def test_negative_errors_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):

@@ -212,7 +212,7 @@ class TestCLI:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("section, key", [
-        ("solver", "tol"), ("bench", "verdict_margin"), ("seed_state", "alpha_re")])
+        ("solver", "tol"), ("seed_state", "alpha_re")])
     def test_non_finite_config_number_names_the_field(self, tmp_path, capsys, section, key):
         with open(bundled_config_path("noisy_memory"), encoding="utf-8") as fh:
             config = json.load(fh)
@@ -285,7 +285,7 @@ class TestCLI:
 
     @pytest.mark.parametrize("section, key, value", [
         ("bench", "cutoff", "8.9"), ("bench", "cutoff", True), ("seed_state", "dim", "20"),
-        ("seed_state", "dim", False), ("bench", "verdict_margin", "1e-3"),
+        ("seed_state", "dim", False),
         ("ensemble", "m_values", [2, "3"]), ("solver", "tol", "1e-8"), ("solver", "tol", None),
         ("bench", "cutoff", None)])
     def test_non_numbers_in_numeric_fields_are_rejected(self, section, key, value):
@@ -293,11 +293,10 @@ class TestCLI:
             load_config({section: {key: value}})
 
     def test_none_and_integral_values_in_optional_numeric_fields_pass(self):
-        cfg = load_config({"seed_state": {"dim": 20.0}, "bench": {"verdict_margin": None}})
-        assert cfg["seed_state"]["dim"] == 20 and cfg["bench"]["verdict_margin"] is None
-        cfg = load_config({"seed_state": {"dim": None, "path": "seed.json"},
-                           "bench": {"verdict_margin": 0.001}})
-        assert cfg["seed_state"]["dim"] is None and cfg["bench"]["verdict_margin"] == 0.001
+        cfg = load_config({"seed_state": {"dim": 20.0}})
+        assert cfg["seed_state"]["dim"] == 20
+        cfg = load_config({"seed_state": {"dim": None, "path": "seed.json"}})
+        assert cfg["seed_state"]["dim"] is None
         with pytest.raises(ValueError, match="'seed_state.dim' must be an integer"):
             load_config({"seed_state": {"dim": 20.5}})
 
@@ -322,6 +321,62 @@ class TestCLI:
         assert code == 1
         assert f"'{field}'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_verdict_margin_is_not_a_configuration_field(self, tmp_path, capsys):
+        # a margin of 0 let the entanglement-breaking heterodyne_mp channel certify
+        path = tmp_path / "margin.json"
+        path.write_text(json.dumps({
+            "channel_sim": {"kind": "heterodyne_mp"}, "ensemble": {"m_values": [2]},
+            "scenario": {"kinds": ["tomography"]},
+            "bench": {"cutoff": 9, "verdict_margin": 0}}), encoding="utf-8")
+        code = cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "unknown configuration field 'bench.verdict_margin'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("config, scenario, named", [
+        ([], None, "configuration must be a JSON object"),
+        ({}, [1, 2], "scenario must be a JSON object"),
+        ({}, dict(LAB_SCENARIO, moments=5), "moments must be an object"),
+        ({}, dict(LAB_SCENARIO, std_errors=7), "standard errors must be an object")],
+        ids=["config", "scenario", "moments", "std-errors"])
+    def test_non_object_json_exits_1_by_name(self, tmp_path, capsys, config, scenario,
+                                             named):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        if scenario is None:
+            argv = ["sweep", "--config", str(config_path), "--out", str(tmp_path / "out")]
+        else:
+            gram_path = tmp_path / "gram.json"
+            gram_path.write_text(json.dumps(GramMatrix(np.eye(2)).to_json_dict()),
+                                 encoding="utf-8")
+            path = tmp_path / "scenario.json"
+            path.write_text(json.dumps(scenario), encoding="utf-8")
+            argv = ["bench", "--gram", str(gram_path), "--scenario", str(path)]
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and named in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--config", "bundled:demo_pure_ring", "--m-values", "2,x"],
+        ["gram", "--seed-file", "seed.json", "--m-values", "2,y"]], ids=["sweep", "gram"])
+    def test_bad_m_values_names_the_flag(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert f"argument --m-values: must be comma-separated integers: '{argv[-1]}'" in err
+
+    @pytest.mark.parametrize("phase", ["nan", "inf"])
+    def test_sample_rejects_a_non_finite_phase_by_name(self, tmp_path, capsys, phase):
+        state = tmp_path / "state.json"
+        coherent_state(0.3, 12).save(state)
+        out = tmp_path / "recs.csv"
+        code = cli.main(["sample", "--state", str(state), "--phase", phase, "--out", str(out)])
+        assert code == 1
+        assert "error: homodyne phase must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_nonpositive_cutoff_override_exits_1(self, tmp_path, capsys):
         code = cli.main(["sweep", "--config", "bundled:demo_pure_ring", "--cutoff", "-3",

@@ -161,6 +161,8 @@ class BenchmarkResult:
                 "primal": self.diagnostics.get("primal_residual"),
                 "dual": self.diagnostics.get("dual_residual"),
             },
+            "schur_rows": self.diagnostics.get("schur_rows"),
+            "factor_failures": self.diagnostics.get("factor_failures"),
         }
 
 
@@ -259,6 +261,8 @@ def _result(sol, cfg: SDPConfig, m: int, cutoff: int, tag: str, state) -> Benchm
             "primal_residual": sol.primal_residual,
             "dual_residual": sol.dual_residual,
             "duality_gap": sol.duality_gap,
+            "schur_rows": sol.schur_rows,
+            "factor_failures": sol.factor_failures,
         },
         optimized_state=state,
     )

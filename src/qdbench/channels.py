@@ -49,6 +49,9 @@ class KrausChannel:
         self.entanglement_breaking = entanglement_breaking
 
     def apply_matrix(self, rho: np.ndarray) -> np.ndarray:
+        """sum_k K_k rho K_k^dag, Hermitized: for Hermitian ``rho`` only.  An
+        off-diagonal block of a joint state is not Hermitian; apply the Kraus
+        sum to it directly."""
         out = np.zeros((self.dim, self.dim), dtype=complex)
         for k in self.kraus:
             out += k @ rho @ k.conj().T

@@ -34,17 +34,23 @@ than 1x1 each one touches, in a stable order, and ``y`` is mapped back to the
 caller's row order.  Each block's rows then form a few runs of consecutive
 Schur indices (in the block-circulant standard form at most M + 1 for an E_k
 block, one for an F_k or PSD slack block, at most two for an interval
-slack).
+slack).  Within a group, the single-entry rows on a complex block whose Schur
+part spans several chunks (below) go entry pair by entry pair, a pair's
+imaginary part right after its real part.
 
 Each iteration assembles the Schur complement S into one buffer of m(m+1)/2
 doubles, its lower triangle in LAPACK's rectangular full packed storage
 (:class:`_Packed`).  Each block's part A_b K A_b^T, for K the (d^2, d^2) matrix
 of X -> W X W in ``hvec`` coordinates for its scaling W, is streamed: K is
-never formed, only a chunk of its rows at a time, at the coordinates the
-block's rows touch (:func:`_congruence_rows`).  Rows with one entry gather
+never formed, only a chunk of its rows at a time (:func:`_congruence_rows`),
+and only at the columns the packed triangle stores against those rows, plus
+those the block's rows with several entries read.  Rows with one entry gather
 their part from each chunk, and the few rows with several entries are added
 as a border at the end (:class:`_SchurTerm`); blocks whose rows are equal up
-to one sign share one stream over their stacked W.  A solve's largest array
+to one sign share one stream over their stacked W.  With its rows pair by
+pair, a chunked complex block stores a triangle of entry pairs, so a chunk
+forms about half of K's columns; that row order is the only change of
+rounding against the rows as grouped.  A solve's largest array
 is thus the packed S, next to chunks of about ``K_CHUNK`` entries.  S is
 factored once per iteration, in place, by ``dpftrf`` with a ladder of
 diagonal jitters (:func:`_factor_schur`); the predictor and corrector share
@@ -165,12 +171,14 @@ def _congruence_rows(ws: np.ndarray, rows, cols) -> np.ndarray:
     """Rows of K, the real symmetric matrix of X -> sum_n W_n X W_n in hvec
     coordinates for a (n, d, d) stack of Hermitian W_n, at chosen columns.
 
-    ``rows`` = (i, j) and ``cols`` = (k, l) are arrays of entry pairs, i <= j
-    and k <= l (:func:`_entry_pairs`), the diagonal ones first.  Rows and
-    columns of the result are the real parts of the pairs in the given order
-    (a diagonal pair's is its diagonal coordinate), then, for a complex
-    stack, the imaginary parts of the off-diagonal ones: K in hvec order for
-    rows = cols = ``_entry_pairs(d)``.
+    ``rows`` = (i, j) and ``cols`` = (k, l) are arrays of entry pairs
+    (:func:`_entry_pairs`), the diagonal ones first.  Rows and columns of the
+    result follow the pairs in the given order: a diagonal pair's diagonal
+    coordinate, an off-diagonal pair's real part and, for a complex stack,
+    its imaginary part right after it.  A pair given as (j, i) with j > i
+    stands for the basis matrices of (i, j) with the imaginary one negated,
+    so its imaginary row and column change sign (exactly up to the rounding
+    of the products).
 
     Entry (a, b) of K is <E_a, W E_b W> for the orthonormal Hermitian basis
     E_a = hmat(e_a), a product of two entries of W.  For pairs p = (i, j) and
@@ -194,22 +202,26 @@ def _congruence_rows(ws: np.ndarray, rows, cols) -> np.ndarray:
     nr, nc = a.shape
     complex_stack = np.iscomplexobj(ws)
     out = np.empty((2 * nr - dr, 2 * nc - dc) if complex_stack else (nr, nc))
-    re_re, re_im, im_re, im_im = out[:nr, :nc], out[:nr, nc:], out[nr:, :nc], out[nr:, nc:]
+    # Real parts of the off-diagonal row pairs and column pairs, and their
+    # imaginary parts interleaved with them.
+    step = 2 if complex_stack else 1
+    re, im = slice(dr, None, step), slice(dr + 1, None, 2)
+    re_c, im_c = slice(dc, None, step), slice(dc + 1, None, 2)
     off = a[dr:, dc:]
-    np.add(off.real, b.real, out=re_re[dr:, dc:])
+    np.add(off.real, b.real, out=out[re, re_c])
     # B = conj(A) on a diagonal row and B = A on a diagonal column, so those
     # entries need A alone: sqrt2 Re A (and -sqrt2 Im A, sqrt2 Im A), and
     # |W_xy|^2 where both pairs are diagonal.
     sqrt2 = math.sqrt(2.0)
-    np.multiply(a.real[:dr, dc:], sqrt2, out=re_re[:dr, dc:])
-    np.multiply(a.real[dr:, :dc], sqrt2, out=re_re[dr:, :dc])
-    re_re[:dr, :dc] = a.real[:dr, :dc]
+    np.multiply(a.real[:dr, dc:], sqrt2, out=out[:dr, re_c])
+    np.multiply(a.real[dr:, :dc], sqrt2, out=out[re, :dc])
+    out[:dr, :dc] = a.real[:dr, :dc]
     if complex_stack:
-        np.subtract(b.imag, off.imag, out=re_im[dr:])
-        np.add(off.imag, b.imag, out=im_re[:, dc:])
-        np.subtract(off.real, b.real, out=im_im)
-        np.multiply(a.imag[:dr, dc:], -sqrt2, out=re_im[:dr])
-        np.multiply(a.imag[dr:, :dc], sqrt2, out=im_re[:, :dc])
+        np.subtract(b.imag, off.imag, out=out[re, im_c])
+        np.add(off.imag, b.imag, out=out[im, re_c])
+        np.subtract(off.real, b.real, out=out[im, im_c])
+        np.multiply(a.imag[:dr, dc:], -sqrt2, out=out[:dr, im_c])
+        np.multiply(a.imag[dr:, :dc], sqrt2, out=out[im, :dc])
     return out
 
 
@@ -285,6 +297,10 @@ class SDPSolution:
     # Why the iteration stopped: "converged", "max_iter", "stall", "mu_floor",
     # "step_length", "non_finite", "primal_infeasible" or "dual_infeasible".
     stop_reason: str = "max_iter"
+    # Rows of the Schur matrix the solver factors (after the real reduction),
+    # and its failed Cholesky attempts over all iterations.
+    schur_rows: int = 0
+    factor_failures: int = 0
 
     @property
     def optimal(self) -> bool:
@@ -641,7 +657,7 @@ def _real_rows(canon):
     return np.flatnonzero(~anti)
 
 
-def _row_order(a_blocks, dims, m):
+def _row_order(a_blocks, dims, m, paired=()):
     """Permutation that groups the rows by the set of blocks larger than 1x1
     each one touches.
 
@@ -649,15 +665,27 @@ def _row_order(a_blocks, dims, m):
     a group (a stable sort), so a problem whose rows are already grouped gets
     the identity.  An interval's row thus joins the other rows on its
     functional's blocks, and its slack-only row the group of rows on no block.
+    Within a group, the rows with a single entry on a block of ``paired``
+    move up to the group's first row on the same entry pair, in order, so
+    that a pair's imaginary part follows its real part (the first block of
+    ``paired`` a row is single on decides).
     """
     touched = np.zeros((m, len(a_blocks)), dtype=bool)
     for bi, (a, d) in enumerate(zip(a_blocks, dims)):
         if d > 1:
             touched[:, bi] = np.diff(a.indptr) > 0
     _, first, group = np.unique(touched, axis=0, return_index=True, return_inverse=True)
+    group = group.reshape(-1)
     rank = np.empty(first.size, dtype=int)
     rank[np.argsort(first)] = np.arange(first.size)
-    return np.argsort(rank[group.reshape(-1)], kind="stable")
+    key = np.arange(m)
+    for bi in paired[::-1]:
+        a, d = a_blocks[bi], dims[bi]
+        one = np.flatnonzero(np.diff(a.indptr) == 1)
+        on = group[one] * d * d + _pair_of(a.indices[a.indptr[one]], d)
+        _, at, inv = np.unique(on, return_index=True, return_inverse=True)
+        key[one] = one[at][inv]
+    return np.lexsort((key, rank[group]))
 
 
 # Largest entry count of the K rows a Schur term forms per chunk of entry
@@ -748,6 +776,22 @@ def _as_slice(idx):
     return idx
 
 
+def _pair_of(coords, d):
+    """Entry pair (:func:`_entry_pairs` index) of each hvec coordinate of a
+    d x d block."""
+    npair = d * (d - 1) // 2
+    return np.where(coords >= d + npair, coords - npair, coords)
+
+
+def _chunk_index(pairs, d, kinds):
+    """Chunk of each entry pair of a Schur term, for chunks of about
+    ``K_CHUNK`` entries of K rows against all of the term's coordinates: a
+    diagonal pair has one row, an off-diagonal one ``kinds`` (1 over real
+    stacks, 2 over complex ones)."""
+    k_rows = np.where(pairs < d, 1, kinds)
+    return (np.cumsum(k_rows) - 1) // max(1, K_CHUNK // int(k_rows.sum()))
+
+
 class _SchurTerm:
     """Schur part A K A^T of a block, or of blocks whose rows are equal up to
     one sign (K then sums their congruences), added straight into the packed
@@ -755,15 +799,27 @@ class _SchurTerm:
 
     The term walks the entry pairs its rows touch (:func:`_entry_pairs`) a
     chunk at a time, in the order of the first Schur row that reaches them,
-    and forms the chunk's rows of K at the touched columns, both rows of a
-    pair from one set of products (:func:`_congruence_rows`).  A row with a
-    single entry s_p at coordinate c_p adds s_p K[c_p, c_q] s_q, against the
-    other single-entry rows q, from the chunk that holds c_p: a piece per run
-    of such rows, gathered in row-major order for the view of :class:`_Packed`
-    it fills (columns from the run on before row k, from k up to the run
-    after it).  For the rows with several entries, each chunk gives the
-    columns of A_D K at its coordinates (as rows of K A_D^T), and A_D K is
-    added as a border at the end.
+    and forms the chunk's rows of K, both rows of a pair from one set of
+    products (:func:`_congruence_rows`), only at the columns the packed
+    triangle stores against them: those of the single-entry rows from the
+    chunk's first Schur row on, or from row k up to its last one when all of
+    its rows are at or after k, and those the rows with several entries read.
+    A row with a single entry s_p at coordinate c_p adds s_p K[c_p, c_q] s_q,
+    against the other single-entry rows q, from the chunk that holds c_p: a
+    piece per run of such rows, gathered in row-major order for the view of
+    :class:`_Packed` it fills (columns from the run on before row k, from k up
+    to the run after it); a part whose coefficients are all one value +-1
+    multiplies none.  For the rows with several entries, each chunk
+    gives the columns of A_D K at its coordinates (as rows of K A_D^T), and
+    A_D K is added as a border at the end.
+
+    A term that spans several chunks splits a piece's columns at the runs of
+    Schur rows: a run at consecutive columns of the chunk's K is a slice of
+    it, the others are gathered together.  If complex, it also forms each
+    off-diagonal pair in the orientation in which the first single-entry rows
+    on its real and imaginary parts have coefficients of one sign, so that
+    rows of +-1 whose signs differ only there, like the block-swapped rows of
+    a partial transpose, multiply none.
     """
 
     def __init__(self, rows, sub, d, half, real):
@@ -773,43 +829,72 @@ class _SchurTerm:
         one = np.diff(sub.indptr) == 1
         starts = sub.indptr[:-1][one]
         s_rows, s_coord, s_val = rows[one], sub.indices[starts], sub.data[starts]
-        self.s_val = s_val
-        self.unit = bool(s_val.size and np.all(s_val == s_val[0]) and abs(s_val[0]) == 1.0)
         multi, d_rows = sub[~one], rows[~one]
 
         # Every entry pair the rows touch, the diagonal ones first and each
-        # group in the order of its first row; the columns of every chunk are
-        # all of them.
+        # group in the order of its first row.
         nz_row = np.repeat(rows, np.diff(sub.indptr))
-        nz_pair = np.where(sub.indices >= d + npair, sub.indices - npair, sub.indices)
-        pairs, first = np.unique(nz_pair, return_index=True)
+        pairs, first = np.unique(_pair_of(sub.indices, d), return_index=True)
         pairs = pairs[np.lexsort((nz_row[first], pairs >= d))]
-        self.cols = (pair_i[pairs], pair_j[pairs])
+        in_chunk = _chunk_index(pairs, d, kinds)
+        chunked = in_chunk[-1] > 0
+        if kinds == 2 and chunked:
+            coords, at = np.unique(s_coord, return_index=True)
+            sign = np.zeros(d + 2 * npair)
+            sign[coords] = s_val[at]
+            flip = np.flatnonzero(sign[d:d + npair] * sign[d + npair:] < 0)
+            neg = np.ones(n_coord)
+            neg[d + npair + flip] = -1.0
+            s_val = s_val * neg[s_coord]
+            multi = sp.csr_matrix((multi.data * neg[multi.indices], multi.indices, multi.indptr),
+                                  shape=multi.shape)
+            pair_i, pair_j = pair_i.copy(), pair_j.copy()
+            pair_i[d + flip], pair_j[d + flip] = pair_j[d + flip], pair_i[d + flip]
+        self.s_val = s_val
         self.n_cols = n_cols = pairs.size + (kinds - 1) * np.count_nonzero(pairs >= d)
 
         def layout(chunk):
             """Position of each coordinate in the rows (or columns) of K formed
             for the entry pairs ``chunk``; -1 for coordinates elsewhere."""
             at = np.full(d + 2 * npair, -1)
-            at[chunk] = np.arange(chunk.size)
-            off = chunk[chunk >= d]
-            at[off + npair] = chunk.size + np.arange(off.size)
+            nd = np.count_nonzero(chunk < d)
+            pos = np.arange(chunk.size)
+            pos[nd:] = nd + kinds * (pos[nd:] - nd)
+            at[chunk] = pos
+            at[chunk[nd:] + npair] = pos[nd:] + 1
             return at[:n_coord]
 
         col_at = layout(pairs)
-        s_col = col_at[s_coord]
-        self.s_col = _as_slice(s_col)
+        self.s_col = _as_slice(col_at[s_coord])
         self.d_sub = sp.csr_matrix((multi.data, col_at[multi.indices], multi.indptr),
                                    shape=(d_rows.size, n_cols))
+        border = np.zeros(d + npair, dtype=bool)
+        border[_pair_of(multi.indices, d)] = True
         jk = int(np.searchsorted(s_rows, half))       # first single row at or after k
-        # Chunks of about K_CHUNK entries of K rows (a diagonal pair has one row).
-        in_chunk = (np.cumsum(np.where(pairs < d, 1, kinds)) - 1) // max(1, K_CHUNK // n_cols)
+
+        def part(lo, hi, row_at, cols, col_at):
+            """Rows lo:hi of the single rows against the single rows ``cols``,
+            at columns ``col_at`` of the chunk's K."""
+            vals = np.concatenate([s_val[lo:hi], s_val[cols]])
+            signs = None if abs(vals[0]) == 1.0 and np.all(vals == vals[0]) else \
+                (s_val[lo:hi, None], s_val[cols])
+            return (row_at, col_at, signs,
+                    _scatter_plan(_index(s_rows[lo:hi]), _index(s_rows[cols]), half))
+
         self.chunks = []
         for chunk in np.split(pairs, np.flatnonzero(np.diff(in_chunk)) + 1):
             at = layout(chunk)
             s_at = at[s_coord]
-            pieces = []
             held = np.flatnonzero(s_at >= 0)
+            # The chunk's columns: the pairs of the single rows the packed
+            # triangle stores against the held ones, and the border's pairs.
+            need = border.copy()
+            if held.size:
+                c0, c1 = (held[0], s_rows.size) if held[0] < jk else (jk, held[-1] + 1)
+                need[_pair_of(s_coord[c0:c1], d)] = True
+            cols = pairs[need[pairs]]
+            c_at = layout(cols)
+            parts = []
             cuts = np.flatnonzero((np.diff(held) != 1) | (held[1:] == jk)) + 1
             for run in np.split(held, cuts):
                 if not run.size:
@@ -820,14 +905,22 @@ class _SchurTerm:
                 for lo in range(i0, i1, step):
                     hi = min(lo + step, i1)
                     c0, c1 = (lo, s_rows.size) if lo < jk else (jk, hi)
-                    pieces.append((_as_slice(s_at[lo:hi]), _as_slice(s_col[c0:c1]),
-                                   s_val[lo:hi, None], s_val[c0:c1],
-                                   _scatter_plan(_index(s_rows[lo:hi]),
-                                                 _index(s_rows[c0:c1]), half)))
+                    row_at, gathered = _as_slice(s_at[lo:hi]), []
+                    for _, src in _index(s_rows[c0:c1]) if chunked else [(0, slice(0, c1 - c0))]:
+                        run_cols = np.arange(c0 + src.start, c0 + src.stop)
+                        run_at = _as_slice(c_at[s_coord[run_cols]])
+                        if isinstance(run_at, slice):
+                            parts.append(part(lo, hi, row_at, run_cols, run_at))
+                        else:
+                            gathered.append(run_cols)
+                    if gathered:
+                        run_cols = np.concatenate(gathered)
+                        parts.append(part(lo, hi, row_at, run_cols, c_at[s_coord[run_cols]]))
             held_coords = np.flatnonzero(at >= 0)
             z_at = np.empty(held_coords.size, dtype=int)    # K rows' columns of A_D K
             z_at[at[held_coords]] = col_at[held_coords]
-            self.chunks.append(((pair_i[chunk], pair_j[chunk]), z_at, pieces))
+            self.chunks.append(((pair_i[chunk], pair_j[chunk]), (pair_i[cols], pair_j[cols]),
+                                c_at[multi.indices], z_at, parts))
         if d_rows.size:
             d_index, s_index = _index(d_rows), _index(s_rows)
             self.border = (_scatter_plan(d_index, d_index, half),
@@ -841,21 +934,22 @@ class _SchurTerm:
         # W Hermitian to the last bit makes K exactly symmetric, so no entry
         # of S depends on which of its two rows' chunks forms it.
         ws = (ws + _ct(ws)) / 2.0
-        for rows, z_at, pieces in self.chunks:
-            k_rows = _congruence_rows(ws, rows, self.cols)
-            for row_at, col_at, s_r, s_c, plan in pieces:
-                piece = k_rows[row_at]
+        for rows, cols, d_at, z_at, parts in self.chunks:
+            k_rows = _congruence_rows(ws, rows, cols)
+            for row_at, col_at, signs, plan in parts:
                 if isinstance(col_at, slice):
-                    piece = piece[:, col_at] if self.unit else piece[:, col_at] * (s_r * s_c)
+                    piece = k_rows[row_at, col_at]
+                    if signs is not None:
+                        piece = piece * (signs[0] * signs[1])
                 else:
-                    piece = piece.take(col_at, axis=1)
-                    if not self.unit:
-                        piece *= s_r * s_c
+                    piece = k_rows[row_at].take(col_at, axis=1)
+                    if signs is not None:
+                        piece *= signs[0] * signs[1]
                 _scatter_add(packed, plan, piece)
             if z is not None:
                 # Columns z_at of A_D K, as rows z_at of K A_D^T: each entry
                 # sums over A_D's entries in order, whatever the chunks.
-                terms = k_rows.take(d_sub.indices, axis=1)
+                terms = k_rows.take(d_at, axis=1)
                 terms *= d_sub.data
                 z[:, z_at] = np.add.reduceat(terms, d_sub.indptr[:-1], axis=1).T
         if z is None:
@@ -944,7 +1038,13 @@ def solve(problem, config: SDPConfig | None = None) -> SDPSolution:
     vec, unvec, dtype = (_svec, _smat, float) if real else (hvec, hmat, complex)
     # The solver works on the rows grouped by the blocks they touch, so that
     # each block's rows form few runs; y is mapped back to the caller's order.
-    order = _row_order(a_blocks, dims, m)
+    # A complex block whose Schur term spans several chunks has its
+    # single-entry rows entry pair by entry pair, so that the triangle the
+    # packed Schur matrix stores is a triangle of pairs (see _SchurTerm).
+    paired = [] if real else [
+        bi for bi, (a, d) in enumerate(zip(a_blocks, dims))
+        if d > 1 and a.nnz and _chunk_index(np.unique(_pair_of(a.indices, d)), d, 2)[-1] > 0]
+    order = _row_order(a_blocks, dims, m, paired)
     if np.array_equal(order, np.arange(m)):
         order = None
     else:
@@ -989,6 +1089,7 @@ def solve(problem, config: SDPConfig | None = None) -> SDPSolution:
     y = np.zeros(m)
 
     history = []
+    factor_failures = 0
     best = None
     stall = 0
     status = SDPStatus.MAX_ITERATIONS
@@ -1050,18 +1151,23 @@ def solve(problem, config: SDPConfig | None = None) -> SDPSolution:
 
         scalings = [_Scaling(x, s) for x, s in zip(xs, ss)]
 
+        assembled = []
+
         def assemble_schur():
             # Schur complement  M[i,j] = <A_i, W A_j W>  summed over blocks:
             # its lower triangle, packed so that _factor_schur factors it in place.
             packed = _Packed(m)
             for g, js, term in terms:
                 term.add(packed, scalings[g].w[js])
+            assembled.append(m)
             return packed
 
         # The previous factor is freed only here: freed any earlier, its memory
         # goes to this iteration's stacks and the new buffer takes fresh pages.
         solve_schur = None
         solve_schur = _factor_schur(assemble_schur)
+        # Every attempt after the first re-assembles S.
+        factor_failures += len(assembled) - 1
 
         def newton(rc_mats):
             e_mats = [rc - sc.w @ rd @ sc.w for rc, rd, sc in zip(rc_mats, rd_mats, scalings)]
@@ -1125,4 +1231,6 @@ def solve(problem, config: SDPConfig | None = None) -> SDPSolution:
         y=y,
         history=history,
         stop_reason=stop_reason,
+        schur_rows=m,
+        factor_failures=factor_failures,
     )

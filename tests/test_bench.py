@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qdbench.bench import (Quadratures, QuadraturesWithErrors, Tomography,
                            benchmark_general, benchmark_symmetric, input_negativity)
-from qdbench.blocksym import BipartiteBlockMatrix, gram_of
-from qdbench.channels import heterodyne_mp_channel, loss_channel
+from qdbench.blocksym import BipartiteBlockMatrix, gram_of, negativity
+from qdbench.channels import build_channel, heterodyne_mp_channel, loss_channel
 from qdbench.fock import (DensityMatrix, _coherent_amplitudes, coherent_state, moment_operators,
                           noisy_coherent, rotation)
 from qdbench.gramopt import GramMatrix, optimize_gram, rotation_ensemble
@@ -277,17 +278,29 @@ class TestBenchmarkSymmetric:
 
     @pytest.mark.parametrize("max_iter, status, reason", [
         (200, "Optimal", "converged"), (2, "MaxIterations", "max_iter")])
-    def test_diagnostics_say_why_the_solve_stopped(self, max_iter, status, reason):
+    def test_diagnostics_say_why_the_solve_stopped(self, monkeypatch, max_iter, status, reason):
         m, cutoff = 2, 7
         gram, _ = pure_ring_gram(m, 0.4, cutoff + 1)
+        factored, dpftrf = [], scipy.linalg.lapack.dpftrf
+
+        def recorded(n, *args, **kwargs):
+            out = dpftrf(n, *args, **kwargs)
+            factored.append((n, out[1]))
+            return out
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dpftrf", recorded)
         res = benchmark_symmetric(gram, Tomography(coherent_state(0.4, cutoff + 1)), m,
                                   cutoff=cutoff, solver_config=SDPConfig(max_iter=max_iter))
         assert res.diagnostics["solver_status"] == status
         assert res.diagnostics["stop_reason"] == reason
         payload = res.to_json_dict()
         assert set(payload) == {"M", "scenario", "N", "bound", "verdict", "stop_reason",
-                                "iterations", "residuals"}
+                                "iterations", "residuals", "schur_rows", "factor_failures"}
         assert payload["stop_reason"] == reason
+        # d(d+1)/2 pinned entries and M of them per partial-transpose sector
+        # (tomography of a real seed runs over real blocks), and the Gram row
+        assert {n for n, _ in factored} == {payload["schur_rows"]} == {(m + 1) * 36 + 1}
+        assert payload["factor_failures"] == sum(info != 0 for _, info in factored)
         assert payload["iterations"] == res.diagnostics["solver_iterations"]
         assert (payload["iterations"] == 2) == (reason == "max_iter")
 
@@ -491,6 +504,55 @@ class TestIntervalsOverRealBlocks:
         for key, op in moment_operators(cutoff + 1).items():
             assert float(np.real(np.trace(op @ seed_out))) == pytest.approx(
                 moments[key], abs=1e-7), key
+
+
+# One device of every kind that build_channel makes.
+ORACLE_CHANNELS = [{"kind": "identity"}, {"kind": "loss", "loss": 0.3},
+                   {"kind": "loss_excess", "loss": 0.3, "excess": 0.05},
+                   {"kind": "heterodyne_mp"}, {"kind": "dephasing"},
+                   {"kind": "replace", "thermal_mean": 0.2}]
+ORACLE_CUTOFF = 9
+
+
+def output_negativity(rho_in, channel):
+    """N((id x Lambda) rho_in), with the Kraus sum applied to every block
+    directly: ``apply_matrix`` Hermitizes its result, which would corrupt the
+    off-diagonal blocks."""
+    out = sum(k @ rho_in.blocks @ k.conj().T for k in channel.kraus)
+    return negativity(BipartiteBlockMatrix(out, check=False), psd_tol=1e-8)
+
+
+class TestFeasiblePointOracle:
+    """The true joint output (id x Lambda) rho_in of a phase-covariant device
+    meets every exact and error-bar constraint, so no bound may exceed its
+    negativity."""
+
+    @pytest.fixture(scope="class")
+    def ensembles(self):
+        seed = noisy_coherent(0.6, 0.05, ORACLE_CUTOFF + 1)
+        return seed, {m: optimize_gram(rotation_ensemble(seed, m), symmetric=True)
+                      for m in (2, 3)}
+
+    @pytest.mark.parametrize("spec", ORACLE_CHANNELS, ids=[c["kind"] for c in ORACLE_CHANNELS])
+    def test_bounds_stay_below_the_true_output_negativity(self, ensembles, spec):
+        seed, opts = ensembles
+        channel = build_channel(spec, ORACLE_CUTOFF + 1)
+
+        def scenarios(out):
+            moments = out.quadrature_moments()
+            return [Tomography(out), Quadratures(moments),
+                    Quadratures(moments, dict.fromkeys(moments, 0.05), 1)]
+
+        for m, opt in opts.items():
+            truth = output_negativity(opt.rho_in, channel)
+            outs = [channel(state) for state in rotation_ensemble(seed, m)]
+            for scenario in scenarios(outs[0]):
+                res = benchmark_symmetric(opt.gram, scenario, m, cutoff=ORACLE_CUTOFF)
+                assert res.negativity_lower_bound <= truth + 1e-6, (m, scenario.tag)
+            if m == 2:
+                for per_state in zip(*(scenarios(out) for out in outs)):
+                    res = benchmark_general(opt.gram, list(per_state), cutoff=ORACLE_CUTOFF)
+                    assert res.negativity_lower_bound <= truth + 1e-6, ("general", res.scenario_tag)
 
 
 class TestInputNegativity:

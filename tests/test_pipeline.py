@@ -399,6 +399,8 @@ class TestCLI:
         for point, row in zip(points, rows[1:]):
             assert point["stop_reason"] == "converged"
             assert isinstance(point["iterations"], int) and point["iterations"] >= 1
+            assert isinstance(point["schur_rows"], int) and point["schur_rows"] >= 1
+            assert isinstance(point["factor_failures"], int) and point["factor_failures"] >= 0
             assert row.split(",")[1] == point["scenario"]
 
     def test_fractional_scenario_sigma_level_is_rejected(self, tmp_path, capsys):

@@ -41,10 +41,23 @@ def _basis_k(ws):
     return k if np.iscomplexobj(ws) else k[:half, :half]
 
 
+def _kernel_coords(at, d):
+    """hvec coordinate of each row the kernel forms for the entry pairs
+    ``at`` (the diagonal ones first) of a complex stack: a pair's real part,
+    then its imaginary part."""
+    off = at[at >= d]
+    return np.concatenate([at[at < d], np.stack([off, off + d * (d - 1) // 2], 1).ravel()])
+
+
 def _k_matrix(ws):
     """K in hvec order: the row kernel at every entry pair."""
-    pairs = _entry_pairs(ws.shape[-1])
-    return _congruence_rows(ws, pairs, pairs)
+    d = ws.shape[-1]
+    pairs = _entry_pairs(d)
+    k = _congruence_rows(ws, pairs, pairs)
+    if np.iscomplexobj(ws):
+        inv = np.argsort(_kernel_coords(np.arange(pairs[0].size), d))
+        k = k[np.ix_(inv, inv)]
+    return k
 
 
 def _packed(mat):
@@ -468,7 +481,9 @@ class TestCongruenceMatrix:
     def test_matches_conjugated_basis(self, parts, seed):
         """The rows of K that the kernel forms at every entry pair are the
         matrix of X -> sum_n W_n X W_n; at a random subset of row and column
-        pairs, in random order, they are its rows and columns there."""
+        pairs, in random order and some of them given as (j, i), they are its
+        rows and columns there, with the imaginary ones of the reversed pairs
+        negated."""
         r = parts[:, 0] + 1j * parts[:, 1]
         d = r.shape[-1]
         ws = r @ r.conj().swapaxes(-1, -2)
@@ -487,14 +502,23 @@ class TestCongruenceMatrix:
             at = rng.permutation(n)[:int(rng.integers(1, n + 1))]
             return np.concatenate([at[at < d], at[at >= d]])
 
+        def oriented(at, flip):
+            """The pairs ``at``, those with ``flip`` as (j, i)."""
+            return (np.where(flip, pair_j[at], pair_i[at]), np.where(flip, pair_i[at], pair_j[at]))
+
+        def signs(at, flip):
+            """-1 on the kernel's imaginary rows of the reversed pairs."""
+            off = flip[at >= d]
+            return np.concatenate([np.ones(np.count_nonzero(at < d)),
+                                   np.stack([np.ones(off.size), np.where(off, -1.0, 1.0)],
+                                            1).ravel()])
+
         at_r, at_c = pick(), pick()
-        rows = _congruence_rows(ws, (pair_i[at_r], pair_j[at_r]), (pair_i[at_c], pair_j[at_c]))
-
-        def coords(at):
-            """hvec coordinates of the kernel's rows for the pairs ``at``."""
-            return np.concatenate([at, at[at >= d] + n - d])
-
-        assert np.max(np.abs(rows - ref[np.ix_(coords(at_r), coords(at_c))])) <= 1e-13 * scale
+        flip_r, flip_c = (rng.random(at.size) < 0.5 for at in (at_r, at_c))
+        rows = _congruence_rows(ws, oriented(at_r, flip_r), oriented(at_c, flip_c))
+        want = ref[np.ix_(_kernel_coords(at_r, d), _kernel_coords(at_c, d))]
+        want *= np.outer(signs(at_r, flip_r), signs(at_c, flip_c))
+        assert np.max(np.abs(rows - want)) <= 1e-13 * scale
 
     @settings(max_examples=40, deadline=None, database=None)
     @given(st.tuples(st.integers(1, 3), st.integers(1, 12)).flatmap(lambda nd: arrays(
@@ -1079,6 +1103,51 @@ class TestKPathAssembly:
         untouched = ~np.any([np.any(a != 0.0, axis=1) for a in blocks + [scalars]], axis=0)
         assert not np.any(got[untouched]) and not np.any(got[:, untouched])
 
+    def test_general_problem_in_solver_order_matches_dense_products(self, monkeypatch, rng):
+        """benchmark_general's problem at M = 3, N = 7 (tomography pins on
+        state 0, 1-sigma intervals on the others), in the order the solver
+        gives its rows and with chunks small enough that each 24 x 24 term
+        spans at least three: each entry pair's two partial-transpose rows are
+        adjacent, and the packed Schur matrix is the lower triangle of
+        sum_b A_b K_b A_b^T at random positive definite scalings."""
+        m, cutoff = 3, 7
+        n = m * (cutoff + 1)
+        gram, outs = _small_benchmark_inputs(m, cutoff)
+        prob = _benchmark_problem(monkeypatch, benchmark_general, gram,
+                                  [Tomography(outs[0])] + [_errors_scenario(o) for o in outs[1:]],
+                                  cutoff=cutoff)
+
+        class Captured(Exception):
+            pass
+
+        def capture(*args):
+            raise Captured(*args)
+
+        monkeypatch.setattr(sdp, "K_CHUNK", n ** 4 // 4)
+        monkeypatch.setattr(sdp, "_schur_terms", capture)
+        with pytest.raises(Captured) as captured:
+            solve(prob)
+        a_blocks, dims, where, real = captured.value.args
+        terms = _schur_terms(a_blocks, dims, where, real)
+        assert not real and dims[:3] == [n, n, n]
+        big = [term for _, _, term in terms if term.d_sub.shape[1] > 1]
+        assert len(big) == 2 and all(len(term.chunks) >= 3 for term in big)
+        # The partial-transpose rows (those on tau_minus) on one pair of tau.
+        tau, pt = a_blocks[0], np.flatnonzero(np.diff(a_blocks[1].indptr))
+        npair = n * (n - 1) // 2
+        coord = tau.indices[tau.indptr[pt]]
+        pair = np.where(coord >= n + npair, coord - npair, coord)
+        for p in range(n, n + npair):
+            assert np.ptp(pt[pair == p]) == 1
+        stacks = [None] * (1 + max(g for g, _ in where.values()))
+        for g in range(len(stacks)):
+            blocks = [bi for bi, (gb, _) in where.items() if gb == g]
+            stacks[g] = _random_pd(rng, len(blocks), dims[blocks[0]])
+        ref = sum(a.toarray() @ _basis_k(stacks[g][j][None]) @ a.toarray().T
+                  for a, (g, j) in zip(a_blocks, (where[bi] for bi in range(len(a_blocks)))))
+        got = _assemble(terms, stacks, ref.shape[0])
+        assert np.max(np.abs(got - np.tril(ref))) <= 1e-13 * np.max(np.abs(ref))
+
     def test_peak_memory_is_the_schur_matrix_plus_chunks(self, monkeypatch):
         """benchmark_general at M = 4, N = 9: 1739 Schur rows, 1727 of them on
         tau, whose K would be 1600 x 1600 (20 MB).  The tracemalloc peak of
@@ -1226,6 +1295,26 @@ class TestSchurFactorization:
         sol = p.solve()
         assert sol.status is SDPStatus.OPTIMAL
         assert 0 < len(calls) <= sol.iterations
+
+    def test_solution_reports_schur_rows_and_failed_attempts(self, monkeypatch):
+        """A solve reports the size of the Schur matrix it factors and counts
+        each failed Cholesky attempt, here the first one of the solve."""
+        calls, real = [], scipy.linalg.lapack.dpftrf
+
+        def fail_once(m, buf, *args, **kwargs):
+            calls.append(m)
+            return (buf, 1) if len(calls) == 1 else real(m, buf, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dpftrf", fail_once)
+        p = SDPProblem()
+        p.add_variable("X", 3)
+        p.set_objective({"X": np.diag([1.0, 2.0, 3.0])})
+        p.add_equality({"X": np.eye(3)}, 1.0)
+        p.add_interval({"X": np.diag([0.0, 1.0, 0.0])}, 0.2, 0.4)
+        sol = p.solve()
+        assert sol.status is SDPStatus.OPTIMAL
+        assert sol.schur_rows == 3 == calls[0]
+        assert sol.factor_failures == 1 and len(calls) == sol.iterations
 
     @pytest.mark.parametrize("n", [7, 300])
     @pytest.mark.parametrize("build, falls_back", [(_rank_deficient, False), (_indefinite, True)])

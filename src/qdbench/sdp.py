@@ -808,18 +808,18 @@ class _SchurTerm:
     against the other single-entry rows q, from the chunk that holds c_p: a
     piece per run of such rows, gathered in row-major order for the view of
     :class:`_Packed` it fills (columns from the run on before row k, from k up
-    to the run after it); a part whose coefficients are all one value +-1
-    multiplies none.  For the rows with several entries, each chunk
-    gives the columns of A_D K at its coordinates (as rows of K A_D^T), and
-    A_D K is added as a border at the end.
+    to the run after it); a piece whose coefficients are all one value +-1
+    multiplies none.  For the rows with several entries, each chunk gives the
+    columns of A_D K at its coordinates (as rows of K A_D^T), and A_D K is
+    added as a border at the end.
 
-    A term that spans several chunks splits a piece's columns at the runs of
-    Schur rows: a run at consecutive columns of the chunk's K is a slice of
-    it, the others are gathered together.  If complex, it also forms each
-    off-diagonal pair in the orientation in which the first single-entry rows
-    on its real and imaginary parts have coefficients of one sign, so that
-    rows of +-1 whose signs differ only there, like the block-swapped rows of
-    a partial transpose, multiply none.
+    A term that spans several chunks splits each piece at the runs of Schur
+    rows among its columns: a run at consecutive columns of the chunk's K is
+    a slice of it, the others are gathered together.  If complex, it also
+    forms each off-diagonal pair in the orientation in which the first
+    single-entry rows on its real and imaginary parts have coefficients of
+    one sign, so that rows of +-1 whose signs differ only there, like the
+    block-swapped rows of a partial transpose, multiply none.
     """
 
     def __init__(self, rows, sub, d, half, real):

@@ -171,14 +171,11 @@ def _congruence_rows(ws: np.ndarray, rows, cols) -> np.ndarray:
     """Rows of K, the real symmetric matrix of X -> sum_n W_n X W_n in hvec
     coordinates for a (n, d, d) stack of Hermitian W_n, at chosen columns.
 
-    ``rows`` = (i, j) and ``cols`` = (k, l) are arrays of entry pairs
-    (:func:`_entry_pairs`), the diagonal ones first.  Rows and columns of the
+    ``rows`` = (i, j) and ``cols`` = (k, l) are arrays of entry pairs, i <= j
+    and k <= l (:func:`_entry_pairs`), the diagonal ones first.  Rows and columns of the
     result follow the pairs in the given order: a diagonal pair's diagonal
     coordinate, an off-diagonal pair's real part and, for a complex stack,
-    its imaginary part right after it.  A pair given as (j, i) with j > i
-    stands for the basis matrices of (i, j) with the imaginary one negated,
-    so its imaginary row and column change sign (exactly up to the rounding
-    of the products).
+    its imaginary part right after it.
 
     Entry (a, b) of K is <E_a, W E_b W> for the orthonormal Hermitian basis
     E_a = hmat(e_a), a product of two entries of W.  For pairs p = (i, j) and
@@ -808,18 +805,9 @@ class _SchurTerm:
     against the other single-entry rows q, from the chunk that holds c_p: a
     piece per run of such rows, gathered in row-major order for the view of
     :class:`_Packed` it fills (columns from the run on before row k, from k up
-    to the run after it); a piece whose coefficients are all one value +-1
-    multiplies none.  For the rows with several entries, each chunk gives the
-    columns of A_D K at its coordinates (as rows of K A_D^T), and A_D K is
+    to the run after it).  For the rows with several entries, each chunk gives
+    the columns of A_D K at its coordinates (as rows of K A_D^T), and A_D K is
     added as a border at the end.
-
-    A term that spans several chunks splits each piece at the runs of Schur
-    rows among its columns: a run at consecutive columns of the chunk's K is
-    a slice of it, the others are gathered together.  If complex, it also
-    forms each off-diagonal pair in the orientation in which the first
-    single-entry rows on its real and imaginary parts have coefficients of
-    one sign, so that rows of +-1 whose signs differ only there, like the
-    block-swapped rows of a partial transpose, multiply none.
     """
 
     def __init__(self, rows, sub, d, half, real):
@@ -829,6 +817,8 @@ class _SchurTerm:
         one = np.diff(sub.indptr) == 1
         starts = sub.indptr[:-1][one]
         s_rows, s_coord, s_val = rows[one], sub.indices[starts], sub.data[starts]
+        self.s_val = s_val
+        self.unit = bool(s_val.size and np.all(s_val == s_val[0]) and abs(s_val[0]) == 1.0)
         multi, d_rows = sub[~one], rows[~one]
 
         # Every entry pair the rows touch, the diagonal ones first and each
@@ -836,21 +826,6 @@ class _SchurTerm:
         nz_row = np.repeat(rows, np.diff(sub.indptr))
         pairs, first = np.unique(_pair_of(sub.indices, d), return_index=True)
         pairs = pairs[np.lexsort((nz_row[first], pairs >= d))]
-        in_chunk = _chunk_index(pairs, d, kinds)
-        chunked = in_chunk[-1] > 0
-        if kinds == 2 and chunked:
-            coords, at = np.unique(s_coord, return_index=True)
-            sign = np.zeros(d + 2 * npair)
-            sign[coords] = s_val[at]
-            flip = np.flatnonzero(sign[d:d + npair] * sign[d + npair:] < 0)
-            neg = np.ones(n_coord)
-            neg[d + npair + flip] = -1.0
-            s_val = s_val * neg[s_coord]
-            multi = sp.csr_matrix((multi.data * neg[multi.indices], multi.indices, multi.indptr),
-                                  shape=multi.shape)
-            pair_i, pair_j = pair_i.copy(), pair_j.copy()
-            pair_i[d + flip], pair_j[d + flip] = pair_j[d + flip], pair_i[d + flip]
-        self.s_val = s_val
         self.n_cols = n_cols = pairs.size + (kinds - 1) * np.count_nonzero(pairs >= d)
 
         def layout(chunk):
@@ -871,16 +846,7 @@ class _SchurTerm:
         border = np.zeros(d + npair, dtype=bool)
         border[_pair_of(multi.indices, d)] = True
         jk = int(np.searchsorted(s_rows, half))       # first single row at or after k
-
-        def part(lo, hi, row_at, cols, col_at):
-            """Rows lo:hi of the single rows against the single rows ``cols``,
-            at columns ``col_at`` of the chunk's K."""
-            vals = np.concatenate([s_val[lo:hi], s_val[cols]])
-            signs = None if abs(vals[0]) == 1.0 and np.all(vals == vals[0]) else \
-                (s_val[lo:hi, None], s_val[cols])
-            return (row_at, col_at, signs,
-                    _scatter_plan(_index(s_rows[lo:hi]), _index(s_rows[cols]), half))
-
+        in_chunk = _chunk_index(pairs, d, kinds)
         self.chunks = []
         for chunk in np.split(pairs, np.flatnonzero(np.diff(in_chunk)) + 1):
             at = layout(chunk)
@@ -894,7 +860,8 @@ class _SchurTerm:
                 need[_pair_of(s_coord[c0:c1], d)] = True
             cols = pairs[need[pairs]]
             c_at = layout(cols)
-            parts = []
+            s_col = c_at[s_coord]
+            pieces = []
             cuts = np.flatnonzero((np.diff(held) != 1) | (held[1:] == jk)) + 1
             for run in np.split(held, cuts):
                 if not run.size:
@@ -905,22 +872,15 @@ class _SchurTerm:
                 for lo in range(i0, i1, step):
                     hi = min(lo + step, i1)
                     c0, c1 = (lo, s_rows.size) if lo < jk else (jk, hi)
-                    row_at, gathered = _as_slice(s_at[lo:hi]), []
-                    for _, src in _index(s_rows[c0:c1]) if chunked else [(0, slice(0, c1 - c0))]:
-                        run_cols = np.arange(c0 + src.start, c0 + src.stop)
-                        run_at = _as_slice(c_at[s_coord[run_cols]])
-                        if isinstance(run_at, slice):
-                            parts.append(part(lo, hi, row_at, run_cols, run_at))
-                        else:
-                            gathered.append(run_cols)
-                    if gathered:
-                        run_cols = np.concatenate(gathered)
-                        parts.append(part(lo, hi, row_at, run_cols, c_at[s_coord[run_cols]]))
+                    pieces.append((_as_slice(s_at[lo:hi]), _as_slice(s_col[c0:c1]),
+                                   s_val[lo:hi, None], s_val[c0:c1],
+                                   _scatter_plan(_index(s_rows[lo:hi]),
+                                                 _index(s_rows[c0:c1]), half)))
             held_coords = np.flatnonzero(at >= 0)
             z_at = np.empty(held_coords.size, dtype=int)    # K rows' columns of A_D K
             z_at[at[held_coords]] = col_at[held_coords]
             self.chunks.append(((pair_i[chunk], pair_j[chunk]), (pair_i[cols], pair_j[cols]),
-                                c_at[multi.indices], z_at, parts))
+                                c_at[multi.indices], z_at, pieces))
         if d_rows.size:
             d_index, s_index = _index(d_rows), _index(s_rows)
             self.border = (_scatter_plan(d_index, d_index, half),
@@ -934,17 +894,16 @@ class _SchurTerm:
         # W Hermitian to the last bit makes K exactly symmetric, so no entry
         # of S depends on which of its two rows' chunks forms it.
         ws = (ws + _ct(ws)) / 2.0
-        for rows, cols, d_at, z_at, parts in self.chunks:
+        for rows, cols, d_at, z_at, pieces in self.chunks:
             k_rows = _congruence_rows(ws, rows, cols)
-            for row_at, col_at, signs, plan in parts:
+            for row_at, col_at, s_r, s_c, plan in pieces:
+                piece = k_rows[row_at]
                 if isinstance(col_at, slice):
-                    piece = k_rows[row_at, col_at]
-                    if signs is not None:
-                        piece = piece * (signs[0] * signs[1])
+                    piece = piece[:, col_at] if self.unit else piece[:, col_at] * (s_r * s_c)
                 else:
-                    piece = k_rows[row_at].take(col_at, axis=1)
-                    if signs is not None:
-                        piece *= signs[0] * signs[1]
+                    piece = piece.take(col_at, axis=1)
+                    if not self.unit:
+                        piece *= s_r * s_c
                 _scatter_add(packed, plan, piece)
             if z is not None:
                 # Columns z_at of A_D K, as rows z_at of K A_D^T: each entry
@@ -988,7 +947,8 @@ def _schur_terms(a_blocks, dims, where, real=False):
 
 
 def _factor_schur(assemble):
-    """Cholesky-factor the Schur matrix S in place; return ``rhs -> S^{-1} rhs``.
+    """Cholesky-factor the Schur matrix S in place; return ``rhs -> S^{-1} rhs``
+    and the number of failed attempts.
 
     ``assemble()`` returns a fresh :class:`_Packed` S, factored by ``dpftrf``
     and solved with by ``dpftrs``.  Cholesky with escalating diagonal jitter,
@@ -999,7 +959,7 @@ def _factor_schur(assemble):
     packed = assemble()
     m, lapack = packed.m, scipy.linalg.lapack
     if m == 0:
-        return np.zeros_like
+        return np.zeros_like, 0
     diag_at = packed.index(np.arange(m), np.arange(m))
     diag = packed.buf[diag_at]
     diag_scale = float(np.mean(diag)) or 1.0
@@ -1010,11 +970,11 @@ def _factor_schur(assemble):
             packed.buf[diag_at] = diag + jitter * diag_scale
         factor, info = lapack.dpftrf(m, packed.buf, uplo="L", overwrite_a=True)
         if info == 0:
-            return lambda rhs: lapack.dpftrs(m, factor, rhs, uplo="L")[0]
+            return (lambda rhs: lapack.dpftrs(m, factor, rhs, uplo="L")[0]), attempt
     packed = None
     low = lapack.dtfttr(m, assemble().buf, uplo="L")[0]
     sym = low + np.tril(low, -1).T
-    return lambda rhs: np.linalg.lstsq(sym, rhs, rcond=None)[0]
+    return (lambda rhs: np.linalg.lstsq(sym, rhs, rcond=None)[0]), attempt + 1
 
 
 def solve(problem, config: SDPConfig | None = None) -> SDPSolution:
@@ -1151,23 +1111,19 @@ def solve(problem, config: SDPConfig | None = None) -> SDPSolution:
 
         scalings = [_Scaling(x, s) for x, s in zip(xs, ss)]
 
-        assembled = []
-
         def assemble_schur():
             # Schur complement  M[i,j] = <A_i, W A_j W>  summed over blocks:
             # its lower triangle, packed so that _factor_schur factors it in place.
             packed = _Packed(m)
             for g, js, term in terms:
                 term.add(packed, scalings[g].w[js])
-            assembled.append(m)
             return packed
 
         # The previous factor is freed only here: freed any earlier, its memory
         # goes to this iteration's stacks and the new buffer takes fresh pages.
         solve_schur = None
-        solve_schur = _factor_schur(assemble_schur)
-        # Every attempt after the first re-assembles S.
-        factor_failures += len(assembled) - 1
+        solve_schur, failed = _factor_schur(assemble_schur)
+        factor_failures += failed
 
         def newton(rc_mats):
             e_mats = [rc - sc.w @ rd @ sc.w for rc, rd, sc in zip(rc_mats, rd_mats, scalings)]

@@ -15,7 +15,9 @@ array of targets and one CSR matrix per variable it touches.  An interval
 lo <= f <= hi is two 1x1 slack blocks s_lo, s_hi and the rows
 ``f - s_lo == lo`` and ``s_lo + s_hi == hi - lo``; a PSD constraint is a
 slack block S and the rows ``S - sum_i L_i(X_i) == constant``, each L_i given
-by its coordinate matrix.
+by its coordinate matrix.  Every constraint adds its rows on a matrix entry
+pair by entry pair (:func:`_pair_order`): the diagonal entries, then each
+off-diagonal pair's real part followed by its imaginary part.
 
 The solver is a primal-dual interior-point method with Nesterov-Todd scaling
 and a Mehrotra predictor-corrector step, run directly on the Hermitian cone.
@@ -34,9 +36,7 @@ than 1x1 each one touches, in a stable order, and ``y`` is mapped back to the
 caller's row order.  Each block's rows then form a few runs of consecutive
 Schur indices (in the block-circulant standard form at most M + 1 for an E_k
 block, one for an F_k or PSD slack block, at most two for an interval
-slack).  Within a group, the single-entry rows on a complex block whose Schur
-part spans several chunks (below) go entry pair by entry pair, a pair's
-imaginary part right after its real part.
+slack).
 
 Each iteration assembles the Schur complement S into one buffer of m(m+1)/2
 doubles, its lower triangle in LAPACK's rectangular full packed storage
@@ -49,13 +49,14 @@ their part from each chunk, and the few rows with several entries are added
 as a border at the end (:class:`_SchurTerm`); blocks whose rows are equal up
 to one sign share one stream over their stacked W.  With its rows pair by
 pair, a chunked complex block stores a triangle of entry pairs, so a chunk
-forms about half of K's columns; that row order is the only change of
-rounding against the rows as grouped.  A solve's largest array
-is thus the packed S, next to chunks of about ``K_CHUNK`` entries.  S is
-factored once per iteration, in place, by ``dpftrf`` with a ladder of
-diagonal jitters (:func:`_factor_schur`); the predictor and corrector share
-it through ``dpftrs``.  All arithmetic is deterministic: identical problems
-and configuration reproduce bit-identical iterate sequences.
+forms about half of K's columns.  A solve's largest array is thus the packed
+S, next to chunks of about ``K_CHUNK`` entries.  S is factored once per
+iteration, in place, by ``dpftrf`` with a ladder of diagonal jitters
+(:func:`_factor_schur`); the predictor and corrector share it through
+``dpftrs``.  All arithmetic is deterministic: identical problems and
+configuration reproduce bit-identical iterate sequences, whatever
+``K_CHUNK`` and ``DIAG_STRIP``, since every entry of S sums the same products
+in the same order however the chunks and strips cut it.
 
 A problem invariant under complex conjugation (:func:`_real_rows`) is solved
 over real symmetric blocks: its stacks are real, K and A keep the first
@@ -156,6 +157,14 @@ def _smat(v: np.ndarray, d: int) -> np.ndarray:
     a[..., np.arange(d), np.arange(d)] = v[..., :d]
     a[..., iu, ju] = a[..., ju, iu] = v[..., d:] / math.sqrt(2.0)
     return a
+
+
+def _pair_order(d: int) -> np.ndarray:
+    """The hvec coordinates of a d x d matrix entry pair by entry pair: the
+    diagonal ones, then each off-diagonal pair's real part followed by its
+    imaginary part.  Every constraint's rows on a matrix follow this order."""
+    off = d + np.arange(d * (d - 1) // 2)
+    return np.concatenate([np.arange(d), np.stack([off, off + off.size], axis=1).ravel()])
 
 
 def _entry_pairs(d: int):
@@ -420,8 +429,9 @@ class SDPProblem:
         """Entrywise: sum_v X_v[offset:offset+t, offset:offset+t] == target over
         the variables ``names``, for a Hermitian t x t target.
 
-        Adds t^2 rows: the t diagonal entries, then the real and imaginary
-        parts of each entry of the target's strict upper triangle.
+        Adds t^2 rows in entry-pair order (:func:`_pair_order`): the t
+        diagonal entries, then the real and imaginary parts of each entry of
+        the target's strict upper triangle.
         """
         target = np.asarray(target, dtype=complex)
         t = target.shape[0]
@@ -432,10 +442,8 @@ class SDPProblem:
         if float(np.max(np.abs(target - target.conj().T))) > 1e-9:
             raise SDPError(f"entrywise target {label or ''} is not Hermitian")
         iu, ju, _ = _hvec_meta(t)
-        npair = iu.size
-        pair_rows = t + 2 * np.arange(npair)
-        rows = np.concatenate([np.arange(t), pair_rows, pair_rows + 1])
-        vals = np.concatenate([np.ones(t), np.full(2 * npair, 1.0 / math.sqrt(2.0))])
+        order, rows = _pair_order(t), np.arange(t * t)
+        vals = np.concatenate([np.ones(t), np.full(t * t - t, 1.0 / math.sqrt(2.0))])
         coeffs = {}
         for var in names:
             d = self.variable_dim(var)
@@ -445,20 +453,20 @@ class SDPProblem:
             _, _, pair_index = _hvec_meta(d)
             p = pair_index[offset + iu, offset + ju]
             cols = np.concatenate([offset + np.arange(t), d + p, d + d * (d - 1) // 2 + p])
-            coeffs[var] = sp.csr_matrix((vals, (rows, cols)), shape=(t * t, d * d))
-        targets = np.empty(t * t)
-        targets[:t] = target.diagonal().real
-        targets[t::2] = target[iu, ju].real
-        targets[t + 1::2] = target[iu, ju].imag
-        self._add_rows(coeffs, targets, label)
+            coeffs[var] = sp.csr_matrix((vals, (rows, cols[order])), shape=(t * t, d * d))
+        targets = np.concatenate([target.diagonal().real, target[iu, ju].real,
+                                  target[iu, ju].imag])
+        self._add_rows(coeffs, targets[order], label)
 
     def add_psd_constraint(self, terms, constant=None, label=None) -> str:
         """Require  constant + sum_i L_i(X_{v_i})  to be PSD.
 
         ``terms`` is a list of (variable name, coordinate matrix): the sparse
         (dout^2, d_v^2) matrix of L_i in hvec coordinates.  Adds a slack block
-        S and the dout^2 rows  S - sum_i L_i(X_{v_i}) == constant.  Returns
-        the slack's name.
+        S and the dout^2 rows  S - sum_i L_i(X_{v_i}) == constant, one per
+        hvec coordinate of the output in entry-pair order (:func:`_pair_order`),
+        as :meth:`add_entry_equalities` adds its rows.  Returns the slack's
+        name.
         """
         if not terms and constant is None:
             raise SDPError(f"PSD constraint {label or ''} is empty")
@@ -470,7 +478,7 @@ class SDPProblem:
         if len(sizes) != 1 or dout * dout != max(sizes):
             raise SDPError(f"PSD constraint {label or ''} needs one output dimension, "
                            f"got hvec sizes {sorted(sizes)}")
-        n = dout * dout
+        n, order = dout * dout, _pair_order(dout)
         coeffs = {}
         for var, cm in terms:
             d = self.variable_dim(var)
@@ -486,7 +494,8 @@ class SDPProblem:
         slack = f"_psd_slack_{self._n_psd}"
         self.add_variable(slack, dout)
         self._n_psd += 1
-        self._add_rows({slack: sp.identity(n, format="csr"), **coeffs}, target, label)
+        coeffs = {slack: sp.identity(n, format="csr"), **coeffs}
+        self._add_rows({var: mat[order] for var, mat in coeffs.items()}, target[order], label)
         return slack
 
     # -- canonicalization ------------------------------------------------------
@@ -654,7 +663,7 @@ def _real_rows(canon):
     return np.flatnonzero(~anti)
 
 
-def _row_order(a_blocks, dims, m, paired=()):
+def _row_order(a_blocks, dims, m):
     """Permutation that groups the rows by the set of blocks larger than 1x1
     each one touches.
 
@@ -662,27 +671,15 @@ def _row_order(a_blocks, dims, m, paired=()):
     a group (a stable sort), so a problem whose rows are already grouped gets
     the identity.  An interval's row thus joins the other rows on its
     functional's blocks, and its slack-only row the group of rows on no block.
-    Within a group, the rows with a single entry on a block of ``paired``
-    move up to the group's first row on the same entry pair, in order, so
-    that a pair's imaginary part follows its real part (the first block of
-    ``paired`` a row is single on decides).
     """
     touched = np.zeros((m, len(a_blocks)), dtype=bool)
     for bi, (a, d) in enumerate(zip(a_blocks, dims)):
         if d > 1:
             touched[:, bi] = np.diff(a.indptr) > 0
     _, first, group = np.unique(touched, axis=0, return_index=True, return_inverse=True)
-    group = group.reshape(-1)
     rank = np.empty(first.size, dtype=int)
     rank[np.argsort(first)] = np.arange(first.size)
-    key = np.arange(m)
-    for bi in paired[::-1]:
-        a, d = a_blocks[bi], dims[bi]
-        one = np.flatnonzero(np.diff(a.indptr) == 1)
-        on = group[one] * d * d + _pair_of(a.indices[a.indptr[one]], d)
-        _, at, inv = np.unique(on, return_index=True, return_inverse=True)
-        key[one] = one[at][inv]
-    return np.lexsort((key, rank[group]))
+    return np.argsort(rank[group.reshape(-1)], kind="stable")
 
 
 # Largest entry count of the K rows a Schur term forms per chunk of entry
@@ -780,15 +777,6 @@ def _pair_of(coords, d):
     return np.where(coords >= d + npair, coords - npair, coords)
 
 
-def _chunk_index(pairs, d, kinds):
-    """Chunk of each entry pair of a Schur term, for chunks of about
-    ``K_CHUNK`` entries of K rows against all of the term's coordinates: a
-    diagonal pair has one row, an off-diagonal one ``kinds`` (1 over real
-    stacks, 2 over complex ones)."""
-    k_rows = np.where(pairs < d, 1, kinds)
-    return (np.cumsum(k_rows) - 1) // max(1, K_CHUNK // int(k_rows.sum()))
-
-
 class _SchurTerm:
     """Schur part A K A^T of a block, or of blocks whose rows are equal up to
     one sign (K then sums their congruences), added straight into the packed
@@ -846,7 +834,10 @@ class _SchurTerm:
         border = np.zeros(d + npair, dtype=bool)
         border[_pair_of(multi.indices, d)] = True
         jk = int(np.searchsorted(s_rows, half))       # first single row at or after k
-        in_chunk = _chunk_index(pairs, d, kinds)
+        # Chunks of about K_CHUNK entries of K rows against all n_cols columns:
+        # a diagonal pair has one row, an off-diagonal one ``kinds``.
+        k_rows = np.where(pairs < d, 1, kinds)
+        in_chunk = (np.cumsum(k_rows) - 1) // max(1, K_CHUNK // n_cols)
         self.chunks = []
         for chunk in np.split(pairs, np.flatnonzero(np.diff(in_chunk)) + 1):
             at = layout(chunk)
@@ -998,13 +989,7 @@ def solve(problem, config: SDPConfig | None = None) -> SDPSolution:
     vec, unvec, dtype = (_svec, _smat, float) if real else (hvec, hmat, complex)
     # The solver works on the rows grouped by the blocks they touch, so that
     # each block's rows form few runs; y is mapped back to the caller's order.
-    # A complex block whose Schur term spans several chunks has its
-    # single-entry rows entry pair by entry pair, so that the triangle the
-    # packed Schur matrix stores is a triangle of pairs (see _SchurTerm).
-    paired = [] if real else [
-        bi for bi, (a, d) in enumerate(zip(a_blocks, dims))
-        if d > 1 and a.nnz and _chunk_index(np.unique(_pair_of(a.indices, d)), d, 2)[-1] > 0]
-    order = _row_order(a_blocks, dims, m, paired)
+    order = _row_order(a_blocks, dims, m)
     if np.array_equal(order, np.arange(m)):
         order = None
     else:

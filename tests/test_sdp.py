@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qdbench import sdp
-from qdbench.bench import (QuadraturesWithErrors, Tomography, benchmark_general,
-                           benchmark_symmetric)
+from qdbench.bench import (Quadratures, QuadraturesWithErrors, Tomography,
+                           benchmark_general, benchmark_symmetric)
 from qdbench.channels import loss_channel
 from qdbench.fock import DensityMatrix, noisy_coherent, rotation
 from qdbench.gramopt import optimize_gram, rotation_ensemble
@@ -273,7 +273,8 @@ def _add_random_constraint(prob, kind, xs, rng):
     constant = _random_hermitian(rng, 1, dout)[0]
     slack = prob.add_psd_constraint(terms, constant=constant)
     xs[slack] = _random_hermitian(rng, 1, dout)[0]
-    return hvec(xs[slack] - value), hvec(constant)
+    in_pairs = _kernel_coords(np.arange(dout * (dout + 1) // 2), dout)
+    return hvec(xs[slack] - value)[in_pairs], hvec(constant)[in_pairs]
 
 
 class TestConstraintRows:
@@ -282,9 +283,12 @@ class TestConstraintRows:
            st.integers(0, 2**32 - 1))
     def test_canonical_rows_evaluate_each_functional(self, kinds, seed):
         """A applied to hvec(X_v) gives every row's functional of the dense
-        X_v, in the order the rows were added, with b holding their targets;
-        an interval adds two 1x1 slack blocks s_lo and s_hi, with -1 from s_lo
-        on its row and +1 from each on the next row, whose target is hi - lo."""
+        X_v, in the order the rows were added, with b holding their targets.
+        An entrywise pin and a PSD constraint add their rows entry pair by
+        entry pair: the diagonal entries, then each off-diagonal pair's real
+        part followed by its imaginary part.  An interval adds two 1x1 slack
+        blocks s_lo and s_hi, with -1 from s_lo on its row and +1 from each on
+        the next row, whose target is hi - lo."""
         rng = np.random.default_rng(seed)
         prob = SDPProblem()
         for name, d in _PROBLEM_DIMS.items():
@@ -1132,6 +1136,51 @@ class TestKPathAssembly:
                   for a, (g, j) in zip(a_blocks, (where[bi] for bi in range(len(a_blocks)))))
         got = _assemble(terms, stacks, ref.shape[0])
         assert np.max(np.abs(got - np.tril(ref))) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("case", ["general", "symmetric_quadratures"])
+    def test_solve_is_bit_identical_at_every_chunk_size(self, monkeypatch, case):
+        """benchmark_general at M = 2, N = 7 (tomography pins on state 0, a
+        1-sigma interval scenario on state 1), and benchmark_symmetric at
+        M = 3, N = 7 on the exact quadratures of an output turned by pi/4
+        (complex blocks): the bound, y, the iteration count and the history
+        are the same to the bit whether a block's Schur term spans one chunk
+        or several, and whatever rows a diagonal strip holds."""
+        if case == "general":
+            gram, outs = _small_benchmark_inputs(2, 7)
+            scenarios = [Tomography(outs[0]), _errors_scenario(outs[1])]
+
+            def run():
+                return benchmark_general(gram, scenarios, cutoff=7)
+        else:
+            gram, outs = _small_benchmark_inputs(3, 7)
+            u = rotation(np.pi / 4, 8)
+            turned = DensityMatrix(u @ outs[0].matrix @ u.conj().T, allow_sub_normalized=True)
+            scenario = Quadratures(turned.quadrature_moments())
+
+            def run():
+                return benchmark_symmetric(gram, scenario, 3, cutoff=7)
+
+        solved, unpatched = [], SDPProblem.solve
+
+        def record(prob, config=None):
+            solved.append((prob, unpatched(prob, config)))
+            return solved[-1][1]
+
+        monkeypatch.setattr(SDPProblem, "solve", record)
+        runs = []
+        for chunk in (sdp.K_CHUNK, 16384, 2000):
+            for strip in (128, 3):
+                monkeypatch.setattr(sdp, "K_CHUNK", chunk)
+                monkeypatch.setattr(sdp, "DIAG_STRIP", strip)
+                runs.append((run().negativity_lower_bound, solved[-1][1]))
+        assert _real_rows(solved[0][0].canonicalize()) is None
+        (bound, first), rest = runs[0], runs[1:]
+        assert first.optimal
+        for other_bound, sol in rest:
+            assert other_bound.hex() == bound.hex()
+            assert np.array_equal(sol.y, first.y)
+            assert sol.iterations == first.iterations
+            assert sol.history == first.history
 
     def test_peak_memory_is_the_schur_matrix_plus_chunks(self, monkeypatch):
         """benchmark_general at M = 4, N = 9: 1739 Schur rows, 1727 of them on

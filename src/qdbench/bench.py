@@ -327,13 +327,14 @@ def benchmark_symmetric(gram: GramMatrix, seed_scenario, m: int, cutoff: int = 1
     prob.set_objective({name: np.eye(d) for name in f_names})
 
     sources = pt_sources(m, d)
+    identity = sp.identity(d * d, format="csr")
     for k in range(m):
         terms = []
         for src in range(m):
             mask = (sources[k] == src).astype(float)
             if mask.any():
                 terms.append((e_names[src], mask_matrix(mask)))
-        terms.append((f_names[k], sp.identity(d * d, format="csr")))
+        terms.append((f_names[k], identity))
         prob.add_psd_constraint(terms, label=f"pt-sector-{k}")
 
     def pin(target, label):

@@ -10,8 +10,8 @@ Problem form:
 
 ``<A, B> = Re Tr(A B)`` for Hermitian A, B.  Every constraint is a block of
 real rows on the ``hvec`` coordinates of the variables, in which
-``<C, X> = hvec(C) . hvec(X)``; :class:`SDPProblem` stores each block as an
-array of targets and one CSR matrix per variable it touches.  An interval
+``<C, X> = hvec(C) . hvec(X)``; :class:`SDPProblem` stores each variable's
+coefficients as arrays of (row, coordinate, value) entries.  An interval
 lo <= f <= hi is two 1x1 slack blocks s_lo, s_hi and the rows
 ``f - s_lo == lo`` and ``s_lo + s_hi == hi - lo``; a PSD constraint is a
 slack block S and the rows ``S - sum_i L_i(X_i) == constant``, each L_i given
@@ -33,10 +33,10 @@ for its block only, and a non-finite block or failed eigen-solve gives step
 
 Once per solve, the constraint rows are grouped by the set of blocks larger
 than 1x1 each one touches, in a stable order, and ``y`` is mapped back to the
-caller's row order.  Each block's rows then form a few runs of consecutive
-Schur indices (in the block-circulant standard form at most M + 1 for an E_k
-block, one for an F_k or PSD slack block, at most two for an interval
-slack).
+caller's row order, by index arithmetic on the canonical CSR arrays.  Each
+block's rows then form a few runs of consecutive Schur indices (in the
+block-circulant standard form at most M + 1 for an E_k block, one for an F_k
+or PSD slack block, at most two for an interval slack).
 
 Each iteration assembles the Schur complement S into one buffer of m(m+1)/2
 doubles, its lower triangle in LAPACK's rectangular full packed storage
@@ -71,6 +71,7 @@ dual-feasible iterate, where it equals ``b . y``; elsewhere it is an estimate.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -105,13 +106,13 @@ _HVEC_CACHE: dict[int, tuple] = {}
 
 
 def _hvec_meta(d: int):
-    """Cached (iu, ju, pair_index) for the strict upper triangle of a d x d matrix."""
+    """Cached (diag, iu, ju, pair_index) of a d x d matrix's diagonal and strict upper triangle."""
     meta = _HVEC_CACHE.get(d)
     if meta is None:
         iu, ju = np.triu_indices(d, k=1)
         pair_index = -np.ones((d, d), dtype=int)
         pair_index[iu, ju] = np.arange(iu.size)
-        meta = (iu, ju, pair_index)
+        meta = (np.arange(d), iu, ju, pair_index)
         _HVEC_CACHE[d] = meta
     return meta
 
@@ -119,25 +120,17 @@ def _hvec_meta(d: int):
 def hvec(a: np.ndarray) -> np.ndarray:
     """Real coordinates of a Hermitian matrix: length d^2, isometric for <.,.>."""
     a = np.asarray(a)
-    d = a.shape[-1]
-    iu, ju, _ = _hvec_meta(d)
-    sqrt2 = math.sqrt(2.0)
-    parts = (
-        np.real(a[..., np.arange(d), np.arange(d)]),
-        sqrt2 * np.real(a[..., iu, ju]),
-        sqrt2 * np.imag(a[..., iu, ju]),
-    )
-    return np.concatenate(parts, axis=-1)
+    _, iu, ju, _ = _hvec_meta(a.shape[-1])
+    return np.concatenate((_svec(a), math.sqrt(2.0) * np.imag(a[..., iu, ju])), axis=-1)
 
 
 def hmat(v: np.ndarray, d: int) -> np.ndarray:
     """Inverse of :func:`hvec`."""
     v = np.asarray(v, dtype=float)
-    iu, ju, _ = _hvec_meta(d)
+    dg, iu, ju, _ = _hvec_meta(d)
     npair = iu.size
-    lead = v.shape[:-1]
-    a = np.zeros(lead + (d, d), dtype=complex)
-    a[..., np.arange(d), np.arange(d)] = v[..., :d]
+    a = np.zeros(v.shape[:-1] + (d, d), dtype=complex)
+    a[..., dg, dg] = v[..., :d]
     off = (v[..., d:d + npair] + 1j * v[..., d + npair:]) / math.sqrt(2.0)
     a[..., iu, ju] = off
     a[..., ju, iu] = off.conj()
@@ -146,15 +139,16 @@ def hmat(v: np.ndarray, d: int) -> np.ndarray:
 
 def _svec(a: np.ndarray) -> np.ndarray:
     """The first d(d+1)/2 :func:`hvec` coordinates: all of a real symmetric matrix's."""
-    d = a.shape[-1]
-    return hvec(a)[..., :d * (d + 1) // 2]
+    dg, iu, ju, _ = _hvec_meta(a.shape[-1])
+    return np.concatenate((np.real(a[..., dg, dg]), math.sqrt(2.0) * np.real(a[..., iu, ju])),
+                          axis=-1)
 
 
 def _smat(v: np.ndarray, d: int) -> np.ndarray:
     """Inverse of :func:`_svec`."""
-    iu, ju, _ = _hvec_meta(d)
+    dg, iu, ju, _ = _hvec_meta(d)
     a = np.zeros(v.shape[:-1] + (d, d))
-    a[..., np.arange(d), np.arange(d)] = v[..., :d]
+    a[..., dg, dg] = v[..., :d]
     a[..., iu, ju] = a[..., ju, iu] = v[..., d:] / math.sqrt(2.0)
     return a
 
@@ -172,8 +166,8 @@ def _entry_pairs(d: int):
     coordinates: pair g < d is the diagonal entry (g, g), pair d + p the p-th
     entry of the strict upper triangle.  Coordinate c belongs to pair c, or
     to pair c - d(d-1)/2 if it is an imaginary part."""
-    iu, ju, _ = _hvec_meta(d)
-    return np.concatenate([np.arange(d), iu]), np.concatenate([np.arange(d), ju])
+    dg, iu, ju, _ = _hvec_meta(d)
+    return np.concatenate([dg, iu]), np.concatenate([dg, ju])
 
 
 def _congruence_rows(ws: np.ndarray, rows, cols) -> np.ndarray:
@@ -242,8 +236,11 @@ def mask_matrix(mask: np.ndarray) -> sp.csr_matrix:
     mask = np.asarray(mask, dtype=float)
     if mask.ndim != 2 or mask.shape[0] != mask.shape[1] or np.any(mask != mask.T):
         raise SDPError(f"Hadamard mask must be square and symmetric, got shape {mask.shape}")
-    iu, ju, _ = _hvec_meta(mask.shape[0])
-    return sp.diags(np.concatenate([np.diag(mask), mask[iu, ju], mask[iu, ju]]), format="csr")
+    _, iu, ju, _ = _hvec_meta(mask.shape[0])
+    diag = np.concatenate([np.diag(mask), mask[iu, ju], mask[iu, ju]])
+    cols = np.flatnonzero(diag)
+    return sp.csr_matrix((diag[cols], cols, np.searchsorted(cols, np.arange(diag.size + 1))),
+                         shape=(diag.size, diag.size))
 
 
 def block_swap_matrix(m: int, d: int) -> sp.csr_matrix:
@@ -253,7 +250,7 @@ def block_swap_matrix(m: int, d: int) -> sp.csr_matrix:
     entry (s, t) of the input, a diagonal entry stays in place, and the
     imaginary part of a pair flips sign when s > t."""
     n = m * d
-    iu, ju, pair_index = _hvec_meta(n)
+    _, iu, ju, pair_index = _hvec_meta(n)
     npair = iu.size
     s = (ju // d) * d + iu % d
     t = (iu // d) * d + ju % d
@@ -327,20 +324,21 @@ def _check_hermitian_coeff(name, mat, dim, where="objective"):
 class SDPProblem:
     """Incrementally built SDP over named Hermitian PSD variable blocks.
 
-    Constraints are stored as blocks of rows.  Each ``add_*`` method forms
-    its block with array operations and adds it through :meth:`_add_rows`: an
-    array of targets and, for each variable the rows touch, one CSR matrix on
-    that variable's ``hvec`` coordinates (``<C, X> = hvec(C) . hvec(X)``).
-    Rows keep the order in which they were added, and :meth:`canonicalize`
-    concatenates the blocks.  A variable is checked when a constraint names
-    it, so an unknown one fails at add time.
+    Each ``add_*`` method forms its rows with array operations and appends
+    them through :meth:`_add_rows`: their targets and, per variable, numpy
+    arrays of (row, ``hvec`` coordinate, value) for every nonzero coefficient
+    (``<C, X> = hvec(C) . hvec(X)``).  Rows keep the order in which they were
+    added, and :meth:`canonicalize` concatenates each variable's entries into
+    one CSR matrix.  A variable is checked when a constraint names it, so an
+    unknown one fails at add time.
     """
 
     def __init__(self):
         self._var_dims: dict[str, int] = {}   # in declaration order
         self._objective: dict[str, np.ndarray] = {}
         self._maximize = False
-        self._blocks: list[tuple[int, dict, np.ndarray]] = []  # (first row, coeffs, targets)
+        self._entries: dict[str, list] = {}   # per variable: (rows, coords, values) arrays
+        self._targets: list[np.ndarray] = []
         self._n_rows = 0
         self._n_psd = 0
         self._n_interval = 0
@@ -354,6 +352,7 @@ class SDPProblem:
         if dim < 1:
             raise SDPError(f"variable '{name}' must have dimension >= 1")
         self._var_dims[name] = int(dim)
+        self._entries[name] = []
 
     def variable_dim(self, name: str) -> int:
         try:
@@ -372,31 +371,29 @@ class SDPProblem:
 
     # -- constraints -----------------------------------------------------------
 
-    def _add_rows(self, coeffs: dict, targets, label=None) -> int:
-        """Append a block of rows, given its targets and, per variable, a
-        (rows, d_v^2) matrix on the variable's hvec coordinates; zero
-        coefficients are not stored.  Returns the index of the block's first
-        row.  A NaN or infinite target or coefficient raises, naming the
-        constraint by its label."""
+    def _add_rows(self, entries: dict, targets, label=None) -> None:
+        """Append rows, given their targets and, per variable, the (row,
+        coordinate, value) arrays of their nonzero coefficients, by row counted
+        from the first new one and then by coordinate.  A NaN or infinite
+        target or coefficient raises, naming the constraint, and adds nothing."""
         targets = np.asarray(targets, dtype=float)
         if not np.all(np.isfinite(targets)):
             raise SDPError(f"constraint {label or ''} has a non-finite target")
-        block = {}
-        for var, mat in coeffs.items():
-            block[var] = sp.csr_matrix(mat)
-            block[var].eliminate_zeros()
-            if not np.all(np.isfinite(block[var].data)):
+        for var, (_, _, vals) in entries.items():
+            if not np.all(np.isfinite(vals)):
                 raise SDPError(f"constraint {label or ''} has a non-finite coefficient "
                                f"for variable '{var}'")
-        first = self._n_rows
-        self._blocks.append((first, block, targets))
+        for var, (rows, coords, vals) in entries.items():
+            self._entries[var].append((self._n_rows + rows, coords, vals))
+        self._targets.append(targets)
         self._n_rows += targets.size
-        return first
 
     def _hvec_row(self, coeffs: dict, label) -> dict:
         where = f"constraint {label or ''}"
-        return {var: hvec(_check_hermitian_coeff(var, mat, self.variable_dim(var), where))[None]
+        rows = {var: hvec(_check_hermitian_coeff(var, mat, self.variable_dim(var), where))
                 for var, mat in coeffs.items()}
+        return {var: (np.zeros(np.count_nonzero(r), dtype=int), np.flatnonzero(r), r[r != 0])
+                for var, r in rows.items()}
 
     def add_equality(self, coeffs: dict, target: float, label=None) -> None:
         """sum_v <coeff_v, X_v> == target."""
@@ -420,8 +417,9 @@ class SDPProblem:
         self.add_variable(s_lo, 1)
         self.add_variable(s_hi, 1)
         self._n_interval += 1
-        one = np.ones((1, 1))
-        self._add_rows({**row, s_lo: -one}, [lower], label)
+        zero = np.zeros(1, dtype=int)
+        one = (zero, zero, np.ones(1))
+        self._add_rows({**row, s_lo: (zero, zero, -np.ones(1))}, [lower], label)
         self._add_rows({s_lo: one, s_hi: one}, [float(upper) - float(lower)], label)
 
     def add_entry_equalities(self, names, target: np.ndarray, offset: int = 0,
@@ -441,22 +439,21 @@ class SDPProblem:
             raise SDPError(f"constraint {label or ''} has a non-finite target")
         if float(np.max(np.abs(target - target.conj().T))) > 1e-9:
             raise SDPError(f"entrywise target {label or ''} is not Hermitian")
-        iu, ju, _ = _hvec_meta(t)
+        dg, iu, ju, _ = _hvec_meta(t)
         order, rows = _pair_order(t), np.arange(t * t)
         vals = np.concatenate([np.ones(t), np.full(t * t - t, 1.0 / math.sqrt(2.0))])
-        coeffs = {}
+        entries = {}
         for var in names:
             d = self.variable_dim(var)
             if offset < 0 or offset + t > d:
                 raise SDPError(f"entrywise pin {label or ''} of size {t} at offset {offset} "
                                f"runs past variable '{var}' of dimension {d}")
-            _, _, pair_index = _hvec_meta(d)
-            p = pair_index[offset + iu, offset + ju]
-            cols = np.concatenate([offset + np.arange(t), d + p, d + d * (d - 1) // 2 + p])
-            coeffs[var] = sp.csr_matrix((vals, (rows, cols[order])), shape=(t * t, d * d))
+            p = _hvec_meta(d)[3][offset + iu, offset + ju]
+            cols = np.concatenate([offset + dg, d + p, d + d * (d - 1) // 2 + p])
+            entries[var] = (rows, cols[order], vals)
         targets = np.concatenate([target.diagonal().real, target[iu, ju].real,
                                   target[iu, ju].imag])
-        self._add_rows(coeffs, targets[order], label)
+        self._add_rows(entries, targets[order], label)
 
     def add_psd_constraint(self, terms, constant=None, label=None) -> str:
         """Require  constant + sum_i L_i(X_{v_i})  to be PSD.
@@ -465,8 +462,8 @@ class SDPProblem:
         (dout^2, d_v^2) matrix of L_i in hvec coordinates.  Adds a slack block
         S and the dout^2 rows  S - sum_i L_i(X_{v_i}) == constant, one per
         hvec coordinate of the output in entry-pair order (:func:`_pair_order`),
-        as :meth:`add_entry_equalities` adds its rows.  Returns the slack's
-        name.
+        as :meth:`add_entry_equalities` adds its rows; a variable's terms are
+        summed in order and zeros not stored.  Returns the slack's name.
         """
         if not terms and constant is None:
             raise SDPError(f"PSD constraint {label or ''} is empty")
@@ -479,13 +476,18 @@ class SDPProblem:
             raise SDPError(f"PSD constraint {label or ''} needs one output dimension, "
                            f"got hvec sizes {sorted(sizes)}")
         n, order = dout * dout, _pair_order(dout)
-        coeffs = {}
+        row_of = np.argsort(order)      # the row of each output coordinate
+        parts = {}
         for var, cm in terms:
             d = self.variable_dim(var)
             if cm.shape[1] != d * d:
                 raise SDPError(f"PSD constraint {label or ''}: matrix for '{var}' expects "
                                f"dimension {math.sqrt(cm.shape[1]):g}, variable has {d}")
-            coeffs[var] = coeffs.get(var, sp.csr_matrix((n, d * d))) - cm
+            cm = cm.tocsr()
+            if not cm.has_canonical_format:      # repeated entries: sum them as scipy does
+                cm = cm.copy()
+                cm.sum_duplicates()
+            parts.setdefault(var, []).append(cm)
         if constant is None:
             constant = np.zeros((dout, dout))
         if not np.all(np.isfinite(constant)):
@@ -494,30 +496,37 @@ class SDPProblem:
         slack = f"_psd_slack_{self._n_psd}"
         self.add_variable(slack, dout)
         self._n_psd += 1
-        coeffs = {slack: sp.identity(n, format="csr"), **coeffs}
-        self._add_rows({var: mat[order] for var, mat in coeffs.items()}, target[order], label)
+        entries = {slack: (np.arange(n), order, np.ones(n))}
+        for var, mats in parts.items():
+            # Each entry's key sorts it by row and then coordinate; -L sums
+            # the terms in order, one per pass, as they hold no repeats.
+            n_coord = self._var_dims[var] ** 2
+            keys, at = np.unique(np.concatenate(
+                [row_of[np.repeat(np.arange(n), np.diff(cm.indptr))] * n_coord + cm.indices
+                 for cm in mats]), return_inverse=True)
+            vals, lo = np.zeros(keys.size), 0
+            for cm in mats:
+                vals[at[lo:lo + cm.nnz]] -= cm.data
+                lo += cm.nnz
+            keys, vals = keys[vals != 0], vals[vals != 0]
+            entries[var] = (keys // n_coord, keys % n_coord, vals)
+        self._add_rows(entries, target[order], label)
         return slack
 
     # -- canonicalization ------------------------------------------------------
 
     def canonicalize(self) -> "CanonicalSDP":
-        """Concatenate the row blocks into one CSR matrix per variable."""
+        """Concatenate each variable's entries into one CSR matrix."""
         if not self._var_dims:
             raise SDPError("problem has no variables")
         m = self._n_rows
         sign = -1.0 if self._maximize else 1.0
-        parts_of = {name: [] for name in self._var_dims}
-        for first, block, _ in self._blocks:
-            for name, mat in block.items():
-                parts_of[name].append((first, mat.tocoo()))
-        a_blocks, c_blocks = [], []
+        a_blocks, c_blocks, none = [], [], np.zeros(0, dtype=int)
         for name, d in self._var_dims.items():
-            parts = parts_of[name]
-            none = np.zeros(0, dtype=int)
-            rows = np.concatenate([none] + [first + c.row for first, c in parts])
-            cols = np.concatenate([none] + [c.col for _, c in parts])
-            vals = np.concatenate([np.zeros(0)] + [c.data for _, c in parts])
-            a_blocks.append(sp.csr_matrix((vals, (rows, cols)), shape=(m, d * d)))
+            rows, cols, vals = map(np.concatenate,
+                                   zip((none, none, np.zeros(0)), *self._entries[name]))
+            indptr = np.searchsorted(rows, np.arange(m + 1))
+            a_blocks.append(sp.csr_matrix((vals, cols, indptr), shape=(m, d * d)))
             coeff = self._objective.get(name)
             c_blocks.append(sign * hvec(coeff) if coeff is not None else np.zeros(d * d))
 
@@ -526,7 +535,7 @@ class SDPProblem:
             block_dims=list(self._var_dims.values()),
             a_blocks=a_blocks,
             c_blocks=c_blocks,
-            b=np.concatenate([np.zeros(0)] + [t for _, _, t in self._blocks]),
+            b=np.concatenate([np.zeros(0)] + self._targets),
             maximize=self._maximize,
         )
 
@@ -663,23 +672,66 @@ def _real_rows(canon):
     return np.flatnonzero(~anti)
 
 
-def _row_order(a_blocks, dims, m):
+def _row_order(counts, dims):
     """Permutation that groups the rows by the set of blocks larger than 1x1
-    each one touches.
+    each one touches, given each block's entry count per row.
 
     Groups keep the order of their first row and rows keep their order within
     a group (a stable sort), so a problem whose rows are already grouped gets
     the identity.  An interval's row thus joins the other rows on its
     functional's blocks, and its slack-only row the group of rows on no block.
     """
-    touched = np.zeros((m, len(a_blocks)), dtype=bool)
-    for bi, (a, d) in enumerate(zip(a_blocks, dims)):
+    touched = np.zeros((counts[0].size, len(counts)), dtype=bool)
+    for bi, (count, d) in enumerate(zip(counts, dims)):
         if d > 1:
-            touched[:, bi] = np.diff(a.indptr) > 0
-    _, first, group = np.unique(touched, axis=0, return_index=True, return_inverse=True)
+            touched[:, bi] = count > 0
+    # Each row's set as one bytes item, so that np.unique sorts items.
+    sets = np.packbits(touched, axis=1)
+    sets = sets.view(np.dtype((np.void, sets.shape[1]))).ravel()
+    _, first, group = np.unique(sets, return_index=True, return_inverse=True)
     rank = np.empty(first.size, dtype=int)
     rank[np.argsort(first)] = np.arange(first.size)
     return np.argsort(rank[group.reshape(-1)], kind="stable")
+
+
+_Rows = namedtuple("_Rows", "indptr indices data")
+
+
+def _take_rows(a, rows):
+    """Rows ``rows`` of a CSR matrix, or of its arrays as :class:`_Rows`."""
+    counts = a.indptr[rows + 1] - a.indptr[rows]
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    at = np.repeat(a.indptr[rows] - indptr[:-1], counts) + np.arange(indptr[-1])
+    return _Rows(indptr, a.indices[at], a.data[at])
+
+
+def _solver_rows(canon):
+    """(real, to_caller, b, c_blocks, blocks): the rows the solver works on,
+    on real parts if conjugation invariant (:func:`_real_rows`) and grouped
+    (:func:`_row_order`), with to_caller[i] the caller's row i (None if all
+    rows are the caller's own) and each block's rows as :class:`_Rows`."""
+    dims, b = canon.block_dims, canon.b
+    blocks = [a.tocsr() for a in canon.a_blocks]
+    to_caller = _real_rows(canon)
+    real = to_caller is not None
+    rows = to_caller if real else np.arange(b.size)
+    c_blocks = [c[:d * (d + 1) // 2] if real else c for c, d in zip(canon.c_blocks, dims)]
+    order = _row_order([np.diff(a.indptr)[rows] for a in blocks], dims)
+    if not np.array_equal(order, np.arange(rows.size)):
+        rows = to_caller = rows[order]
+    return real, to_caller, b[rows], c_blocks, [_take_rows(a, rows) for a in blocks]
+
+
+def _hstack(blocks, widths):
+    """The CSR matrix of :class:`_Rows` side by side, of ``widths`` columns
+    each: a row holds its entries block by block, as ``sp.hstack`` gives."""
+    m = len(blocks[0].indptr) - 1
+    at = np.argsort(np.concatenate([np.repeat(np.arange(m), np.diff(blk.indptr))
+                                    for blk in blocks]), kind="stable")
+    cols = np.concatenate([blk.indices + c for blk, c in zip(blocks, np.cumsum([0, *widths]))])
+    data = np.concatenate([blk.data for blk in blocks])
+    return sp.csr_matrix((data[at], cols[at], sum(blk.indptr for blk in blocks)),
+                         shape=(m, sum(widths)))
 
 
 # Largest entry count of the K rows a Schur term forms per chunk of entry
@@ -696,10 +748,9 @@ _LOWER = _UPPER.T
 def _index(rows):
     """Runs of consecutive values of sorted unique Schur indices, as pairs of
     (Schur index slice, local index slice)."""
-    cuts = np.flatnonzero(np.diff(rows) != 1) + 1
-    lo, hi = np.concatenate(([0], cuts)), np.concatenate((cuts, [rows.size]))
-    return [(slice(int(rows[l]), int(rows[h - 1]) + 1), slice(int(l), int(h)))
-            for l, h in zip(lo, hi) if h > l]
+    cuts = [0, *(np.flatnonzero(rows[1:] - rows[:-1] != 1) + 1).tolist(), rows.size]
+    return [(slice(int(rows[l]), int(rows[h - 1]) + 1), slice(l, h))
+            for l, h in zip(cuts, cuts[1:]) if h > l]
 
 
 class _Packed:
@@ -765,7 +816,7 @@ def _scatter_add(packed, ops, part):
 
 def _as_slice(idx):
     """A slice for an index array of consecutive values, else the array."""
-    if idx.size and idx[-1] - idx[0] == idx.size - 1 and np.all(np.diff(idx) == 1):
+    if idx.size and idx[-1] - idx[0] == idx.size - 1 and np.all(idx[1:] - idx[:-1] == 1):
         return slice(int(idx[0]), int(idx[-1]) + 1)
     return idx
 
@@ -799,7 +850,7 @@ class _SchurTerm:
     """
 
     def __init__(self, rows, sub, d, half, real):
-        n_coord, kinds = sub.shape[1], 1 if real else 2
+        n_coord, kinds = (d * (d + 1) // 2, 1) if real else (d * d, 2)
         npair = d * (d - 1) // 2
         pair_i, pair_j = _entry_pairs(d)
         one = np.diff(sub.indptr) == 1
@@ -807,7 +858,7 @@ class _SchurTerm:
         s_rows, s_coord, s_val = rows[one], sub.indices[starts], sub.data[starts]
         self.s_val = s_val
         self.unit = bool(s_val.size and np.all(s_val == s_val[0]) and abs(s_val[0]) == 1.0)
-        multi, d_rows = sub[~one], rows[~one]
+        multi, d_rows = _take_rows(sub, np.flatnonzero(~one)), rows[~one]
 
         # Every entry pair the rows touch, the diagonal ones first and each
         # group in the order of its first row.
@@ -830,7 +881,7 @@ class _SchurTerm:
         col_at = layout(pairs)
         self.s_col = _as_slice(col_at[s_coord])
         self.d_sub = sp.csr_matrix((multi.data, col_at[multi.indices], multi.indptr),
-                                   shape=(d_rows.size, n_cols))
+                                   shape=(d_rows.size, n_cols)) if d_rows.size else None
         border = np.zeros(d + npair, dtype=bool)
         border[_pair_of(multi.indices, d)] = True
         jk = int(np.searchsorted(s_rows, half))       # first single row at or after k
@@ -840,7 +891,7 @@ class _SchurTerm:
         in_chunk = (np.cumsum(k_rows) - 1) // max(1, K_CHUNK // n_cols)
         self.chunks = []
         for chunk in np.split(pairs, np.flatnonzero(np.diff(in_chunk)) + 1):
-            at = layout(chunk)
+            at = col_at if chunk.size == pairs.size else layout(chunk)
             s_at = at[s_coord]
             held = np.flatnonzero(s_at >= 0)
             # The chunk's columns: the pairs of the single rows the packed
@@ -850,14 +901,14 @@ class _SchurTerm:
                 c0, c1 = (held[0], s_rows.size) if held[0] < jk else (jk, held[-1] + 1)
                 need[_pair_of(s_coord[c0:c1], d)] = True
             cols = pairs[need[pairs]]
-            c_at = layout(cols)
+            c_at = col_at if cols.size == pairs.size else layout(cols)
             s_col = c_at[s_coord]
             pieces = []
-            cuts = np.flatnonzero((np.diff(held) != 1) | (held[1:] == jk)) + 1
-            for run in np.split(held, cuts):
-                if not run.size:
+            cuts = np.flatnonzero((held[1:] - held[:-1] != 1) | (held[1:] == jk)) + 1
+            for r0, r1 in zip([0, *cuts.tolist()], [*cuts.tolist(), held.size]):
+                if r1 == r0:
                     continue
-                i0, i1 = int(run[0]), int(run[-1]) + 1
+                i0, i1 = int(held[r0]), int(held[r1 - 1]) + 1
                 width = s_rows.size - i0 if i0 < jk else i1 - jk
                 step = max(1, K_CHUNK // width)
                 for lo in range(i0, i1, step):
@@ -881,7 +932,7 @@ class _SchurTerm:
     def add(self, packed, ws):
         """Add the part for the stack ``ws`` of the blocks' scalings W."""
         d_sub = self.d_sub
-        z = np.empty((d_sub.shape[0], self.n_cols)) if d_sub.shape[0] else None
+        z = None if d_sub is None else np.empty((d_sub.shape[0], self.n_cols))
         # W Hermitian to the last bit makes K exactly symmetric, so no entry
         # of S depends on which of its two rows' chunks forms it.
         ws = (ws + _ct(ws)) / 2.0
@@ -912,26 +963,26 @@ class _SchurTerm:
             _scatter_add(packed, sd_plan, ds.T)
 
 
-def _schur_terms(a_blocks, dims, where, real=False):
+def _schur_terms(blocks, dims, where, real=False):
     """Loop-invariant Schur assembly plan: (g, js, term) for stack g, its
     entries js and the :class:`_SchurTerm` adding their part, over real
-    stacks if ``real``.  Blocks whose rows are equal up to one sign share one
-    stack and one term, keyed by (d, rows, columns, coefficients with the
-    sign of the first one).
+    stacks if ``real``, from each block's rows as :class:`_Rows`.  Blocks
+    whose rows are equal up to one sign share one stack and one term, keyed
+    by (d, rows, columns, coefficients with the sign of the first one).
     """
     terms, shared = [], {}
-    half = (a_blocks[0].shape[0] + 1) // 2 if a_blocks else 0
-    for bi, (a, d) in enumerate(zip(a_blocks, dims)):
-        if not a.nnz:
+    half = len(blocks[0].indptr) // 2 if blocks else 0
+    for bi, (a, d) in enumerate(zip(blocks, dims)):
+        if not a.indptr[-1]:
             continue
         rows = np.flatnonzero(np.diff(a.indptr))
-        sub = a[rows]
         g, j = where[bi]
-        key = (d, rows.tobytes(), sub.indices.tobytes(),
-               (sub.data * np.sign(sub.data[0])).tobytes())
+        key = (d, rows.tobytes(), a.indices.tobytes(),
+               (a.data * np.sign(a.data[0])).tobytes())
         if key in shared:
             shared[key][1].append(j)
             continue
+        sub = _Rows(np.append(a.indptr[rows], a.indptr[-1]), a.indices, a.data)
         shared[key] = (g, [j], _SchurTerm(rows, sub, d, half, real))
         terms.append(shared[key])
     return terms
@@ -975,27 +1026,11 @@ def solve(problem, config: SDPConfig | None = None) -> SDPSolution:
     canon = problem.canonicalize() if isinstance(problem, SDPProblem) else problem
 
     dims = canon.block_dims
-    b, c_blocks = canon.b, canon.c_blocks
-    a_blocks = [a.tocsr() for a in canon.a_blocks]
-    # A conjugation-invariant problem keeps its rows and coordinates on real
-    # parts, and its stacks are real; to_caller[i] is the caller's row i.
-    to_caller = _real_rows(canon)
-    real = to_caller is not None
-    if real:
-        a_blocks = [a[to_caller][:, :d * (d + 1) // 2] for a, d in zip(a_blocks, dims)]
-        c_blocks = [c[:d * (d + 1) // 2] for c, d in zip(c_blocks, dims)]
-        b = b[to_caller]
+    # The rows grouped by the blocks they touch, on real parts for a
+    # conjugation-invariant problem; y is mapped back to the caller's rows.
+    real, to_caller, b, c_blocks, blocks = _solver_rows(canon)
     m = b.shape[0]
     vec, unvec, dtype = (_svec, _smat, float) if real else (hvec, hmat, complex)
-    # The solver works on the rows grouped by the blocks they touch, so that
-    # each block's rows form few runs; y is mapped back to the caller's order.
-    order = _row_order(a_blocks, dims, m)
-    if np.array_equal(order, np.arange(m)):
-        order = None
-    else:
-        a_blocks = [a[order] for a in a_blocks]
-        b = b[order]
-        to_caller = order if to_caller is None else to_caller[order]
 
     # Blocks of equal dimension form one (n_b, d, d) stack, in order of first
     # appearance; block bi is entry j of stack g for (g, j) = where[bi].  A is
@@ -1005,12 +1040,14 @@ def solve(problem, config: SDPConfig | None = None) -> SDPSolution:
         groups.setdefault(d, []).append(bi)
     groups = list(groups.items())
     where = {bi: (g, j) for g, (_, idx) in enumerate(groups) for j, bi in enumerate(idx)}
-    a_all = sp.hstack([a_blocks[bi] for _, idx in groups for bi in idx], format="csr")
+    width = {d: d * (d + 1) // 2 if real else d * d for d, _ in groups}
+    a_all = _hstack([blocks[bi] for _, idx in groups for bi in idx],
+                    [width[d] for d, idx in groups for _ in idx])
     a_all_t = a_all.T
-    cuts = np.cumsum([len(idx) * a_blocks[idx[0]].shape[1] for _, idx in groups])[:-1]
+    cuts = np.cumsum([len(idx) * width[d] for d, idx in groups])[:-1]
     c_mats = [unvec(np.stack([c_blocks[bi] for bi in idx]), d) for d, idx in groups]
 
-    terms = _schur_terms(a_blocks, dims, where, real)
+    terms = _schur_terms(blocks, dims, where, real)
 
     def a_apply(xs):
         return a_all @ np.concatenate([vec(x).ravel() for x in xs])

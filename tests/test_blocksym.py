@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdbench.blocksym import (BipartiteBlockMatrix, from_standard_form,
                               gram_of, negativity, negativity_stform, partial_transpose,
@@ -282,6 +284,40 @@ class TestPTRearrange:
         lhs = sum(trace_norm(pt[k]) for k in range(3))
         rhs = brute_trace_norm_pt(tau.full_matrix(), 3, 4)
         assert abs(lhs - rhs) <= 1e-9
+
+
+# A random phase-symmetric grid (a twirled random grid, PSD or only
+# Hermitian) at M <= 4, D <= 5, drawn from a seed.
+_PHASE_SYMMETRIC = st.builds(
+    lambda m, d, psd, seed: random_symmetric_fixture(np.random.default_rng(seed), m, d, psd=psd),
+    st.integers(1, 4), st.integers(1, 5), st.booleans(), st.integers(0, 2**32 - 1))
+
+
+class TestStandardFormProperties:
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(_PHASE_SYMMETRIC)
+    def test_round_trip(self, tau):
+        back = from_standard_form(to_standard_form(tau))
+        scale = float(np.max(np.abs(tau.blocks)))
+        assert np.max(np.abs(back.blocks - tau.blocks)) <= 1e-12 * scale
+        assert symmetry_check(back) <= 1e-12 * scale
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(_PHASE_SYMMETRIC)
+    def test_blocks_sum_to_the_first_diagonal_block(self, tau):
+        e = to_standard_form(tau)
+        scale = float(np.max(np.abs(tau.blocks)))
+        assert e.shape == (tau.m, tau.dim, tau.dim)
+        assert np.max(np.abs(e.sum(axis=0) - tau.blocks[0, 0])) <= 1e-12 * scale
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(_PHASE_SYMMETRIC)
+    def test_rearranged_blocks_carry_the_partial_transpose_trace_norm(self, tau):
+        """sum_k ||pt_rearrange(E)_k||_1 = ||tau^Gamma||_1, the latter from
+        the dense partial transpose."""
+        lhs = sum(trace_norm(block) for block in pt_rearrange(to_standard_form(tau)))
+        rhs = brute_trace_norm_pt(tau.full_matrix(), tau.m, tau.dim)
+        assert abs(lhs - rhs) <= 1e-10 * max(1.0, rhs)
 
 
 class TestTraceWeights:

@@ -218,15 +218,21 @@ _PROBLEM_DIMS = {"A": 4, "B": 4, "C": 3, "D": 6}
 _CONSTRAINT_KINDS = ("equality", "interval", "entries", "psd")
 
 
-def _add_random_constraint(prob, kind, xs, rng):
+def _add_random_constraint(prob, kind, xs, rng, real=False):
     """Add one random constraint of the given kind to ``prob``; return its
     rows' functionals evaluated directly on the dense Hermitian ``xs`` (a PSD
     constraint's slack gets a random value in ``xs``, an interval's two 1x1
-    slacks none), and its targets."""
+    slacks none), and its targets.  With ``real``, every coefficient, target
+    and constant is real symmetric, so the rows are invariant under complex
+    conjugation."""
+    def hermitian(d):
+        a = _random_hermitian(rng, 1, d)[0]
+        return a.real if real else a
+
     names = list(_PROBLEM_DIMS)
     if kind in ("equality", "interval"):
         used = rng.choice(names, size=int(rng.integers(1, len(names) + 1)), replace=False)
-        coeffs = {v: _random_hermitian(rng, 1, _PROBLEM_DIMS[v])[0] for v in used}
+        coeffs = {v: hermitian(_PROBLEM_DIMS[v]) for v in used}
         target = float(rng.standard_normal())
         value = sum(np.trace(c @ xs[v]).real for v, c in coeffs.items())
         if kind == "equality":
@@ -239,7 +245,7 @@ def _add_random_constraint(prob, kind, xs, rng):
         room = min(_PROBLEM_DIMS[v] for v in used)
         t = int(rng.integers(1, room + 1))
         offset = int(rng.integers(0, room - t + 1))
-        target = _random_hermitian(rng, 1, t)[0]
+        target = hermitian(t)
         prob.add_entry_equalities(list(used), target, offset=offset)
         z = sum(xs[v][offset:offset + t, offset:offset + t] for v in used)
         iu, ju = np.triu_indices(t, 1)
@@ -270,7 +276,7 @@ def _add_random_constraint(prob, kind, xs, rng):
             m, d = swaps[int(rng.integers(len(swaps)))]
             terms.append((var, block_swap_matrix(m, d)))
             value += dense_partial_transpose(x, m, d)
-    constant = _random_hermitian(rng, 1, dout)[0]
+    constant = hermitian(dout)
     slack = prob.add_psd_constraint(terms, constant=constant)
     xs[slack] = _random_hermitian(rng, 1, dout)[0]
     in_pairs = _kernel_coords(np.arange(dout * (dout + 1) // 2), dout)
@@ -321,8 +327,9 @@ class TestConstraintRows:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_canonical_blocks_match_a_per_variable_scan(self, seed):
-        """The one-pass gather gives every variable the CSR matrix, to the bit,
-        that scanning all row blocks for that variable gives."""
+        """The gather by index arithmetic gives every variable the CSR matrix,
+        to the bit and in index dtype, that scipy's COO-to-CSR conversion of
+        the entries stored for that variable gives."""
         rng = np.random.default_rng(seed)
         prob = SDPProblem()
         for name, d in _PROBLEM_DIMS.items():
@@ -333,16 +340,15 @@ class TestConstraintRows:
         canon = prob.canonicalize()
         m = canon.b.size
         for name, d, got in zip(canon.block_names, canon.block_dims, canon.a_blocks):
-            parts = [(first, block[name].tocoo()) for first, block, _ in prob._blocks
-                     if name in block]
-            rows = np.concatenate([np.zeros(0, dtype=int)] + [f + c.row for f, c in parts])
-            cols = np.concatenate([np.zeros(0, dtype=int)] + [c.col for _, c in parts])
-            vals = np.concatenate([np.zeros(0)] + [c.data for _, c in parts])
+            parts = prob._entries[name]
+            rows = np.concatenate([np.zeros(0, dtype=int)] + [r for r, _, _ in parts])
+            cols = np.concatenate([np.zeros(0, dtype=int)] + [c for _, c, _ in parts])
+            vals = np.concatenate([np.zeros(0)] + [v for _, _, v in parts])
             want = sp.csr_matrix((vals, (rows, cols)), shape=(m, d * d))
             for field in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(got, field), getattr(want, field)), (name, field)
                 assert getattr(got, field).dtype == getattr(want, field).dtype
-        assert np.array_equal(canon.b, np.concatenate([t for _, _, t in prob._blocks]))
+        assert np.array_equal(canon.b, np.concatenate(prob._targets))
         assert len(canon.block_names) == len(_PROBLEM_DIMS) + 2 * 3 + 3  # interval, PSD slacks
 
     def test_entry_pin_running_past_its_variable_is_rejected(self):
@@ -597,7 +603,8 @@ def _in_solver_order(canon, y):
     zeros to the caller's row count: a y that was never mapped back."""
     kept = _real_rows(canon)
     rows = np.arange(canon.b.size) if kept is None else kept
-    order = _row_order([a.tocsr()[rows] for a in canon.a_blocks], canon.block_dims, rows.size)
+    order = _row_order([np.diff(a.tocsr().indptr)[rows] for a in canon.a_blocks],
+                       canon.block_dims)
     assert not np.array_equal(order, np.arange(rows.size))
     return np.concatenate([y[rows[order]], np.zeros(canon.b.size - rows.size)])
 
@@ -663,7 +670,7 @@ class TestRowGrouping:
         among the rows on the E blocks, and its row s_lo + s_hi == hi - lo."""
         m = 3
         canon = _symmetric_problem(monkeypatch, scenario_kind, m=m).canonicalize()
-        order = _row_order(canon.a_blocks, canon.block_dims, canon.b.size)
+        order = _row_order([np.diff(a.indptr) for a in canon.a_blocks], canon.block_dims)
         assert not np.array_equal(order, np.arange(canon.b.size))
         assert np.array_equal(np.sort(order), np.arange(canon.b.size))
         n_slack = 0
@@ -687,7 +694,8 @@ class TestRowGrouping:
             on_slacks_only = np.all([np.diff(a.tocsr().indptr) == 0 for a, d in
                                      zip(canon.a_blocks, canon.block_dims) if d > 1], axis=0)
             assert np.count_nonzero(on_slacks_only) == n_moved
-            assert np.array_equal(_row_order(canon.a_blocks, canon.block_dims, canon.b.size),
+            assert np.array_equal(_row_order([np.diff(a.indptr) for a in canon.a_blocks],
+                                             canon.block_dims),
                                   np.concatenate([np.flatnonzero(~on_slacks_only),
                                                   np.flatnonzero(on_slacks_only)]))
 
@@ -708,6 +716,158 @@ class TestRowGrouping:
     def test_solution_is_in_the_callers_row_order(self, monkeypatch, rng):
         canon = _symmetric_problem(monkeypatch, "quadratures_errors", m=2, cutoff=3).canonicalize()
         _check_y_order(canon, rng.permutation(canon.b.size))
+
+
+def _reference_solver_form(canon):
+    """The solver's rows by the per-block scipy formulas the index arithmetic
+    replaced: (to_caller, b, blocks, A, terms), each block a CSR matrix in the
+    solver's row order and each term (d, rows, the block's CSR matrix at its
+    rows with entries) for the first of the blocks sharing it."""
+    dims, b = canon.block_dims, canon.b
+    blocks = [a.tocsr() for a in canon.a_blocks]
+    kept = _real_rows(canon)
+    if kept is not None:
+        blocks = [a[kept][:, :d * (d + 1) // 2] for a, d in zip(blocks, dims)]
+        b = b[kept]
+    touched = np.zeros((b.size, len(dims)), dtype=bool)
+    for bi, (a, d) in enumerate(zip(blocks, dims)):
+        if d > 1:
+            touched[:, bi] = np.diff(a.indptr) > 0
+    _, first, group = np.unique(touched, axis=0, return_index=True, return_inverse=True)
+    rank = np.empty(first.size, dtype=int)
+    rank[np.argsort(first)] = np.arange(first.size)
+    order = np.argsort(rank[group.reshape(-1)], kind="stable")
+    to_caller = kept
+    if not np.array_equal(order, np.arange(b.size)):
+        blocks, b = [a[order] for a in blocks], b[order]
+        to_caller = order if kept is None else kept[order]
+    a_all = sp.hstack([blocks[bi] for bi in _stack_order(dims)], format="csr")
+    terms, keys = [], set()
+    for a, d in zip(blocks, dims):
+        if a.nnz:
+            rows = np.flatnonzero(np.diff(a.indptr))
+            sub = a[rows]
+            key = (d, rows.tobytes(), sub.indices.tobytes(),
+                   (sub.data * np.sign(sub.data[0])).tobytes())
+            if key not in keys:
+                keys.add(key)
+                terms.append((d, rows, sub))
+    return to_caller, b, blocks, a_all, terms
+
+
+def _stack_order(dims):
+    """The blocks in the order of the solver's stacks: by dimension, in order
+    of first appearance."""
+    return [bi for d in dict.fromkeys(dims) for bi, db in enumerate(dims) if db == d]
+
+
+def _same_csr(got, want):
+    """Equal CSR arrays, entry by entry in storage order."""
+    return all(np.array_equal(getattr(got, f), getattr(want, f))
+               for f in ("indptr", "indices", "data"))
+
+
+def _shuffled_coo(dense, rng):
+    """COO holding every entry of a dense matrix in random order, zeros
+    included, with some nonzero entries split into two equal halves."""
+    rows, cols = np.indices(dense.shape).reshape(2, -1)
+    vals = dense.ravel()
+    split = np.flatnonzero(vals)[::3]
+    rows, cols = np.concatenate([rows, rows[split]]), np.concatenate([cols, cols[split]])
+    vals = np.concatenate([vals, vals[split] / 2.0])
+    vals[split] /= 2.0
+    perm = rng.permutation(vals.size)
+    return sp.coo_matrix((vals[perm], (rows[perm], cols[perm])), shape=dense.shape)
+
+
+def _raw_csr(dense, rng):
+    """CSR with the entries of :func:`_shuffled_coo` as they fall in each row:
+    zeros stored, columns out of order and some repeated."""
+    coo = _shuffled_coo(dense, rng)
+    at = np.argsort(coo.row, kind="stable")
+    indptr = np.searchsorted(coo.row[at], np.arange(dense.shape[0] + 1))
+    return sp.csr_matrix((coo.data[at], coo.col[at], indptr), shape=dense.shape)
+
+
+class TestSolverRows:
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(st.lists(st.sampled_from(_CONSTRAINT_KINDS), min_size=1, max_size=8), st.booleans(),
+           st.integers(0, 2**32 - 1))
+    def test_matches_the_per_block_scipy_reference(self, kinds, real, seed):
+        """The solver's rows, b, row order, to_caller, A and the rows, indices
+        and data each Schur term reads equal, to the bit, what the per-block
+        scipy row indexing, column slicing and hstack give, for problems
+        with intervals (1x1 slacks) and, with ``real`` (or by chance, as for
+        a lone 1x1 pin), conjugation-invariant ones that take the real
+        reduction."""
+        rng = np.random.default_rng(seed)
+        prob = SDPProblem()
+        for name, d in _PROBLEM_DIMS.items():
+            prob.add_variable(name, d)
+        xs = {name: _random_hermitian(rng, 1, d)[0] for name, d in _PROBLEM_DIMS.items()}
+        for kind in kinds:
+            _add_random_constraint(prob, kind, xs, rng, real=real)
+        canon = prob.canonicalize()
+        dims = canon.block_dims
+        to_caller, b, blocks, a_all, terms = _reference_solver_form(canon)
+        is_real, got_to_caller, got_b, _, got_blocks = sdp._solver_rows(canon)
+        assert is_real == (_real_rows(canon) is not None) and is_real >= real
+        assert (got_to_caller is None) == (to_caller is None)
+        assert to_caller is None or np.array_equal(got_to_caller, to_caller)
+        assert np.array_equal(got_b, b)
+        assert all(_same_csr(got, want) for got, want in zip(got_blocks, blocks))
+        stacked = _stack_order(dims)
+        widths = [d * (d + 1) // 2 if is_real else d * d for d in dims]
+        got_a = sdp._hstack([got_blocks[bi] for bi in stacked], [widths[bi] for bi in stacked])
+        assert got_a.shape == a_all.shape and _same_csr(got_a, a_all)
+
+        built, real_term = [], sdp._SchurTerm
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sdp, "_SchurTerm", lambda *args: built.append(args) or real_term(*args))
+            where = {bi: (0, j) for j, bi in enumerate(stacked)}
+            sdp._schur_terms(got_blocks, dims, where, is_real)
+        assert len(built) == len(terms)
+        for (rows, got_sub, d, *_), (want_d, want_rows, sub) in zip(built, terms):
+            assert d == want_d and np.array_equal(rows, want_rows) and _same_csr(got_sub, sub)
+
+    def test_psd_term_format_builds_the_same_rows(self, rng):
+        """A PSD term given as CSR with explicit stored zeros (its columns out
+        of order and some entries split into two repeats), as a shuffled COO
+        with the same entries, or as CSC builds the rows a plain CSR builds,
+        and all four solve bit-identically: _schur_terms keys stream sharing
+        on the exact sparsity.  A second term on the same variable cancels on
+        some coordinates, which then store nothing."""
+        m, d = 2, 3
+        n = m * d
+        swap = block_swap_matrix(m, d).toarray()
+        mask = np.triu(rng.integers(0, 2, (n, n))).astype(float)
+        mask = mask_matrix(mask + np.triu(mask, 1).T).toarray()
+        psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        tau = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
+
+        def solved(form):
+            p = SDPProblem()
+            p.add_variable("tau", n)
+            p.add_variable("tau_minus", n)
+            p.set_objective({"tau_minus": np.eye(n)})
+            p.add_entry_equalities(["tau"], tau)
+            p.add_psd_constraint([("tau", form(swap + mask)), ("tau_minus", form(np.eye(n * n))),
+                                  ("tau", form(-mask))], label="pt")
+            canon = p.canonicalize()
+            return canon, solve(canon)
+
+        forms = [sp.csr_matrix, lambda a: _raw_csr(a, rng), lambda a: _shuffled_coo(a, rng),
+                 sp.csc_matrix]
+        (canon, first), *rest = [solved(form) for form in forms]
+        assert first.status is SDPStatus.OPTIMAL
+        assert first.objective == pytest.approx(brute_negativity(tau, m, d), abs=1e-6)
+        for other_canon, sol in rest:
+            assert all(_same_csr(a, b) for a, b in zip(other_canon.a_blocks, canon.a_blocks))
+            assert np.array_equal(sol.y, first.y) and sol.history == first.history
+            for name, x in first.variables.items():
+                assert np.array_equal(sol.variables[name], x)
+        stored = canon.a_blocks[0]
+        assert stored.nnz == np.count_nonzero(stored.data) == np.count_nonzero(swap) + n * n
 
 
 def _schur_sizes(monkeypatch):
@@ -1119,7 +1279,7 @@ class TestKPathAssembly:
         a_blocks, dims, where, real = captured.value.args
         terms = _schur_terms(a_blocks, dims, where, real)
         assert not real and dims[:3] == [n, n, n]
-        big = [term for _, _, term in terms if term.d_sub.shape[1] > 1]
+        big = [term for _, _, term in terms if term.n_cols > 1]
         assert len(big) == 2 and all(len(term.chunks) >= 3 for term in big)
         # The partial-transpose rows (those on tau_minus) on one pair of tau.
         tau, pt = a_blocks[0], np.flatnonzero(np.diff(a_blocks[1].indptr))
@@ -1132,8 +1292,10 @@ class TestKPathAssembly:
         for g in range(len(stacks)):
             blocks = [bi for bi, (gb, _) in where.items() if gb == g]
             stacks[g] = _random_pd(rng, len(blocks), dims[blocks[0]])
-        ref = sum(a.toarray() @ _basis_k(stacks[g][j][None]) @ a.toarray().T
-                  for a, (g, j) in zip(a_blocks, (where[bi] for bi in range(len(a_blocks)))))
+        dense = [sp.csr_matrix((a.data, a.indices, a.indptr), shape=(len(a.indptr) - 1, d * d))
+                 .toarray() for a, d in zip(a_blocks, dims)]
+        ref = sum(a @ _basis_k(stacks[g][j][None]) @ a.T
+                  for a, (g, j) in zip(dense, (where[bi] for bi in range(len(a_blocks)))))
         got = _assemble(terms, stacks, ref.shape[0])
         assert np.max(np.abs(got - np.tril(ref))) <= 1e-13 * np.max(np.abs(ref))
 

@@ -448,7 +448,8 @@ class SDPProblem:
             if offset < 0 or offset + t > d:
                 raise SDPError(f"entrywise pin {label or ''} of size {t} at offset {offset} "
                                f"runs past variable '{var}' of dimension {d}")
-            p = _hvec_meta(d)[3][offset + iu, offset + ju]
+            *_, pair_index = _hvec_meta(d)
+            p = pair_index[offset + iu, offset + ju]
             cols = np.concatenate([offset + dg, d + p, d + d * (d - 1) // 2 + p])
             entries[var] = (rows, cols[order], vals)
         targets = np.concatenate([target.diagonal().real, target[iu, ju].real,

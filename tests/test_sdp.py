@@ -719,10 +719,11 @@ class TestRowGrouping:
 
 
 def _reference_solver_form(canon):
-    """The solver's rows by the per-block scipy formulas the index arithmetic
-    replaced: (to_caller, b, blocks, A, terms), each block a CSR matrix in the
-    solver's row order and each term (d, rows, the block's CSR matrix at its
-    rows with entries) for the first of the blocks sharing it."""
+    """The solver's rows by per-block scipy row indexing, column slicing and
+    hstack, independent of the solver's index arithmetic: (to_caller, b,
+    blocks, A, terms), each block a CSR matrix in the solver's row order and
+    each term (d, rows, the block's CSR matrix at its rows with entries) for
+    the first of the blocks sharing it."""
     dims, b = canon.block_dims, canon.b
     blocks = [a.tocsr() for a in canon.a_blocks]
     kept = _real_rows(canon)

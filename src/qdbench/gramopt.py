@@ -11,9 +11,7 @@ traces are the overlaps: Tr(block_kl) = Z_lk.
     h = sum_{k>l} (Re Z_kl + Im Z_kl)
 
 over all positive semidefinite rho_in compatible with the test states.  This
-is a practical, SDP-representable stand-in for the Gram purity; an optional
-quadratic refinement (iterated linearization of the purity itself) is
-available behind ``refine_purity``.
+is a practical, SDP-representable stand-in for the Gram purity.
 
 ``cptp_reachable`` tests the partial order on Gram matrices induced by
 channels: states with Gram G can be mapped by some channel onto states with
@@ -46,8 +44,6 @@ __all__ = [
 
 GRAM_PSD_TOL = 1e-9
 GRAM_DIAG_TOL = 1e-10
-# Most rounds of purity refinement in optimize_gram(refine_purity=True).
-MAX_REFINE_ITERS = 8
 
 
 class GramMatrix:
@@ -250,7 +246,7 @@ def _solve_symmetric(states, weights, config) -> tuple:
     return z, blocks, sol.objective, sol
 
 
-def optimize_gram(test_states, symmetric: bool = False, *, refine_purity: bool = False,
+def optimize_gram(test_states, symmetric: bool = False, *,
                   solver_config: SDPConfig | None = None) -> GramOptResult:
     """Choose purification overlaps for the given test states.
 
@@ -259,11 +255,6 @@ def optimize_gram(test_states, symmetric: bool = False, *, refine_purity: bool =
     set (valid only for rotation-generated ensembles, verified to 1e-8), the
     variable is parameterized in the standard form, cutting the free
     parameters from O(M^2) blocks to M blocks.
-
-    ``refine_purity`` runs up to ``MAX_REFINE_ITERS`` rounds of iterated
-    linearization of the Gram purity on top of the h optimum: each round
-    maximizes sum_{k>l} Re(conj(Z_kl) Z'_kl) at the current Z and cannot
-    decrease the purity.
     """
     m = len(test_states)
     if m < 2:
@@ -284,19 +275,7 @@ def optimize_gram(test_states, symmetric: bool = False, *, refine_purity: bool =
         "solver_iterations": sol.iterations,
         "primal_residual": sol.primal_residual,
         "dual_residual": sol.dual_residual,
-        "refine_rounds": 0,
     }
-
-    if refine_purity:
-        best_purity = float(np.sum(np.abs(z) ** 2)) / m**2
-        for round_idx in range(MAX_REFINE_ITERS):
-            z_new, blocks_new, _, _ = solve(test_states, np.conj(z), config)
-            new_purity = float(np.sum(np.abs(z_new) ** 2)) / m**2
-            diagnostics["refine_rounds"] = round_idx + 1
-            if new_purity <= best_purity + 1e-10:
-                break
-            z, blocks = z_new, blocks_new
-            best_purity = new_purity
 
     # Clean tiny numerical diagonal drift before validation.
     z = z.copy()

@@ -198,6 +198,23 @@ class TestBenchmarkSymmetric:
         assert res.verdict == "Inconclusive"
         assert not res.certified
 
+    @pytest.mark.parametrize("tol", [
+        0.3,
+        pytest.param(0.5, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 1")),
+    ])
+    def test_loose_solver_tolerance_never_certifies(self, tol):
+        # The verdict margin cfg.tol + 1e-6 grows with the tolerance, yet at
+        # tol 0.5 this entanglement-breaking output stops "Optimal" after 3
+        # iterations with a primal bound of 0.638 and certifies (at tol 0.3 it
+        # stops at 0.065).  Only a certified dual bound can close this.
+        cutoff = 9
+        d = cutoff + 1
+        seed = noisy_coherent(complex(0.00707, -0.67175), 0.219, d, deficit_tol=1e-6)
+        gram = optimize_gram(rotation_ensemble(seed, 2), symmetric=True).gram
+        res = benchmark_symmetric(gram, Tomography(heterodyne_mp_channel(d)(seed)), 2,
+                                  cutoff=cutoff, solver_config=SDPConfig(tol=tol))
+        assert not res.certified
+
     def test_information_ordering(self):
         m, cutoff = 3, 9
         d = cutoff + 1

@@ -189,8 +189,7 @@ class TestOptimizeGram:
         # cross-validation asserts the relations that hold exactly:
         #   (a) the general optimum dominates the symmetric one,
         #   (b) twirling the general argmax lands in the symmetric sector where
-        #       the symmetric solve is optimal,
-        #   (c) with the purity refinement both paths reach the same purity.
+        #       the symmetric solve is optimal.
         for m in (2, 3, 4):
             states = noisy_ring(m, dim=10)
             res_sym = optimize_gram(states, symmetric=True)
@@ -201,26 +200,18 @@ class TestOptimizeGram:
             h_tw = float(sum(z_tw[k, l].real + z_tw[k, l].imag
                              for k in range(m) for l in range(k)))
             assert h_tw <= res_sym.h_value + 1e-5
-            ref_sym = optimize_gram(states, symmetric=True, refine_purity=True)
-            ref_gen = optimize_gram(states, refine_purity=True)
-            assert ref_sym.purity == pytest.approx(ref_gen.purity, abs=1e-5)
 
     def test_purity_never_exceeds_upper_bound(self):
         for m in (2, 3, 5):
             res = optimize_gram(noisy_ring(m), symmetric=True)
             assert res.purity <= res.purity_upper_bound + 1e-6
 
-    def test_refinement_does_not_hurt(self):
-        states = noisy_ring(3)
-        base = optimize_gram(states, symmetric=True)
-        refined = optimize_gram(states, symmetric=True, refine_purity=True)
-        assert refined.purity >= base.purity - 1e-10
-
     def test_feasible_set_convexity(self):
         # convex combinations of two feasible inputs stay feasible and mix the Gram
         states = noisy_ring(3)
         res_a = optimize_gram(states, symmetric=True)
-        res_b = optimize_gram(states, symmetric=True, refine_purity=True)
+        res_b = optimize_gram(states)
+        assert np.max(np.abs(res_a.gram.z - res_b.gram.z)) > 0.1  # two distinct inputs
         lam = 0.37
         blocks = lam * res_a.rho_in.blocks + (1 - lam) * res_b.rho_in.blocks
         from qdbench.blocksym import BipartiteBlockMatrix

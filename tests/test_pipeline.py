@@ -203,6 +203,7 @@ class TestCLI:
         ["sweep"],
         ["bench", "--gram", "g.json", "--scenario", "s.json", "--cutoff", "x"],
         [],
+        ["gram", "--seed-file", "s.json", "--refine"],
     ])
     def test_usage_error_exit_code(self, argv, capsys):
         # 2 means "ran, nothing certified"; a usage error is an error

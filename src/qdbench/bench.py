@@ -15,16 +15,16 @@ the observations: the device is in the quantum domain.
 form (M blocks of size (N+1) instead of an M(N+1)-dimensional matrix), valid
 for rotation-generated ensembles with circulant Gram matrices;
 ``benchmark_general`` keeps the full bipartite variable and accepts one
-measurement scenario per test state.  Each keeps its own variables,
-partial-transpose constraint and Gram rows; the standard form's index maps
-(the partial-transpose rearrangement and the circulant trace weights) come
+measurement scenario per test state.  Each keeps its own variables and
+partial-transpose constraint; their index maps (the partial-transpose
+rearrangement, the circulant trace weights, the sub-block functional) come
 from ``blocksym``.  Both encode the measurement data with one scenario
 encoder, ``_add_scenario_rows``, driven by two closures (the coefficients of
 <op, block> and an entrywise pin of the block; exact moments are intervals of
-zero width), and build their verdict with one constructor, ``_result``.  Only
-the standard form asks the encoder for conjugation-invariant rows: the
-general form's Gram rows have imaginary parts, so dropping its <p> row would
-relax the problem.
+zero width), the Gram overlaps with one encoder, ``_add_gram_rows``, and
+build their verdict with one constructor, ``_result``.  Only the standard
+form asks for conjugation-invariant scenario rows: the general form's Gram
+rows have imaginary parts, so dropping its <p> row would relax the problem.
 """
 
 from __future__ import annotations
@@ -36,8 +36,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .blocksym import (BipartiteBlockMatrix, negativity, negativity_stform,
-                       pt_sources, symmetry_check, to_standard_form, trace_weights)
+from .blocksym import (BipartiteBlockMatrix, block_functional, negativity,
+                       negativity_stform, pt_sources, symmetry_check, to_standard_form,
+                       trace_weights)
 from .fock import DensityMatrix, fit_dim, moment_operators, real_frame
 from .gramopt import GramMatrix
 from .sdp import (SDPConfig, SDPProblem, SDPStatus, block_swap_matrix, mask_matrix)
@@ -268,22 +269,18 @@ def _result(sol, cfg: SDPConfig, m: int, cutoff: int, tag: str, state) -> Benchm
     )
 
 
-def _gram_rows_symmetric(prob: SDPProblem, e_names, gram: GramMatrix, d: int,
-                         skip_trace_row: bool) -> None:
-    """Block-trace consistency in the standard form: sum_{k,j} W[t, k, j]
-    [E_k]_{jj} = Z_{0,t} at every circulant distance t, with W the
-    :func:`blocksym.trace_weights`.  Distances t and M - t are conjugate
-    duplicates, and the row is real by construction where 2t = 0 mod M."""
-    m = len(e_names)
-    weights = trace_weights(m, d)
-    for t in range(0, m // 2 + 1):
-        if t == 0 and skip_trace_row:
+def _add_gram_rows(prob: SDPProblem, traces, gram: GramMatrix, scenarios) -> None:
+    """Block-trace consistency: for each ((k, l), C, is_complex) of ``traces``,
+    with Z_kl = sum_v Tr(C_v X_v), the row <(C + C^dagger)/2, X> = Re Z_kl
+    and, where ``is_complex``, the row <(C - C^dagger)/2i, X> = Im Z_kl.
+    Z_kk is skipped where scenario k is tomography, whose rows pin its trace."""
+    for (k, l), coeffs, is_complex in traces:
+        if k == l and isinstance(scenarios[k], Tomography):
             continue
-        for part in (np.real, np.imag):
-            if part is np.imag and 2 * t % m == 0:
-                break
-            prob.add_equality({e_names[k]: np.diag(part(weights[t, k])).astype(complex)
-                               for k in range(m)}, float(part(gram.z[0, t])))
+        z = complex(gram.z[k, l])
+        prob.add_equality({v: (c + c.conj().T) / 2 for v, c in coeffs.items()}, z.real)
+        if is_complex:
+            prob.add_equality({v: (c - c.conj().T) / 2j for v, c in coeffs.items()}, z.imag)
 
 
 def benchmark_symmetric(gram: GramMatrix, seed_scenario, m: int, cutoff: int = 15,
@@ -342,8 +339,13 @@ def benchmark_symmetric(gram: GramMatrix, seed_scenario, m: int, cutoff: int = 1
 
     phase = _add_scenario_rows(prob, seed_scenario, d,
                                lambda op: {name: op for name in e_names}, pin, real=True)
-    _gram_rows_symmetric(prob, e_names, gram, d,
-                         skip_trace_row=isinstance(seed_scenario, Tomography))
+    # Z_{0,t} at every circulant distance t from the trace weights W; t and
+    # M - t are conjugate duplicates, and Z_{0,t} is real where 2t = 0 mod M
+    # (an index rule: W keeps imaginary parts of order 1e-15 there).
+    weights = trace_weights(m, d)
+    _add_gram_rows(prob, [((0, t), {e_names[k]: np.diag(weights[t, k]) for k in range(m)},
+                           2 * t % m != 0) for t in range(m // 2 + 1)],
+                   gram, [seed_scenario])
 
     sol = prob.solve(cfg)
     e_stack = np.stack([sol.variables[name] for name in e_names])
@@ -384,31 +386,15 @@ def benchmark_general(gram: GramMatrix, scenarios, cutoff: int = 15,
         [("tau", block_swap_matrix(m, d)), ("tau_minus", sp.identity(n_full**2, format="csr"))],
         label="pt-plus-witness")
 
-    def embed(op: np.ndarray, k: int, l: int) -> np.ndarray:
-        """op placed in sub-block (k, l) of an n_full x n_full matrix."""
-        unit = np.zeros((m, m))
-        unit[k, l] = 1.0
-        return np.kron(unit, op)
-
     for k, sc in enumerate(scenarios):
         def pin(target, label):
             prob.add_entry_equalities(["tau"], target / m, offset=k * d, label=label)
 
-        _add_scenario_rows(prob, sc, d, lambda op: {"tau": embed(m * op, k, k)}, pin,
-                           suffix=f"-{k}")
-
-    for k in range(m):
-        for l in range(k, m):
-            if k == l and isinstance(scenarios[k], Tomography):
-                continue  # trace already pinned by tomography rows
-            # Tr(block_kl) = Z_lk with block_kl = M tau_sub(k, l): the real and
-            # imaginary parts of M sum_i tau[kd + i, ld + i] are <C, tau> for
-            # C = M (E + E^T) / 2 and C = M i (E - E^T) / 2, E = embed(I, k, l).
-            e = embed(np.eye(d), k, l)
-            z = complex(gram.z[l, k])
-            prob.add_equality({"tau": m / 2 * (e + e.T)}, z.real)
-            if k != l:
-                prob.add_equality({"tau": 0.5j * m * (e - e.T)}, z.imag)
+        _add_scenario_rows(prob, sc, d, lambda op: {"tau": block_functional(op, k, k, m)},
+                           pin, suffix=f"-{k}")
+    # Z_lk = Tr(tau_kl), read in sub-block (l, k) of the full matrix
+    _add_gram_rows(prob, [((l, k), {"tau": block_functional(np.eye(d), k, l, m)}, k != l)
+                          for k in range(m) for l in range(k, m)], gram, scenarios)
 
     sol = prob.solve(cfg)
     return _result(sol, cfg, m, cutoff, "+".join(sc.tag for sc in scenarios),

@@ -34,6 +34,7 @@ __all__ = [
     "pt_sources",
     "pt_rearrange",
     "trace_weights",
+    "block_functional",
     "negativity_stform",
     "gram_of",
 ]
@@ -223,6 +224,13 @@ def trace_weights(m: int, d: int) -> np.ndarray:
     """
     t, k, j = np.ogrid[:m, :m, :d]
     return np.exp(2j * np.pi / m) ** (t * (k - j))
+
+
+def block_functional(op: np.ndarray, k: int, l: int, m: int) -> np.ndarray:
+    """M op in sub-block (l, k) of an (M D, M D) matrix C: Tr(C full) = Tr(op tau_kl)."""
+    unit = np.zeros((m, m))
+    unit[l, k] = 1.0
+    return np.kron(unit, m * op)
 
 
 def negativity_stform(e: np.ndarray) -> float:

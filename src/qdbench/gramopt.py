@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocksym import BipartiteBlockMatrix, from_standard_form, trace_weights
+from .blocksym import (BipartiteBlockMatrix, block_functional, from_standard_form,
+                       trace_weights)
 from .fock import (DensityMatrix, fidelity, matrix_from_json, matrix_to_json, real_frame,
                    rotation)
 from .sdp import SDPConfig, SDPProblem, SDPStatus
@@ -44,6 +45,12 @@ __all__ = [
 
 GRAM_PSD_TOL = 1e-9
 GRAM_DIAG_TOL = 1e-10
+
+
+def _circulant(zeta: np.ndarray) -> np.ndarray:
+    """The circulant matrix with first column zeta: Z[a, b] = zeta[(a - b) mod M]."""
+    m = len(zeta)
+    return zeta[np.mod(np.subtract.outer(np.arange(m), np.arange(m)), m)]
 
 
 class GramMatrix:
@@ -86,14 +93,9 @@ class GramMatrix:
         rho_a = np.asarray(rho_a, dtype=complex)
         return cls(rho_a.T * rho_a.shape[0], require_unit_diagonal=require_unit_diagonal)
 
-    def circulant_profile(self) -> np.ndarray:
-        """zeta_d = Z[d, 0]; the full matrix is circulant iff Z[a,b] = zeta_{a-b mod M}."""
-        return self.z[:, 0].copy()
-
     def circulant_deviation(self) -> float:
-        zeta = self.circulant_profile()
-        idx = np.mod(np.subtract.outer(np.arange(self.m), np.arange(self.m)), self.m)
-        return float(np.max(np.abs(self.z - zeta[idx])))
+        """Largest entry of Z minus the circulant matrix with Z's first column."""
+        return float(np.max(np.abs(self.z - _circulant(self.z[:, 0]))))
 
     def to_json_dict(self) -> dict:
         return matrix_to_json(self.z, m=self.m)
@@ -178,7 +180,9 @@ def _check_gram_solution(sol) -> None:
 
 
 def _solve_general(states, weights, config) -> tuple:
-    """Maximize sum_{k>l} Re(weights[k,l] * Z_kl) over compatible rho_in.
+    """Maximize sum_{k>l} Re(weights[k,l] * Z_kl) over compatible rho_in: with
+    C the :func:`blocksym.block_functional` of Z_kl = Tr(block_lk), the term
+    is <(w C + (w C)^dagger)/2, rho_in>.
 
     Returns (z, rho_in_blocks, objective_value, solution).
     """
@@ -188,14 +192,9 @@ def _solve_general(states, weights, config) -> tuple:
     prob = SDPProblem()
     prob.add_variable("rho_in", m * d)
 
-    c_obj = np.zeros((m * d, m * d), dtype=complex)
-    idx = np.arange(d)
-    for k in range(m):
-        for l in range(k):
-            c = 0.5 * m * weights[k, l]
-            c_obj[k * d + idx, l * d + idx] = c
-            c_obj[l * d + idx, k * d + idx] = np.conj(c)
-    prob.set_objective({"rho_in": c_obj}, maximize=True)
+    eye = np.eye(d)
+    c = sum(weights[k, l] * block_functional(eye, l, k, m) for k in range(m) for l in range(k))
+    prob.set_objective({"rho_in": (c + c.conj().T) / 2}, maximize=True)
 
     for k, st in enumerate(states):
         prob.add_entry_equalities(["rho_in"], st.matrix / m, offset=k * d,
@@ -239,7 +238,7 @@ def _solve_symmetric(states, weights, config) -> tuple:
     e = np.stack([sol.variables[f"E{k}"] for k in range(m)])
     diags = np.real(np.einsum("kjj->kj", e))
     zeta = np.conj(np.sum(trace_w * diags, axis=(1, 2)))
-    z = zeta[np.mod(np.subtract.outer(np.arange(m), np.arange(m)), m)]
+    z = _circulant(zeta)
     if phase is not None:
         e = phase.conj()[:, None] * e * phase
     blocks = from_standard_form(e).blocks

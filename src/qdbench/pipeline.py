@@ -25,7 +25,6 @@ from .channels import build_channel
 from .fock import DensityMatrix, coherent_state, fit_dim, noisy_coherent
 from .gramopt import GramMatrix, optimize_gram, rotation_ensemble
 from .sampling import bin_and_estimate, sample_homodyne
-from .sdp import SDPConfig
 
 __all__ = [
     "DEFAULT_CONFIG",
@@ -64,7 +63,6 @@ DEFAULT_CONFIG = {
         "angle_tolerance": 1.8,
         "base_seed": 7,
     },
-    "solver": {"tol": 1e-8, "max_iter": 200},
     "bench": {"cutoff": 15},
     "outputs": {"dir": "out"},
     "assume_phase_covariant": True,
@@ -291,8 +289,6 @@ def run_pipeline(config, out_dir: str | None = None) -> dict:
 
     cutoff = int(cfg["bench"]["cutoff"])
     dim = cutoff + 1
-    solver_cfg = SDPConfig(tol=float(cfg["solver"]["tol"]),
-                           max_iter=int(cfg["solver"]["max_iter"]))
 
     seed = _build_seed(cfg, dim)
     channel = build_channel(cfg["channel_sim"], dim)
@@ -306,13 +302,12 @@ def run_pipeline(config, out_dir: str | None = None) -> dict:
     grams: dict[int, GramMatrix] = {}
     for m in m_values:
         states = rotation_ensemble(seed, m)
-        res = optimize_gram(states, symmetric=True, solver_config=solver_cfg)
+        res = optimize_gram(states, symmetric=True)
         grams[m] = res.gram
         purity_rows.append((m, res.purity, res.purity_upper_bound))
         input_neg_rows.append((m, input_negativity(res.rho_in)))
 
-    outcomes = [(m, label, benchmark_symmetric(grams[m], scen, m, cutoff=cutoff,
-                                               solver_config=solver_cfg))
+    outcomes = [(m, label, benchmark_symmetric(grams[m], scen, m, cutoff=cutoff))
                 for m in m_values for label, scen in scenarios]
 
     bound_rows = [(m, label, cutoff, r.negativity_lower_bound, r.verdict)

@@ -49,6 +49,14 @@ def rotated_outputs(rho_out, m):
 
 
 class TestScenarios:
+    def test_tomography_state_larger_than_the_cutoff_is_renormalized(self):
+        rho = noisy_coherent(complex(0.00707, -0.67175), 0.219, 24, deficit_tol=1e-6)
+        target = bench._prepare_tomography_state(rho, 16)
+        assert target.shape == (16, 16)
+        assert abs(np.trace(target).real - 1.0) <= 1e-15
+        lost = 1.0 - np.trace(rho.matrix[:16, :16]).real
+        np.testing.assert_allclose(target * (1.0 - lost), rho.matrix[:16, :16], rtol=1e-15)
+
     def test_tomography_estimates_mean_photon(self):
         # <n> = 0.25, so the guard asks for N >= 1
         scen = Tomography(coherent_state(0.5, 12))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdbench.blocksym import (BipartiteBlockMatrix, from_standard_form,
+from qdbench.blocksym import (BipartiteBlockMatrix, block_functional, from_standard_form,
                               gram_of, negativity, negativity_stform, partial_transpose,
                               pt_rearrange, symmetry_check,
                               to_standard_form, trace_weights, twirl)
@@ -331,6 +331,23 @@ class TestTraceWeights:
             got = np.einsum("tkj,kjj->t", trace_weights(m, d), e)
             want = np.trace(blocks[:, 0], axis1=1, axis2=2)
             assert np.max(np.abs(got - want)) <= 1e-13
+
+
+class TestBlockFunctional:
+    def test_reads_the_trace_against_block_kl(self, rng):
+        """Tr(C full) = Tr(op tau_kl) on grids that are not Hermitian, so
+        that reading block (l, k) instead fails."""
+        for m in range(1, 5):
+            for d in range(1, 6):
+                shape = (m, m, d, d)
+                tau = BipartiteBlockMatrix(
+                    rng.standard_normal(shape) + 1j * rng.standard_normal(shape), check=False)
+                full = tau.full_matrix()
+                for k in range(m):
+                    for l in range(m):
+                        op = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                        got = np.trace(block_functional(op, k, l, m) @ full)
+                        assert abs(got - np.trace(op @ tau.blocks[k, l])) <= 1e-12
 
 
 class TestNegativityStandardForm:

@@ -260,3 +260,31 @@ class TestDensityMatrixValidation:
         del payload[field]
         with pytest.raises(ValueError, match=f"density-matrix JSON has no field '{field}'"):
             DensityMatrix.from_json_dict(payload)
+
+
+# noisy_memory's seed built at D = 24 (its amplitude and excess noise)
+MEMORY_ALPHA, MEMORY_EXCESS = complex(0.00707, -0.67175), 0.219
+
+
+class TestFitDim:
+    def test_padding_returns_a_zero_padded_copy(self, rng):
+        rho = random_density(rng, 4)
+        padded, lost = fock.fit_dim(rho, 7, "state")
+        assert lost == 0.0 and padded.shape == (7, 7)
+        assert np.array_equal(padded[:4, :4], rho)
+        assert not np.any(padded[4:]) and not np.any(padded[:, 4:])
+        padded[0, 0] = 5.0
+        assert rho[0, 0] != 5.0
+
+    def test_truncation_returns_the_top_left_block_and_its_lost_trace(self):
+        rho = noisy_coherent(MEMORY_ALPHA, MEMORY_EXCESS, 24, deficit_tol=1e-6).matrix
+        cut, lost = fock.fit_dim(rho, 16, "state")
+        assert np.array_equal(cut, rho[:16, :16])
+        assert lost == 1.0 - float(np.real(np.trace(rho[:16, :16])))
+        assert 1.8e-9 < lost < 2.0e-9
+
+    def test_truncation_losing_too_much_raises_naming_what(self):
+        rho = noisy_coherent(MEMORY_ALPHA, MEMORY_EXCESS, 24, deficit_tol=1e-6).matrix
+        with pytest.raises(TruncationError, match="seed state loses trace") as exc:
+            fock.fit_dim(rho, 6, "seed state")
+        assert abs(exc.value.deficit - 1.44e-3) <= 1e-5

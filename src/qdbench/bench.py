@@ -305,8 +305,6 @@ def benchmark_symmetric(gram: GramMatrix, seed_scenario, m: int, cutoff: int = 1
     """
     if m != gram.m:
         raise ValueError(f"gram has M = {gram.m}, requested M = {m}")
-    if m < 1:
-        raise ValueError("M must be positive")
     circ_dev = gram.circulant_deviation()
     if circ_dev > 1e-8:
         raise ValueError(

@@ -95,10 +95,6 @@ class BipartiteBlockMatrix:
     def trace(self) -> float:
         return float(np.real(np.einsum("kkii->", self.blocks) / self.m))
 
-    def block_traces(self) -> np.ndarray:
-        """M x M matrix of block traces Tr(tau_kl)."""
-        return np.einsum("klii->kl", self.blocks)
-
     def to_json_dict(self) -> dict:
         return matrix_to_json(self.full_matrix(), m=self.m, dim=self.dim)
 
@@ -247,13 +243,11 @@ def negativity_stform(e: np.ndarray) -> float:
     return float((tnorm - total_trace) / 2.0)
 
 
-def gram_of(tau: BipartiteBlockMatrix):
-    """Reduced matrix on A: entries (1/M) Tr(tau_kl), returned as a Gram object.
+def gram_of(tau: BipartiteBlockMatrix) -> np.ndarray:
+    """The (M, M) Gram matrix read off a block grid: Z_kl = Tr tau_lk.
 
-    For a grid built from pure vectors via :meth:`from_pure_family`, entry
-    (k, l) is <psi_l|psi_k>/M.
+    Its diagonal holds the traces of the diagonal blocks, so it is a unit-
+    diagonal Gram only when each of those is a normalized state.  For a grid
+    built from pure vectors via :meth:`from_pure_family`, Z_kl = <psi_k|psi_l>.
     """
-    from .gramopt import GramMatrix
-
-    rho_a = tau.block_traces() / tau.m
-    return GramMatrix.from_rho_a(rho_a, require_unit_diagonal=False)
+    return np.einsum("lkii->kl", tau.blocks)

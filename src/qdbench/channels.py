@@ -36,7 +36,7 @@ __all__ = [
 class KrausChannel:
     """Completely positive map rho -> sum_k K_k rho K_k^dag."""
 
-    def __init__(self, kraus, entanglement_breaking: bool = False):
+    def __init__(self, kraus):
         kraus = [np.asarray(k, dtype=complex) for k in kraus]
         if not kraus:
             raise ValueError("need at least one Kraus operator")
@@ -46,7 +46,6 @@ class KrausChannel:
                 raise ValueError("all Kraus operators must be square with equal dimension")
         self.kraus = kraus
         self.dim = dim
-        self.entanglement_breaking = entanglement_breaking
 
     def apply_matrix(self, rho: np.ndarray) -> np.ndarray:
         """sum_k K_k rho K_k^dag, Hermitized: for Hermitian ``rho`` only.  An
@@ -225,7 +224,7 @@ def heterodyne_mp_channel(dim: int) -> KrausChannel:
     log_coef = (logfact[m + k] - (m + k + 1) * math.log(2.0)
                 - 0.5 * (logfact[j] + logfact[k] + logfact[m] + logfact[n]))
     choi = np.where(j - k == m - n, np.exp(log_coef), 0.0).reshape(dim * dim, dim * dim)
-    return KrausChannel(_kraus_from_choi(choi.astype(complex), dim), entanglement_breaking=True)
+    return KrausChannel(_kraus_from_choi(choi.astype(complex), dim))
 
 
 def dephasing_channel(dim: int) -> KrausChannel:
@@ -233,7 +232,7 @@ def dephasing_channel(dim: int) -> KrausChannel:
     kraus = [np.zeros((dim, dim), dtype=complex) for _ in range(dim)]
     for n in range(dim):
         kraus[n][n, n] = 1.0
-    return KrausChannel(kraus, entanglement_breaking=True)
+    return KrausChannel(kraus)
 
 
 def replace_channel(sigma: DensityMatrix) -> KrausChannel:
@@ -247,7 +246,7 @@ def replace_channel(sigma: DensityMatrix) -> KrausChannel:
         for j in range(dim):
             op = math.sqrt(lam) * np.outer(vec, np.eye(dim)[j])
             kraus.append(op)
-    return KrausChannel(kraus, entanglement_breaking=True)
+    return KrausChannel(kraus)
 
 
 def build_channel(spec: dict, dim: int) -> KrausChannel:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocksym import (BipartiteBlockMatrix, block_functional, from_standard_form,
+from .blocksym import (BipartiteBlockMatrix, block_functional, from_standard_form, gram_of,
                        trace_weights)
 from .fock import (DensityMatrix, fidelity, matrix_from_json, matrix_to_json, real_frame,
                    rotation)
@@ -54,16 +54,12 @@ def _circulant(zeta: np.ndarray) -> np.ndarray:
 
 
 class GramMatrix:
-    """Hermitian PSD matrix of purification overlaps Z_kl = <G_k|G_l>.
-
-    Proper purification Grams have unit diagonal; ``require_unit_diagonal``
-    can be dropped for raw block-trace matrices (e.g. reduced matrices of
-    unnormalized grids), in which case only Hermiticity/PSD are enforced.
-    """
+    """Hermitian PSD matrix of purification overlaps Z_kl = <G_k|G_l>, with
+    unit diagonal."""
 
     __slots__ = ("m", "z")
 
-    def __init__(self, z: np.ndarray, require_unit_diagonal: bool = True):
+    def __init__(self, z: np.ndarray):
         z = np.asarray(z, dtype=complex)
         if z.ndim != 2 or z.shape[0] != z.shape[1]:
             raise ValueError(f"Gram matrix must be square, got {z.shape}")
@@ -71,27 +67,16 @@ class GramMatrix:
         if herm > 1e-10:
             raise ValueError(f"Gram matrix is not Hermitian (deviation {herm:.3e})")
         z = (z + z.conj().T) / 2.0
+        diag_err = float(np.max(np.abs(np.diag(z) - 1.0)))
+        if diag_err > GRAM_DIAG_TOL:
+            raise ValueError(f"Gram diagonal deviates from 1 by {diag_err:.3e}")
         min_eig = float(np.linalg.eigvalsh(z)[0])
-        if min_eig < -GRAM_PSD_TOL * max(1.0, float(np.max(np.abs(np.diag(z).real)))):
+        if min_eig < -GRAM_PSD_TOL:
             raise ValueError(f"Gram matrix is not PSD (min eigenvalue {min_eig:.3e})")
-        if require_unit_diagonal:
-            diag_err = float(np.max(np.abs(np.diag(z) - 1.0)))
-            if diag_err > GRAM_DIAG_TOL:
-                raise ValueError(f"Gram diagonal deviates from 1 by {diag_err:.3e}")
-            if float(np.max(np.abs(z))) > 1.0 + GRAM_PSD_TOL:
-                raise ValueError("Gram entries must have modulus <= 1")
+        if float(np.max(np.abs(z))) > 1.0 + GRAM_PSD_TOL:
+            raise ValueError("Gram entries must have modulus <= 1")
         self.m = z.shape[0]
         self.z = z
-
-    @property
-    def rho_a(self) -> np.ndarray:
-        """Reduced register state: rho_A[k,l] = Z_lk / M."""
-        return self.z.T / self.m
-
-    @classmethod
-    def from_rho_a(cls, rho_a: np.ndarray, require_unit_diagonal: bool = True) -> "GramMatrix":
-        rho_a = np.asarray(rho_a, dtype=complex)
-        return cls(rho_a.T * rho_a.shape[0], require_unit_diagonal=require_unit_diagonal)
 
     def circulant_deviation(self) -> float:
         """Largest entry of Z minus the circulant matrix with Z's first column."""
@@ -109,7 +94,7 @@ class GramMatrix:
 
 
 def gram_purity(gram: GramMatrix) -> float:
-    """P = (1/M^2) sum_kl |Z_kl|^2 = Tr(rho_A^2)."""
+    """P = (1/M^2) sum_kl |Z_kl|^2, the purity of the register state Z^T / M."""
     return float(np.sum(np.abs(gram.z) ** 2)) / gram.m**2
 
 
@@ -157,12 +142,6 @@ class GramOptResult:
     purity_upper_bound: float
     diagnostics: dict
 
-    def __post_init__(self):
-        if self.purity > self.purity_upper_bound + 1e-6:
-            raise ValueError(
-                f"achieved purity {self.purity:.8f} exceeds the pairwise-fidelity bound "
-                f"{self.purity_upper_bound:.8f}")
-
 
 def _check_gram_solution(sol) -> None:
     """The block-diagonal input is always feasible, so anything short of an
@@ -184,7 +163,7 @@ def _solve_general(states, weights, config) -> tuple:
     C the :func:`blocksym.block_functional` of Z_kl = Tr(block_lk), the term
     is <(w C + (w C)^dagger)/2, rho_in>.
 
-    Returns (z, rho_in_blocks, objective_value, solution).
+    Returns (z, rho_in, objective_value, solution).
     """
     m = len(states)
     d = states[0].dim
@@ -202,9 +181,8 @@ def _solve_general(states, weights, config) -> tuple:
 
     sol = prob.solve(config)
     _check_gram_solution(sol)
-    blocks = BipartiteBlockMatrix.from_full(sol.variables["rho_in"], m, check=False).blocks
-    z = np.einsum("lkii->kl", blocks)  # Z_kl = Tr block_lk
-    return z, blocks, sol.objective, sol
+    rho_in = BipartiteBlockMatrix.from_full(sol.variables["rho_in"], m, check=False)
+    return gram_of(rho_in), rho_in, sol.objective, sol
 
 
 def _solve_symmetric(states, weights, config) -> tuple:
@@ -241,8 +219,7 @@ def _solve_symmetric(states, weights, config) -> tuple:
     z = _circulant(zeta)
     if phase is not None:
         e = phase.conj()[:, None] * e * phase
-    blocks = from_standard_form(e).blocks
-    return z, blocks, sol.objective, sol
+    return z, from_standard_form(e), sol.objective, sol
 
 
 def optimize_gram(test_states, symmetric: bool = False, *,
@@ -268,7 +245,7 @@ def optimize_gram(test_states, symmetric: bool = False, *,
                          "(rho_k = U^k rho_0 U^-k within 1e-8)")
     solve = _solve_symmetric if symmetric else _solve_general
     # weights 1 - i: Re((1 - i) Z_kl) = Re Z_kl + Im Z_kl, the h objective
-    z, blocks, h_value, sol = solve(test_states, np.full((m, m), 1.0 - 1.0j), config)
+    z, rho_in, h_value, sol = solve(test_states, np.full((m, m), 1.0 - 1.0j), config)
     diagnostics = {
         "solver_status": sol.status.value,
         "solver_iterations": sol.iterations,
@@ -277,16 +254,19 @@ def optimize_gram(test_states, symmetric: bool = False, *,
     }
 
     # Clean tiny numerical diagonal drift before validation.
-    z = z.copy()
     np.fill_diagonal(z, 1.0)
     gram = GramMatrix(z)
-    rho_in = BipartiteBlockMatrix(blocks, check=False)
+    purity, bound = gram_purity(gram), purity_upper_bound(test_states)
+    if purity > bound + 1e-6:
+        raise ValueError(
+            f"achieved purity {purity:.8f} exceeds the pairwise-fidelity bound {bound:.8f} "
+            f"(Gram solve at SDPConfig.tol = {config.tol:g}, status {sol.status.value})")
     return GramOptResult(
         gram=gram,
         rho_in=rho_in,
         h_value=float(h_value),
-        purity=gram_purity(gram),
-        purity_upper_bound=purity_upper_bound(test_states),
+        purity=purity,
+        purity_upper_bound=bound,
         diagnostics=diagnostics,
     )
 

@@ -114,7 +114,16 @@ def _merge_config(base: dict, override: dict, path: str = "") -> dict:
 
 def _check_sweep(cfg: dict) -> None:
     """Reject a sweep without points, with too small a cutoff or ensemble, or
-    with an unknown moment source, naming the field."""
+    with an unknown seed kind, scenario kind or moment source, naming the
+    field.  ``channel_sim.kind`` is left to :func:`channels.build_channel`."""
+    kind = cfg["seed_state"]["kind"]
+    if kind not in ("coherent", "noisy_coherent", "file"):
+        raise ValueError(f"configuration field 'seed_state.kind' must be 'coherent', "
+                         f"'noisy_coherent' or 'file', got {kind!r}")
+    for kind in cfg["scenario"]["kinds"]:
+        if kind not in _SCENARIO_KINDS:
+            raise ValueError(f"configuration field 'scenario.kinds' entries must be one of "
+                             f"{', '.join(_SCENARIO_KINDS)}, got {kind!r}")
     source = cfg["scenario"]["moment_source"]
     if source not in ("state", "sampled"):
         raise ValueError(f"configuration field 'scenario.moment_source' must be 'state' or "
@@ -171,12 +180,10 @@ def _build_seed(cfg: dict, dim: int) -> DensityMatrix:
         state = noisy_coherent(complex(sc["alpha_re"], sc["alpha_im"]),
                                float(sc["excess"]), d,
                                deficit_tol=float(sc["deficit_tol"]))
-    elif kind == "file":
+    else:  # "file"
         if not sc["path"]:
             raise ValueError("seed_state.path is required for seed_state.kind == 'file'")
         state = DensityMatrix.load(sc["path"], allow_sub_normalized=True)
-    else:
-        raise ValueError(f"seed_state.kind '{kind}' is not one of coherent|noisy_coherent|file")
     if state.dim != dim:
         state = DensityMatrix(fit_dim(state.matrix, dim, "seed state")[0],
                               allow_sub_normalized=True)
@@ -207,9 +214,6 @@ def _sampled_moments(rho_out: DensityMatrix, scen_cfg: dict):
 def _build_scenarios(rho_out: DensityMatrix, scen_cfg: dict):
     """Labelled measurement scenarios for the sweep."""
     kinds = scen_cfg["kinds"]
-    for kind in kinds:
-        if kind not in _SCENARIO_KINDS:
-            raise ValueError(f"scenario.kinds entry '{kind}' not in {_SCENARIO_KINDS}")
     exact = rho_out.quadrature_moments()
     sampled = errors_sampled = None
     if "quadratures_sampled" in kinds or (

@@ -53,10 +53,12 @@ forms about half of K's columns.  A solve's largest array is thus the packed
 S, next to chunks of about ``K_CHUNK`` entries.  S is factored once per
 iteration, in place, by ``dpftrf`` with a ladder of diagonal jitters
 (:func:`_factor_schur`); the predictor and corrector share it through
-``dpftrs``.  All arithmetic is deterministic: identical problems and
-configuration reproduce bit-identical iterate sequences, whatever
-``K_CHUNK`` and ``DIAG_STRIP``, since every entry of S sums the same products
-in the same order however the chunks and strips cut it.
+``dpftrs``.  At a fixed BLAS/OpenMP thread count all arithmetic is
+deterministic: identical problems and configuration reproduce bit-identical
+iterate sequences, whatever ``K_CHUNK`` and ``DIAG_STRIP``, since every entry
+of S sums the same products in the same order however the chunks and strips
+cut it.  Another thread count may change the order of BLAS sums, and a solve
+that stalls can then stop at another iterate.
 
 A problem invariant under complex conjugation (:func:`_real_rows`) is solved
 over real symmetric blocks: its stacks are real, K and A keep the first

@@ -22,7 +22,7 @@ TABLE_ERRORS = {"x": 0.03, "p": 0.03, "xx": 0.04, "pp": 0.09}
 def pure_ring_gram(m, alpha, dim):
     amps = [_coherent_amplitudes(alpha * np.exp(-2j * np.pi * k / m), dim) for k in range(m)]
     tau = BipartiteBlockMatrix.from_pure_family(amps)
-    z = gram_of(tau).z.copy()
+    z = gram_of(tau)
     np.fill_diagonal(z, 1.0)
     return GramMatrix(z), tau
 
@@ -268,6 +268,14 @@ class TestBenchmarkSymmetric:
         z[0, 1] = z[1, 0] = 0.5
         with pytest.raises(ValueError, match="circulant"):
             benchmark_symmetric(GramMatrix(z), Tomography(coherent_state(0.3, 8)), 3, cutoff=7)
+
+    def test_rejects_an_ensemble_size_other_than_the_grams(self):
+        gram = GramMatrix(np.eye(2, dtype=complex))
+        with pytest.raises(ValueError, match="gram has M = 2, requested M = 3"):
+            benchmark_symmetric(gram, Tomography(coherent_state(0.3, 8)), 3, cutoff=7)
+        # so M >= 1 needs no check of its own: there is no 0 x 0 Gram
+        with pytest.raises(ValueError):
+            GramMatrix(np.zeros((0, 0)))
 
     def test_cutoff_guard(self):
         gram = GramMatrix(np.eye(2, dtype=complex))

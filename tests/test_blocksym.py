@@ -399,20 +399,18 @@ class TestGramOf:
     def test_orthonormal_family(self):
         vecs = np.eye(3, 5)
         tau = BipartiteBlockMatrix.from_pure_family(vecs)
-        g = gram_of(tau)
-        np.testing.assert_allclose(g.rho_a, np.eye(3) / 3, atol=1e-12)
+        np.testing.assert_allclose(gram_of(tau), np.eye(3), atol=1e-12)
 
     def test_coherent_pair_offdiagonal(self):
         amps = [_coherent_amplitudes(0.5, 30), _coherent_amplitudes(-0.5, 30)]
         tau = BipartiteBlockMatrix.from_pure_family(amps)
-        g = gram_of(tau)
-        expected = coherent_overlap(-0.5, 0.5) / 2  # <psi_1|psi_0>/M
-        assert abs(g.rho_a[0, 1] - expected) <= 1e-8
+        z = gram_of(tau)
+        assert abs(z[1, 0] - coherent_overlap(-0.5, 0.5)) <= 1e-8  # Z_10 = <psi_1|psi_0>
 
     def test_unit_trace(self, rng):
         tau = random_block_matrix(rng, 4, 3)
-        g = gram_of(tau)
-        assert abs(np.trace(g.rho_a) - 1.0) <= 1e-10
+        # Tr Z = sum_k Tr tau_kk = M Tr(full matrix)
+        assert abs(np.trace(gram_of(tau)) - tau.m) <= 1e-9
 
 
 class TestBipartiteJson:

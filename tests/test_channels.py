@@ -94,9 +94,6 @@ class TestHeterodyneMP:
         mom = out.quadrature_moments()
         assert mom["xx"] - mom["x"] ** 2 == pytest.approx(1.5, abs=2e-3)
 
-    def test_flagged_entanglement_breaking(self):
-        assert heterodyne_mp_channel(8).entanglement_breaking
-
 
 class TestDephasing:
     def test_kills_coherences(self):

@@ -41,14 +41,6 @@ class TestGramMatrix:
         with pytest.raises(ValueError):
             GramMatrix(z)
 
-    def test_rho_a_convention(self):
-        z = np.array([[1.0, 0.3 + 0.1j], [0.3 - 0.1j, 1.0]])
-        g = GramMatrix(z)
-        # rho_A[k,l] = Z_lk / M
-        assert g.rho_a[0, 1] == pytest.approx((0.3 - 0.1j) / 2)
-        again = GramMatrix.from_rho_a(g.rho_a)
-        np.testing.assert_allclose(again.z, z, atol=1e-14)
-
     def test_circulant_deviation(self):
         z = np.array([[1.0, 0.5, 0.5], [0.5, 1.0, 0.5], [0.5, 0.5, 1.0]], dtype=complex)
         assert GramMatrix(z).circulant_deviation() <= 1e-15
@@ -148,7 +140,7 @@ class TestOptimizeGram:
     def test_gram_consistent_with_rho_in(self):
         states = noisy_ring(3)
         res = optimize_gram(states)
-        np.testing.assert_allclose(gram_of(res.rho_in).z, res.gram.z, atol=1e-6)
+        np.testing.assert_allclose(gram_of(res.rho_in), res.gram.z, atol=1e-6)
 
     def test_symmetric_output_is_symmetric_and_circulant(self):
         states = noisy_ring(4)
@@ -196,7 +188,7 @@ class TestOptimizeGram:
             res_gen = optimize_gram(states)
             assert res_sym.h_value <= res_gen.h_value + 1e-5
             tw = twirl(res_gen.rho_in)
-            z_tw = gram_of(tw).z
+            z_tw = gram_of(tw)
             h_tw = float(sum(z_tw[k, l].real + z_tw[k, l].imag
                              for k in range(m) for l in range(k)))
             assert h_tw <= res_sym.h_value + 1e-5
@@ -205,6 +197,15 @@ class TestOptimizeGram:
         for m in (2, 3, 5):
             res = optimize_gram(noisy_ring(m), symmetric=True)
             assert res.purity <= res.purity_upper_bound + 1e-6
+
+    def test_purity_above_the_bound_names_the_solver_setting(self):
+        # At M = 2 the pairwise-fidelity bound is attained, so a Gram solve
+        # at tolerance 1e-6 overshoots it by more than the 1e-6 margin.
+        seed = noisy_coherent(complex(0.00707, -0.67175), 0.219, 16, deficit_tol=1e-6)
+        with pytest.raises(ValueError, match=r"exceeds the pairwise-fidelity bound .*"
+                                             r"SDPConfig\.tol = 1e-06, status Optimal"):
+            optimize_gram(rotation_ensemble(seed, 2), symmetric=True,
+                          solver_config=sdp.SDPConfig(tol=1e-6))
 
     def test_feasible_set_convexity(self):
         # convex combinations of two feasible inputs stay feasible and mix the Gram
@@ -219,7 +220,7 @@ class TestOptimizeGram:
         assert np.linalg.eigvalsh(combo.full_matrix())[0] >= -1e-9
         for k in range(3):
             assert np.max(np.abs(combo.blocks[k, k] - states[k].matrix)) <= 1e-6
-        z_combo = gram_of(combo).z
+        z_combo = gram_of(combo)
         np.testing.assert_allclose(z_combo, lam * res_a.gram.z + (1 - lam) * res_b.gram.z,
                                    atol=1e-8)
 

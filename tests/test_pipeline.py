@@ -364,7 +364,10 @@ class TestCLI:
          "scenario.sigma_levels"),
         ({"scenario": {"moment_source": "sampeld"}}, "scenario.moment_source"),
         ({"scenario": {"sigma_levels": [4]}}, "scenario.sigma_levels"),
-        ({"scenario": {"sigma_levels": [1, 0]}}, "scenario.sigma_levels")])
+        ({"scenario": {"sigma_levels": [1, 0]}}, "scenario.sigma_levels"),
+        ({"seed_state": {"kind": "squeezed"}}, "seed_state.kind"),
+        ({"scenario": {"kinds": ["tomography", "tomograpy"]}}, "scenario.kinds"),
+        ({"ensemble": {"m_values": [1]}}, "ensemble.m_values")])
     def test_empty_sweep_or_nonpositive_cutoff_exits_1_naming_the_field(
             self, tmp_path, capsys, config, field):
         path = tmp_path / "bad.json"

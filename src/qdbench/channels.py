@@ -1,12 +1,12 @@
 """Channel simulators for benchmark fixtures, as Kraus maps at a fixed cutoff.
 
-All channels here are phase covariant (they commute with Fock-space
-rotations), so rotation-generated ensembles stay rotation-generated after the
-channel acts.  Truncation can leave a completely positive map slightly
-trace-deficient near the top Fock levels; ``ensure_trace_preserving`` patches
-this by routing the lost weight into the vacuum (a measure-and-prepare
-operation, so it never creates entanglement and keeps the classical fixtures
-honestly classical).
+Every channel ``build_channel`` makes is exactly phase covariant (it commutes
+with Fock-space rotations, and ``KrausChannel.covariance_defect`` is 0.0), so
+rotation-generated ensembles stay rotation-generated after the channel acts.
+Truncation can leave a completely positive map slightly trace-deficient near
+the top Fock levels; ``ensure_trace_preserving`` patches this by routing the
+lost weight into the vacuum (a measure-and-prepare operation, so it never
+creates entanglement and keeps the classical fixtures honestly classical).
 
 Composed channels multiply superoperators (``compose_kraus``), and the
 heterodyne map writes its Choi matrix in closed form; both factor it through
@@ -68,32 +68,17 @@ class KrausChannel:
             acc += k.conj().T @ k
         return np.eye(self.dim) - acc
 
-    def is_trace_preserving(self, tol: float = 1e-10) -> bool:
-        return float(np.max(np.abs(self.completeness_defect()))) <= tol
-
     def covariance_defect(self) -> float:
-        """Max deviation of Lambda(U rho U^dag) from U Lambda(rho) U^dag on a basis."""
-        from .fock import rotation
-
-        u = rotation(2.0 * np.pi / 8, self.dim)
-        rng = np.random.default_rng(1234)
-        worst = 0.0
-        for _ in range(3):
-            a = rng.standard_normal((self.dim, self.dim)) + 1j * rng.standard_normal((self.dim, self.dim))
-            rho = a @ a.conj().T
-            rho /= np.real(np.trace(rho))
-            lhs = self.apply_matrix(u @ rho @ u.conj().T)
-            rhs = u @ self.apply_matrix(rho) @ u.conj().T
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-        return worst
+        """Largest |entry| of the Choi matrix between rows of different
+        photon-number shift: exactly 0.0 for a phase-covariant map (one that
+        commutes with every Fock-space rotation)."""
+        _, cross = _shifts(self.dim)
+        return float(np.max(np.abs(_choi(self.kraus)[cross]), initial=0.0))
 
 
 def ensure_trace_preserving(kraus, dim: int):
     """Append refill operators routing any completeness defect into |0><0|."""
-    acc = np.zeros((dim, dim), dtype=complex)
-    for k in kraus:
-        acc += np.asarray(k).conj().T @ np.asarray(k)
-    defect = np.eye(dim) - acc
+    defect = KrausChannel(kraus).completeness_defect()
     defect = (defect + defect.conj().T) / 2.0
     w, v = np.linalg.eigh(defect)
     extra = []
@@ -112,25 +97,36 @@ def _reshuffle(mat: np.ndarray, dim: int) -> np.ndarray:
     return mat.reshape(dim, dim, dim, dim).transpose(0, 2, 1, 3).reshape(dim * dim, dim * dim)
 
 
+def _choi(kraus) -> np.ndarray:
+    """The (d^2, d^2) Choi matrix of a Kraus set, sum_K K[i, k] conj(K[j, l])
+    at row (i, k), column (j, l)."""
+    vecs = np.stack(kraus).reshape(len(kraus), -1)
+    return vecs.T @ vecs.conj()
+
+
 def _superoperator(kraus) -> np.ndarray:
     """The (d^2, d^2) superoperator sum_k K_k (x) conj(K_k) of a Kraus set."""
-    dim = kraus[0].shape[0]
-    vecs = np.stack(kraus).reshape(len(kraus), dim * dim)
-    return _reshuffle(vecs.T @ vecs.conj(), dim)
+    return _reshuffle(_choi(kraus), kraus[0].shape[0])
+
+
+def _shifts(dim: int):
+    """The photon-number shift i - k of each Choi row (i, k), and the mask of
+    the Choi entries between rows of different shift."""
+    shift = np.subtract.outer(np.arange(dim), np.arange(dim)).ravel()
+    return shift, shift[:, None] != shift[None, :]
 
 
 def _kraus_from_choi(choi: np.ndarray, dim: int) -> list:
-    """Minimal Kraus set of the map with the given Choi matrix (row (i, k),
-    column (j, l) holding sum_K K[i, k] conj(K[j, l])): at most d^2 operators
-    sqrt(lambda) vec^-1(v), one per eigenvalue lambda > 0 (the others are
-    roundoff), plus the refills of ``ensure_trace_preserving``.  A
-    phase-covariant map's Choi matrix couples row (i, k) only to rows of the
-    same photon-number shift i - k, so it is decomposed one shift at a time;
-    any other map whole.
+    """Minimal Kraus set of the map with the given Choi matrix (see ``_choi``):
+    at most d^2 operators sqrt(lambda) vec^-1(v), one per eigenvalue
+    lambda > 0 (the others are roundoff), plus the refills of
+    ``ensure_trace_preserving``.  A phase-covariant map's Choi matrix couples
+    row (i, k) only to rows of the same photon-number shift i - k, so it is
+    decomposed one shift at a time; any other map whole.
     """
     choi = (choi + choi.conj().T) / 2.0
-    shift = np.subtract.outer(np.arange(dim), np.arange(dim)).ravel()
-    if np.any(choi[shift[:, None] != shift[None, :]]):
+    shift, cross = _shifts(dim)
+    if np.any(choi[cross]):
         shift = np.zeros_like(shift)
     kraus = []
     for s in np.unique(shift):

@@ -111,16 +111,20 @@ def matrix_to_json(mat: np.ndarray, **sizes) -> dict:
 
 def matrix_from_json(payload, what: str, *size_keys) -> np.ndarray:
     """Complex matrix of :func:`matrix_to_json`, whose side is the product of
-    the ``size_keys`` fields; a missing or malformed field raises a
-    ValueError naming ``what``."""
+    the ``size_keys`` fields; a missing or malformed field, or a size below 1,
+    raises a ValueError naming ``what``."""
     try:
-        n = math.prod(int(payload[key]) for key in size_keys)
+        sizes = {key: int(payload[key]) for key in size_keys}
         re = np.asarray(payload["re"], dtype=float)
         im = np.asarray(payload["im"], dtype=float)
     except KeyError as exc:
         raise ValueError(f"{what} JSON has no field {exc}") from None
     except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed {what} JSON: {exc}") from None
+    for key, size in sizes.items():
+        if size < 1:
+            raise ValueError(f"{what} JSON field '{key}' must be >= 1, got {size}")
+    n = math.prod(sizes.values())
     if re.shape != (n, n) or im.shape != (n, n):
         raise ValueError(f"{what} JSON arrays must be {n}x{n}, got {re.shape} and {im.shape}")
     return re + 1j * im

@@ -61,8 +61,8 @@ class GramMatrix:
 
     def __init__(self, z: np.ndarray):
         z = np.asarray(z, dtype=complex)
-        if z.ndim != 2 or z.shape[0] != z.shape[1]:
-            raise ValueError(f"Gram matrix must be square, got {z.shape}")
+        if z.ndim != 2 or z.shape[0] != z.shape[1] or not z.size:
+            raise ValueError(f"Gram matrix must be square and at least 1x1, got {z.shape}")
         herm = float(np.max(np.abs(z - z.conj().T)))
         if herm > 1e-10:
             raise ValueError(f"Gram matrix is not Hermitian (deviation {herm:.3e})")
@@ -123,14 +123,8 @@ def rotation_ensemble(seed: DensityMatrix, m: int) -> list:
 
 def is_rotation_generated(states) -> bool:
     """True when rho_k = U^k rho_0 U^{-k} within 1e-8 for all k."""
-    m = len(states)
-    u = rotation(2.0 * np.pi / m, states[0].dim)
-    current = states[0].matrix
-    for k in range(1, m):
-        current = u @ current @ u.conj().T
-        if float(np.max(np.abs(states[k].matrix - current))) > 1e-8:
-            return False
-    return True
+    return all(float(np.max(np.abs(state.matrix - want.matrix))) <= 1e-8
+               for state, want in zip(states, rotation_ensemble(states[0], len(states))))
 
 
 @dataclass

@@ -65,7 +65,6 @@ DEFAULT_CONFIG = {
     },
     "bench": {"cutoff": 15},
     "outputs": {"dir": "out"},
-    "assume_phase_covariant": True,
 }
 
 _SCENARIO_KINDS = ("tomography", "quadratures", "quadratures_sampled", "quadratures_errors")
@@ -285,12 +284,6 @@ plot for [scen in scenarios] 'bounds.csv' \\
 def run_pipeline(config, out_dir: str | None = None) -> dict:
     """Execute the full sweep; returns a summary dict including ``exit_code``."""
     cfg = load_config(config)
-    if not cfg["assume_phase_covariant"]:
-        raise ValueError(
-            "the pipeline benchmarks in the phase-symmetric standard form, which is only "
-            "valid for phase-covariant devices; set assume_phase_covariant or use "
-            "benchmark_general from the library directly")
-
     cutoff = int(cfg["bench"]["cutoff"])
     dim = cutoff + 1
 

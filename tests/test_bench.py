@@ -274,7 +274,8 @@ class TestBenchmarkSymmetric:
         with pytest.raises(ValueError, match="gram has M = 2, requested M = 3"):
             benchmark_symmetric(gram, Tomography(coherent_state(0.3, 8)), 3, cutoff=7)
         # so M >= 1 needs no check of its own: there is no 0 x 0 Gram
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"Gram matrix must be square and at least 1x1, "
+                                             r"got \(0, 0\)"):
             GramMatrix(np.zeros((0, 0)))
 
     def test_cutoff_guard(self):

@@ -15,6 +15,10 @@ DIM = 16
 NOMINAL = {"kind": "loss_excess", "loss": 0.15, "excess": 0.02}
 
 
+def _completeness_error(channel):
+    return float(np.max(np.abs(channel.completeness_defect())))
+
+
 class TestTracePreservation:
     @pytest.mark.parametrize("maker", [
         lambda: identity_channel(DIM),
@@ -28,7 +32,7 @@ class TestTracePreservation:
         lambda: build_channel({"kind": "loss_excess", "loss": 0.3, "excess": 0.4}, DIM),
     ])
     def test_completeness(self, maker):
-        assert maker().is_trace_preserving(tol=1e-12)
+        assert _completeness_error(maker()) <= 1e-12
 
     @pytest.mark.parametrize("maker", [
         lambda: loss_channel(0.85, DIM),
@@ -38,9 +42,20 @@ class TestTracePreservation:
         lambda: additive_noise_channel(0.5, DIM),
         lambda: build_channel(NOMINAL, DIM),
         lambda: build_channel({"kind": "loss_excess", "loss": 0.3, "excess": 0.4}, DIM),
+        lambda: build_channel({"kind": "identity"}, DIM),
+        lambda: build_channel({"kind": "replace"}, DIM),
+        lambda: build_channel({"kind": "replace", "thermal_mean": 0.2}, DIM),
     ])
     def test_phase_covariance(self, maker):
-        assert maker().covariance_defect() <= 1e-12
+        """Every channel kind the pipeline simulates is exactly phase
+        covariant: no Choi entry couples two photon-number shifts."""
+        assert maker().covariance_defect() == 0.0
+
+    def test_covariance_defect_of_a_non_covariant_map(self):
+        """Trace-and-replace with a displaced state is not covariant: its Choi
+        matrix holds the state's coherences between different shifts."""
+        assert replace_channel(noisy_coherent(0.5, 0.1, DIM)).covariance_defect() >= 0.3
+        assert replace_channel(coherent_state(0.5, 10)).covariance_defect() >= 0.3
 
 
 class TestLoss:
@@ -120,7 +135,7 @@ class TestBuildChannel:
                      {"kind": "replace", "thermal_mean": 0.3}):
             chan = build_channel(spec, 10)
             assert isinstance(chan, KrausChannel)
-            assert chan.is_trace_preserving(tol=1e-9)
+            assert _completeness_error(chan) <= 1e-9
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown channel"):
@@ -196,7 +211,7 @@ class TestMinimalKrausSets:
         x = rng.standard_normal((2, d, d)) + 1j * rng.standard_normal((2, d, d))
         want = _blockwise(KrausChannel(then), _blockwise(KrausChannel(first), x))
         assert np.max(np.abs(_blockwise(chan, x) - want)) <= 1e-13 * np.max(np.abs(x))
-        assert chan.is_trace_preserving(tol=1e-12)
+        assert _completeness_error(chan) <= 1e-12
 
 
 class TestBadParameters:

@@ -261,6 +261,13 @@ class TestDensityMatrixValidation:
         with pytest.raises(ValueError, match=f"density-matrix JSON has no field '{field}'"):
             DensityMatrix.from_json_dict(payload)
 
+    @pytest.mark.parametrize("dim", [0, -2])
+    def test_json_rejects_a_size_below_one_by_name(self, dim):
+        payload = {"dim": dim, "re": [], "im": []}
+        with pytest.raises(ValueError, match=f"density-matrix JSON field 'dim' must be >= 1, "
+                                             f"got {dim}"):
+            DensityMatrix.from_json_dict(payload)
+
 
 # noisy_memory's seed built at D = 24 (its amplitude and excess noise)
 MEMORY_ALPHA, MEMORY_EXCESS = complex(0.00707, -0.67175), 0.219

@@ -156,11 +156,17 @@ class TestRunPipeline:
             assert scen.moments == moments and scen.std_errors == errors
             assert scen.sigma_level == level
 
-    def test_requires_phase_covariance_assertion(self):
-        cfg = load_config(bundled_config_path("demo_pure_ring"))
-        cfg["assume_phase_covariant"] = False
-        with pytest.raises(ValueError, match="phase-covariant"):
-            run_pipeline(cfg, out_dir=None)
+    def test_phase_covariance_is_no_configuration_field(self, tmp_path, capsys):
+        # every simulated channel kind is exactly phase covariant
+        # (tests/test_channels.py pins it), so there is nothing to assert
+        for value in (True, False):
+            path = tmp_path / f"covariant_{value}.json"
+            path.write_text(json.dumps({"assume_phase_covariant": value}), encoding="utf-8")
+            code = cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert "unknown configuration field 'assume_phase_covariant'" in err
+            assert "Traceback" not in err and not (tmp_path / "out").exists()
 
     def test_sampled_moments_within_widened_exact_bound(self):
         # moments estimated from synthetic data give a bound no weaker than the
@@ -484,6 +490,17 @@ class TestCLI:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error:") and named in err and "Traceback" not in err
+
+    def test_bench_rejects_an_empty_gram_by_name(self, tmp_path, capsys):
+        gram_path = tmp_path / "gram.json"
+        gram_path.write_text(json.dumps({"m": 0, "re": [], "im": []}), encoding="utf-8")
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(LAB_SCENARIO), encoding="utf-8")
+        code = cli.main(["bench", "--gram", str(gram_path), "--scenario", str(path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: Gram JSON field 'm' must be >= 1, got 0")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("value", [None, "0.01", True])
     def test_bench_rejects_a_non_number_moment_by_key(self, tmp_path, capsys, value):
